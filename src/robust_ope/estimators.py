@@ -14,15 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LoggedDataset
-from .nets import (
-    FeedForwardNet,
-    SgdConfig,
-    backward_batch,
-    forward_batch,
-    init_net,
-    make_optimizer,
-    spectral_normalize_net,
-)
+from .nets import FeedForwardNet, SgdConfig, fit, forward_batch, init_net
 from .policies import Policy
 from .robust_regression import RobustRegressor, _net_inputs, mean_matrix
 
@@ -114,28 +106,19 @@ class RobustRewardModel(RewardModel):
 
 
 def train_direct_model(logged: LoggedDataset, hidden_dims: list[int],
-                       config: SgdConfig,
-                       spectral_norm: bool = True) -> NetRewardModel:
+                       config: SgdConfig) -> NetRewardModel:
     """Fit the plain direct-method model by minibatch squared-loss SGD."""
     if len(logged) == 0:
         raise ValueError("empty logged dataset")
     rng = np.random.default_rng(config.seed)
     in_dim = logged.contexts.shape[1] + logged.n_actions
     net = init_net([in_dim, *hidden_dims, 1], rng)
-    step = make_optimizer(net, config)
     inputs = _net_inputs(logged.contexts, logged.actions, logged.n_actions)
-    targets = logged.rewards
-    n = len(logged)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            if spectral_norm:
-                spectral_normalize_net(net)
-            preds = forward_batch(net, inputs[idx])[:, 0]
-            g = (2.0 * (preds - targets[idx]) / idx.shape[0])[:, None]
-            grads, _ = backward_batch(net, inputs[idx], g)
-            step(grads)
+
+    def output_grads(preds, idx):
+        return 2.0 * (preds - logged.rewards[idx, None]) / idx.shape[0]
+
+    fit(net, inputs, output_grads, config, rng)
     return NetRewardModel(net=net, n_actions=logged.n_actions,
                           r_min=logged.r_min, r_max=logged.r_max)
 

@@ -157,8 +157,12 @@ def backward_batch(net: FeedForwardNet, inputs: np.ndarray,
             f"expected {(inputs.shape[0], net.out_dim)} gradient, "
             f"got {output_grads.shape}")
     pre, post = _forward_trace(net, inputs)
+    return _backprop(net, pre, post, output_grads)
+
+
+def _backprop(net: FeedForwardNet, pre, post, g: np.ndarray):
+    """Backpropagate output gradients `g` through a `_forward_trace`."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
-    g = output_grads
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.activation == "relu":
@@ -296,3 +300,30 @@ def spectral_normalize_net(net: FeedForwardNet, power_iterations: int = 1) -> No
                                        power_vec=layer.power_vec)
         layer.weight = normed
         layer.power_vec = u
+
+
+def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,
+        config: SgdConfig, rng: np.random.Generator) -> FeedForwardNet:
+    """The minibatch training loop shared by every trained net; in place.
+
+    Per epoch the rows are permuted by `rng`. Per minibatch of row indices
+    `idx` the net is spectral-normalized and traced forward once;
+    `output_grads(outputs, idx)` returns d(loss)/d(outputs), which is
+    backpropagated through the same trace for one optimizer step. A
+    TrainingFault raised in an epoch is re-raised naming that epoch.
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    step = make_optimizer(net, config)
+    for epoch in range(config.epochs):
+        order = rng.permutation(inputs.shape[0])
+        try:
+            for start in range(0, inputs.shape[0], config.batch_size):
+                idx = order[start:start + config.batch_size]
+                spectral_normalize_net(net)
+                pre, post = _forward_trace(net, inputs[idx])
+                grads, _ = _backprop(net, pre, post,
+                                     output_grads(post[-1], idx))
+                step(grads)
+        except TrainingFault as exc:
+            raise TrainingFault(f"{exc} at epoch {epoch}") from exc
+    return net

@@ -11,15 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nets import (
-    FeedForwardNet,
-    SgdConfig,
-    backward_batch,
-    forward_batch,
-    init_net,
-    make_optimizer,
-    spectral_normalize_net,
-)
+from .nets import FeedForwardNet, SgdConfig, fit, forward_batch, init_net
 
 #: probabilities of estimated policies are clamped to at least this value and
 #: renormalized, so importance weights stay finite
@@ -110,38 +102,26 @@ def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def _train_softmax_net(contexts: np.ndarray, labels: np.ndarray, n_classes: int,
-                       hidden_dims: list[int], config: SgdConfig,
-                       spectral_norm: bool = True) -> FeedForwardNet:
+                       hidden_dims: list[int], config: SgdConfig) -> FeedForwardNet:
     """Minimize multinomial log-loss with minibatch SGD."""
     contexts = np.asarray(contexts, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    n, d = contexts.shape
+    targets = _one_hot(np.asarray(labels, dtype=int), n_classes)
     rng = np.random.default_rng(config.seed)
-    net = init_net([d, *hidden_dims, n_classes], rng)
-    step = make_optimizer(net, config)
-    targets = _one_hot(labels, n_classes)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            if spectral_norm:
-                spectral_normalize_net(net)
-            logits = forward_batch(net, contexts[idx])
-            logits -= logits.max(axis=1, keepdims=True)
-            p = np.exp(logits)
-            p /= p.sum(axis=1, keepdims=True)
-            # d(mean log-loss)/d(logits)
-            g = (p - targets[idx]) / idx.shape[0]
-            grads, _ = backward_batch(net, contexts[idx], g)
-            step(grads)
-    return net
+    net = init_net([contexts.shape[1], *hidden_dims, n_classes], rng)
+
+    def output_grads(logits, idx):
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        # d(mean log-loss)/d(logits)
+        return (p - targets[idx]) / idx.shape[0]
+
+    return fit(net, contexts, output_grads, config, rng)
 
 
 def train_classifier_policy(contexts: np.ndarray, labels: np.ndarray,
                             n_classes: int, hidden_dims: list[int],
                             config: SgdConfig, temperature: float = 1.0,
-                            prob_floor: float = PROB_FLOOR,
-                            spectral_norm: bool = True) -> SoftmaxClassifierPolicy:
+                            prob_floor: float = PROB_FLOOR) -> SoftmaxClassifierPolicy:
     """Fit a softmax classifier on fully observed (context, label) pairs."""
     contexts = np.asarray(contexts, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -149,8 +129,7 @@ def train_classifier_policy(contexts: np.ndarray, labels: np.ndarray,
         raise ValueError("empty dataset")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError("labels out of range")
-    net = _train_softmax_net(contexts, labels, n_classes, hidden_dims, config,
-                             spectral_norm=spectral_norm)
+    net = _train_softmax_net(contexts, labels, n_classes, hidden_dims, config)
     return SoftmaxClassifierPolicy(net=net, temperature=temperature,
                                    prob_floor=prob_floor)
 

@@ -25,14 +25,13 @@ from .nets import (
     SgdConfig,
     TrainingFault,
     backward_batch,
+    fit,
     forward_batch,
     init_net,
-    make_optimizer,
-    spectral_normalize_net,
 )
 from .policies import Policy
 
-SERIAL_FORMAT_TAG = "robust-regressor-v1"
+SERIAL_FORMAT_TAG = "robust-regressor-v2"
 
 
 @dataclass
@@ -221,7 +220,6 @@ class RobustTrainSettings:
     rho_learning_rate: float = 0.01
     rho_max: float = 1e3
     ratio_max: float = 100.0
-    spectral_norm: bool = True
 
 
 def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
@@ -229,7 +227,6 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
            settings: RobustTrainSettings) -> RobustRegressor:
     if len(logged) == 0:
         raise ValueError("empty logged dataset")
-    n = len(logged)
     rng = np.random.default_rng(config.seed)
     in_dim = logged.contexts.shape[1] + logged.n_actions
     net = init_net([in_dim, *hidden_dims], rng)
@@ -238,32 +235,26 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
         net=net, rho=RhoParams(0.0, np.zeros(k)), base=base,
         n_actions=logged.n_actions, eta=eta,
         r_min=logged.r_min, r_max=logged.r_max, ratio_max=settings.ratio_max)
-    step = make_optimizer(net, config)
     inputs = _net_inputs(logged.contexts, logged.actions, logged.n_actions)
     rewards = logged.rewards
     ratios = np.clip(np.asarray(ratios, dtype=float), 0.0, settings.ratio_max)
     lr_rho = settings.rho_learning_rate
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            if settings.spectral_norm:
-                spectral_normalize_net(net)
-            feats = forward_batch(net, inputs[idx])
-            mu, sigma_sq = _gaussian_params(reg, feats, ratios[idx])
-            if not np.all(np.isfinite(mu)):
-                raise TrainingFault(f"diverged at epoch {epoch}")
-            grad_r, grad_xr = _nll_rho_grads(rewards[idx], mu, sigma_sq,
-                                             ratios[idx], feats)
-            reg.rho.rho_r = float(np.clip(
-                reg.rho.rho_r - lr_rho * (grad_r + eta * reg.rho.rho_r),
-                0.0, settings.rho_max))
-            reg.rho.rho_xr = reg.rho.rho_xr - lr_rho * (
-                grad_xr + eta * reg.rho.rho_xr)
-            out_grads = _theta_out_grads(ratios[idx], rewards[idx], mu,
-                                         reg.rho.rho_xr)
-            grads, _ = backward_batch(net, inputs[idx], out_grads)
-            step(grads)
+    rho = reg.rho
+
+    def output_grads(feats, idx):
+        # exact-NLL step on rho, then the feature gradients under the new rho
+        mu, sigma_sq = _gaussian_params(reg, feats, ratios[idx])
+        if not np.all(np.isfinite(mu)):
+            raise TrainingFault("diverged")
+        grad_r, grad_xr = _nll_rho_grads(rewards[idx], mu, sigma_sq,
+                                         ratios[idx], feats)
+        rho.rho_r = float(np.clip(
+            rho.rho_r - lr_rho * (grad_r + eta * rho.rho_r), 0.0,
+            settings.rho_max))
+        rho.rho_xr = rho.rho_xr - lr_rho * (grad_xr + eta * rho.rho_xr)
+        return _theta_out_grads(ratios[idx], rewards[idx], mu, rho.rho_xr)
+
+    fit(net, inputs, output_grads, config, rng)
     return reg
 
 
@@ -310,9 +301,15 @@ def train_iid(logged: LoggedDataset, hidden_dims: list[int],
 
 
 def save_regressor(reg: RobustRegressor, path) -> None:
-    """Serialize to .npz, loss-free at 64-bit precision."""
+    """Serialize to .npz, loss-free at 64-bit precision.
+
+    Policies are not stored, only whether the regressor was trained against
+    them; `load_regressor` then requires them back.
+    """
     payload = {
         "format_tag": np.array(SERIAL_FORMAT_TAG),
+        "needs_policies": np.array(reg.logging_policy is not None
+                                   and reg.target_policy is not None),
         "rho_r": np.array(reg.rho.rho_r),
         "rho_xr": reg.rho.rho_xr,
         "mu0": np.array(reg.base.mu0),
@@ -331,11 +328,17 @@ def save_regressor(reg: RobustRegressor, path) -> None:
     np.savez(path, **payload)
 
 
-def load_regressor(path) -> RobustRegressor:
+def load_regressor(path, logging_policy: Policy | None = None,
+                   target_policy: Policy | None = None) -> RobustRegressor:
+    """Inverse of `save_regressor`, reattaching the policies it was trained on."""
     with np.load(path, allow_pickle=False) as blob:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
             raise ValueError(f"unsupported format tag {tag!r}")
+        if bool(blob["needs_policies"]) and (logging_policy is None
+                                             or target_policy is None):
+            raise ValueError("regressor was trained against policies; pass "
+                             "logging_policy and target_policy")
         layers = [
             Layer(weight=blob[f"w{i}"], bias=blob[f"b{i}"],
                   activation=str(blob[f"act{i}"]))
@@ -350,4 +353,6 @@ def load_regressor(path) -> RobustRegressor:
             r_min=float(blob["r_min"]),
             r_max=float(blob["r_max"]),
             ratio_max=float(blob["ratio_max"]),
+            logging_policy=logging_policy,
+            target_policy=target_policy,
         )

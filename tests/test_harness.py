@@ -1,5 +1,7 @@
 """Harness and CLI: config parsing, trial protocol, reports, determinism."""
 
+import csv
+import pathlib
 import subprocess
 import sys
 
@@ -19,6 +21,8 @@ from robust_ope.harness import (
     trial_seeds,
 )
 from robust_ope.policies import TabularPolicy
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 SMALL = dict(dataset="synthetic", synthetic_n=200, synthetic_d=4,
              synthetic_k=3, trials=2, classifier_epochs=2, reward_epochs=2,
@@ -244,3 +248,35 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("estimator,rmse_mean,rmse_std,n_trials")
         assert len(lines) == 3
+
+
+class TestSmokeConfigReport:
+    """`robust-ope run` on configs/synthetic_smoke.ini, pinned and in parallel."""
+
+    @staticmethod
+    def run(out, jobs):
+        proc = subprocess.run(
+            [sys.executable, "-m", "robust_ope.cli", "run", "--config",
+             str(ROOT / "configs" / "synthetic_smoke.ini"), "--out", str(out),
+             "--jobs", str(jobs)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return out.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def serial(self, tmp_path_factory):
+        return self.run(tmp_path_factory.mktemp("smoke") / "serial.csv", 1)
+
+    def test_matches_golden_report(self, serial):
+        golden = ROOT / "tests" / "data" / "synthetic_smoke_report.csv"
+        expected = list(csv.DictReader(golden.read_text().splitlines()))
+        got = list(csv.DictReader(serial.decode().splitlines()))
+        assert [(r["estimator"], r["n_trials"]) for r in got] == \
+            [(r["estimator"], r["n_trials"]) for r in expected]
+        for row, ref in zip(got, expected):
+            assert row.keys() == ref.keys()
+            for key in ref.keys() - {"estimator", "n_trials"}:
+                assert float(row[key]) == pytest.approx(float(ref[key]),
+                                                        rel=1e-9), key
+
+    def test_jobs_two_matches_jobs_one(self, serial, tmp_path):
+        assert self.run(tmp_path / "parallel.csv", 2) == serial

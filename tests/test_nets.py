@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robust_ope.data import LoggedDataset
+from robust_ope.estimators import train_direct_model
 from robust_ope.nets import (
     AdamState,
     DimensionError,
@@ -15,6 +17,7 @@ from robust_ope.nets import (
     adam_step,
     backward,
     backward_batch,
+    fit,
     forward,
     forward_batch,
     init_net,
@@ -23,6 +26,8 @@ from robust_ope.nets import (
     spectral_normalize,
     spectral_normalize_net,
 )
+from robust_ope.policies import train_classifier_policy, uniform_policy
+from robust_ope.robust_regression import train_robust
 
 
 def identity_layer(dim, activation="identity"):
@@ -249,6 +254,45 @@ class TestSpectralNormalize:
             sigma = np.linalg.svd(layer.weight, compute_uv=False)[0]
             assert abs(sigma - 1.0) <= 1e-2
             assert layer.power_vec is not None
+
+
+class TestFit:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_one_minibatch_matches_hand_sequence(self, optimizer):
+        rng = np.random.default_rng(13)
+        inputs = rng.standard_normal((6, 3))
+        targets = rng.standard_normal((6, 2))
+        net = init_net([3, 5, 2], rng)
+        ref = net.copy()
+        config = SgdConfig(learning_rate=0.01, epochs=1, batch_size=6,
+                           optimizer=optimizer)
+        fit(net, inputs, lambda out, idx: out - targets[idx], config,
+            np.random.default_rng(0))
+
+        order = np.random.default_rng(0).permutation(6)
+        spectral_normalize_net(ref)
+        g = forward_batch(ref, inputs[order]) - targets[order]
+        grads, _ = backward_batch(ref, inputs[order], g)
+        make_optimizer(ref, config)(grads)
+        for a, b in zip(net.layers, ref.layers):
+            assert np.array_equal(a.weight, b.weight)
+            assert np.array_equal(a.bias, b.bias)
+
+    @pytest.mark.parametrize("trainer", [
+        lambda logged, config: train_classifier_policy(
+            logged.contexts, logged.actions, 2, [4], config),
+        lambda logged, config: train_direct_model(logged, [4], config),
+        lambda logged, config: train_robust(
+            logged, uniform_policy(2), uniform_policy(2), [4], config),
+    ], ids=["classifier", "direct", "robust"])
+    def test_fault_names_epoch(self, trainer):
+        contexts = np.zeros((8, 2))
+        contexts[3] = np.inf
+        logged = LoggedDataset(contexts, np.arange(8) % 2, np.full(8, 0.5), 2,
+                               propensities=np.full(8, 0.5))
+        with np.errstate(all="ignore"), \
+                pytest.raises(TrainingFault, match="at epoch 0$"):
+            trainer(logged, SgdConfig(epochs=2, batch_size=4))
 
 
 class TestInitNet:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robust_ope.bandit_sim import make_synthetic
 from robust_ope.data import LoggedDataset
 from robust_ope.nets import FeedForwardNet, Layer, SgdConfig, init_net
 from robust_ope.policies import TabularPolicy, uniform_policy
@@ -348,6 +349,24 @@ class TestSerialization:
         x = rng.standard_normal((5, 2))
         a = rng.integers(0, 2, size=5)
         assert np.array_equal(features(reg, x, a), features(back, x, a))
+
+    def test_round_trip_reattaches_policies(self, tmp_path):
+        rng = np.random.default_rng(27)
+        bandit = make_synthetic(6, 3, seed=27)
+        logging = TabularPolicy(rng.dirichlet(np.ones(3), size=6))
+        target = TabularPolicy(rng.dirichlet(np.ones(3), size=6))
+        logged = bandit.sample_logged(200, logging, rng)
+        reg = train_robust(logged, target, logging, [8, 4],
+                           SgdConfig(epochs=2, seed=0))
+        path = tmp_path / "reg.npz"
+        save_regressor(reg, path)
+        back = load_regressor(path, logging_policy=logging,
+                              target_policy=target)
+        contexts = bandit.contexts_matrix()
+        assert np.array_equal(mean_matrix(back, contexts),
+                              mean_matrix(reg, contexts))
+        with pytest.raises(ValueError, match="policies"):
+            load_regressor(path)
 
     def test_bad_format_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
