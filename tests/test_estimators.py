@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from robust_ope.bandit_sim import SyntheticBandit, make_synthetic
 from robust_ope.data import LoggedDataset
 from robust_ope.estimators import (
+    ESTIMATOR_KINDS,
     EstimatorSpec,
     RobustRewardModel,
     TableRewardModel,
@@ -27,9 +28,10 @@ from robust_ope.estimators import (
     v_tr_shrink,
     v_tr_switch,
 )
-from robust_ope.nets import SgdConfig
+from robust_ope.nets import SgdConfig, init_net
 from robust_ope.policies import TabularPolicy, uniform_policy
-from robust_ope.robust_regression import BaseGaussian, RhoParams
+from robust_ope.robust_regression import BaseGaussian, RhoParams, \
+    RobustRegressor
 from tests.test_robust_regression import constant_feature_regressor
 
 
@@ -67,6 +69,37 @@ def random_instance(seed):
     logging, target = random_policy(), random_policy()
     logged = bandit.sample_logged(int(rng.integers(20, 80)), logging, rng)
     return bandit, logged, logging, target
+
+
+def golden_instance():
+    """Fixed small instance exercising every estimator kind.
+
+    The estimated logging policy differs from the one that logged the data,
+    so logged propensities (when kept) and the policy give different weights;
+    the robust model's small ratio_max makes density-ratio clipping bite.
+    """
+    rng = np.random.default_rng(2718)
+    n_contexts, k = 6, 3
+    bandit = make_synthetic(n_contexts, k, seed=5)
+    true_logging = TabularPolicy(rng.dirichlet(np.ones(k), size=n_contexts))
+    logging = TabularPolicy(rng.dirichlet(np.ones(k), size=n_contexts))
+    target = TabularPolicy(rng.dirichlet(np.ones(k), size=n_contexts))
+    model = TableRewardModel(rng.random((n_contexts, k)))
+    robust = RobustRegressor(
+        net=init_net([1 + k, 5, 3], rng),
+        rho=RhoParams(0.7, rng.standard_normal(3)), base=BaseGaussian(0.4, 1.0),
+        n_actions=k, ratio_max=2.0, logging_policy=logging,
+        target_policy=target)
+    iid = RobustRegressor(
+        net=init_net([1 + k, 4, 2], rng),
+        rho=RhoParams(0.3, rng.standard_normal(2)), base=BaseGaussian(0.6, 2.0),
+        n_actions=k)
+    with_p = bandit.sample_logged(40, true_logging, rng)
+    without_p = LoggedDataset(with_p.contexts, with_p.actions, with_p.rewards,
+                              k, r_min=with_p.r_min, r_max=with_p.r_max)
+    return {"with_propensities": with_p, "without_propensities": without_p,
+            "logging": logging, "target": target, "model": model,
+            "robust": robust, "iid": iid, "tau": 1.0, "shrink_cap": 0.8}
 
 
 class TestVDm:
@@ -312,6 +345,54 @@ class TestEstimatorSpec:
         assert evaluate_estimator(EstimatorSpec("DR"), logged, target, logging,
                                   model=model) == v_dr(logged, target, logging,
                                                        model)
+
+
+class TestGoldenEstimates:
+    """Every kind on `golden_instance`, pinned to the values recorded before
+    the estimators were rewritten as one formula table."""
+
+    GOLDEN = {
+        ("with_propensities", "DM"): 0.5168303190827234,
+        ("with_propensities", "IPS"): 0.569463111685665,
+        ("with_propensities", "SnIPS"): 0.5628887768801774,
+        ("with_propensities", "DR"): 0.552233071521514,
+        ("with_propensities", "SnDR"): 0.5518243540070829,
+        ("with_propensities", "DR_SWITCH"): 0.48587474644520406,
+        ("with_propensities", "DR_SHRINK"): 0.4897866235826733,
+        ("with_propensities", "DM_R"): 0.3398705593118283,
+        ("with_propensities", "DM_I"): 0.5923108450320863,
+        ("with_propensities", "TR"): 0.5434402891022896,
+        ("with_propensities", "SnTR"): 0.5410901183318888,
+        ("with_propensities", "TR_SWITCH"): 0.3578057364108717,
+        ("with_propensities", "TR_SHRINK"): 0.3916812004923311,
+        ("without_propensities", "DM"): 0.5168303190827234,
+        ("without_propensities", "IPS"): 1.0251348606212247,
+        ("without_propensities", "SnIPS"): 0.4519895335380463,
+        ("without_propensities", "DR"): 0.5287411292065992,
+        ("without_propensities", "SnDR"): 0.5220818832610096,
+        ("without_propensities", "DR_SWITCH"): 0.5254982683514434,
+        ("without_propensities", "DR_SHRINK"): 0.5010887209523517,
+        ("without_propensities", "DM_R"): 0.3398705593118283,
+        ("without_propensities", "DM_I"): 0.5923108450320863,
+        ("without_propensities", "TR"): 0.6000733204260463,
+        ("without_propensities", "SnTR"): 0.45459587901274734,
+        ("without_propensities", "TR_SWITCH"): 0.3669222324868479,
+        ("without_propensities", "TR_SHRINK"): 0.4340563866741756,
+    }
+
+    @pytest.mark.parametrize("sample", ["with_propensities",
+                                        "without_propensities"])
+    def test_every_kind_matches_golden(self, sample):
+        inst = golden_instance()
+        for kind in ESTIMATOR_KINDS:
+            spec = EstimatorSpec(kind, tau=inst["tau"],
+                                 shrink_cap=inst["shrink_cap"])
+            got = evaluate_estimator(
+                spec, inst[sample], inst["target"], logging=inst["logging"],
+                model=inst["model"], robust=inst["robust"],
+                robust_iid=inst["iid"])
+            assert got == pytest.approx(self.GOLDEN[sample, kind],
+                                        rel=1e-12), kind
 
 
 class TestImportanceWeights:
