@@ -2,58 +2,35 @@
 
 All estimators are pure functions of a LoggedDataset, the target policy, a
 propensity source (logged propensities or a logging Policy), and where needed
-a reward model. Estimates on [0, 1]-reward data stay in [0, 1] for DM, DM-R,
-DM-I and SnIPS; IPS/DR-family estimates may leave the interval and are not
-clipped.
+a reward model. Each kind is one row of `_TABLE`: a formula over per-call
+arrays and the one reward model it reads. TR is the DR formula on the robust
+model's means at the density ratio p-hat / pi. Estimates on [0, 1]-reward
+data stay in [0, 1] for DM, DM-R, DM-I and SnIPS; IPS/DR-family estimates may
+leave the interval and are not clipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .data import LoggedDataset
 from .nets import FeedForwardNet, SgdConfig, fit, forward_batch, init_net
-from .policies import Policy
+from .policies import Policy, density_ratio, logged_propensities
 from .robust_regression import RobustRegressor, _net_inputs, mean_matrix
 
 #: safety clip on importance weights pi / p-hat; np.inf disables it
 DEFAULT_W_MAX = 1e4
-
-ESTIMATOR_KINDS = (
-    "DM", "IPS", "SnIPS", "DR", "SnDR", "DR_SWITCH", "DR_SHRINK",
-    "DM_R", "DM_I", "TR", "SnTR", "TR_SWITCH", "TR_SHRINK",
-)
-
-_NEEDS_TAU = {"DR_SWITCH", "TR_SWITCH"}
-_NEEDS_CAP = {"DR_SHRINK", "TR_SHRINK"}
 
 
 class UndefinedEstimate(ValueError):
     """The estimator is undefined for these inputs (e.g. all weights zero)."""
 
 
-@dataclass
-class EstimatorSpec:
-    kind: str
-    tau: float | None = None
-    shrink_cap: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}")
-        if self.kind in _NEEDS_TAU and (self.tau is None or self.tau < 0):
-            raise ValueError(f"{self.kind} requires a nonnegative tau")
-        if self.kind in _NEEDS_CAP and (self.shrink_cap is None
-                                        or self.shrink_cap < 0):
-            raise ValueError(f"{self.kind} requires a nonnegative shrink_cap")
-
-
 class RewardModel:
     """Clipped (context, action) -> reward predictor."""
-
-    tag: str = "direct"
 
     def predict_matrix(self, contexts: np.ndarray) -> np.ndarray:
         """Predictions for every action of every context; (n, K), clipped."""
@@ -67,8 +44,6 @@ class TableRewardModel(RewardModel):
     table: np.ndarray  # (n_contexts, K)
     r_min: float = 0.0
     r_max: float = 1.0
-    tag: str = "direct"
-
     def predict_matrix(self, contexts: np.ndarray) -> np.ndarray:
         idx = np.asarray(contexts)[:, 0].astype(int)
         return np.clip(self.table[idx], self.r_min, self.r_max)
@@ -82,8 +57,6 @@ class NetRewardModel(RewardModel):
     n_actions: int
     r_min: float = 0.0
     r_max: float = 1.0
-    tag: str = "direct"
-
     def predict_matrix(self, contexts: np.ndarray) -> np.ndarray:
         contexts = np.asarray(contexts, dtype=float)
         n = contexts.shape[0]
@@ -92,17 +65,6 @@ class NetRewardModel(RewardModel):
             inputs = _net_inputs(contexts, np.full(n, a), self.n_actions)
             out[:, a] = forward_batch(self.net, inputs)[:, 0]
         return np.clip(out, self.r_min, self.r_max)
-
-
-@dataclass
-class RobustRewardModel(RewardModel):
-    """Clipped robust-regression means, ratio-aware via the stored policies."""
-
-    regressor: RobustRegressor
-    tag: str = "robust"
-
-    def predict_matrix(self, contexts: np.ndarray) -> np.ndarray:
-        return mean_matrix(self.regressor, contexts, clip=True)
 
 
 def train_direct_model(logged: LoggedDataset, hidden_dims: list[int],
@@ -123,135 +85,143 @@ def train_direct_model(logged: LoggedDataset, hidden_dims: list[int],
                           r_min=logged.r_min, r_max=logged.r_max)
 
 
+class _Arrays:
+    """The arrays one estimate reads, each built once on first use, and the
+    formulas over them. `mat` holds the means of the model `reads` names:
+    "direct", "robust" (at the density ratio p-hat / pi) or "iid" (at 1)."""
+
+    def __init__(self, logged: LoggedDataset, target: Policy,
+                 logging: Policy | None, w_max: float = DEFAULT_W_MAX,
+                 reads: str | None = None, model=None):
+        if len(logged) == 0:
+            raise ValueError("empty logged dataset")
+        self.logged, self.target, self.logging = logged, target, logging
+        self.w_max, self.reads, self.model = w_max, reads, model
+
+    def _at_logged(self, mat: np.ndarray) -> np.ndarray:
+        return mat[np.arange(len(self.logged)), self.logged.actions]
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        return self.target.probs_matrix(self.logged.contexts)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        if self.logging is None:
+            raise ValueError("robust kinds need a logging policy: the density "
+                             "ratio is read at every action")
+        return self.logging.probs_matrix(self.logged.contexts)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        p = logged_propensities(self.logged, self.logging,
+                                self.p if self.reads == "robust" else None)
+        if np.any(p <= 0):
+            raise ValueError("zero propensity encountered")
+        return density_ratio(self._at_logged(self.pi), p, self.w_max)
+
+    @cached_property
+    def w_sum(self) -> float:
+        denom = self.w.sum()
+        if denom <= 0:
+            raise UndefinedEstimate("sum of importance weights is zero")
+        return denom
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        if self.model is None:
+            raise ValueError(f"no {self.reads} reward model given")
+        contexts = self.logged.contexts
+        shape = (len(self.logged), self.logged.n_actions)
+        if self.reads == "direct":
+            mat = self.model.predict_matrix(contexts)
+        else:
+            ratios = (density_ratio(self.p, self.pi, self.model.ratio_max)
+                      if self.reads == "robust" else np.ones(shape))
+            mat = mean_matrix(self.model, contexts, ratios)
+        if mat.shape != shape:
+            raise ValueError("reward model output shape mismatch")
+        return mat
+
+    @cached_property
+    def r_pi(self) -> np.ndarray:
+        """E_{a~pi}[model(x, a)] per context."""
+        return np.sum(self.pi * self.mat, axis=1)
+
+    @cached_property
+    def resid(self) -> np.ndarray:
+        return self.logged.rewards - self._at_logged(self.mat)
+
+    def dm(self, spec) -> float:
+        return float(np.mean(self.r_pi))
+
+    def ips(self, spec) -> float:
+        return float(np.mean(self.w * self.logged.rewards))
+
+    def snips(self, spec) -> float:
+        return float((self.w * self.logged.rewards).sum() / self.w_sum)
+
+    def dr(self, spec) -> float:
+        return self.dm(spec) + float(np.mean(self.w * self.resid))
+
+    def sndr(self, spec) -> float:
+        return self.dm(spec) + float((self.w * self.resid).sum() / self.w_sum)
+
+    def switch(self, spec) -> float:
+        """DR below the weight threshold tau, DM above it, per record."""
+        dr_terms = self.w * self.resid + self.r_pi
+        return float(np.mean(np.where(self.w <= spec.tau, dr_terms, self.r_pi)))
+
+    def shrink(self, spec) -> float:
+        """DR with the importance weight hard-capped at shrink_cap."""
+        return self.dm(spec) + float(
+            np.mean(np.minimum(self.w, spec.shrink_cap) * self.resid))
+
+
+#: kind -> (formula, the reward model it reads)
+_TABLE = {
+    "DM": (_Arrays.dm, "direct"),
+    "IPS": (_Arrays.ips, None),
+    "SnIPS": (_Arrays.snips, None),
+    "DR": (_Arrays.dr, "direct"),
+    "SnDR": (_Arrays.sndr, "direct"),
+    "DR_SWITCH": (_Arrays.switch, "direct"),
+    "DR_SHRINK": (_Arrays.shrink, "direct"),
+    "DM_R": (_Arrays.dm, "robust"),
+    "DM_I": (_Arrays.dm, "iid"),
+    "TR": (_Arrays.dr, "robust"),
+    "SnTR": (_Arrays.sndr, "robust"),
+    "TR_SWITCH": (_Arrays.switch, "robust"),
+    "TR_SHRINK": (_Arrays.shrink, "robust"),
+}
+ESTIMATOR_KINDS = tuple(_TABLE)
+#: the reward model each kind reads ("direct", "robust", "iid" or None)
+MODEL_READ = {kind: reads for kind, (_, reads) in _TABLE.items()}
+
+
+@dataclass
+class EstimatorSpec:
+    kind: str
+    tau: float | None = None
+    shrink_cap: float | None = None
+
+    def __post_init__(self):
+        if self.kind not in _TABLE:
+            raise ValueError(f"unknown estimator kind {self.kind!r}")
+        formula = _TABLE[self.kind][0]
+        if formula is _Arrays.switch and (self.tau is None or self.tau < 0):
+            raise ValueError(f"{self.kind} requires a nonnegative tau")
+        if formula is _Arrays.shrink and (self.shrink_cap is None
+                                          or self.shrink_cap < 0):
+            raise ValueError(f"{self.kind} requires a nonnegative shrink_cap")
+
+
 def importance_weights(logged: LoggedDataset, target: Policy,
                        logging: Policy | None,
                        w_max: float = DEFAULT_W_MAX) -> np.ndarray:
-    """w = pi(a|x) / p-hat(a|x), clipped to [0, w_max].
-
-    Logged propensities take precedence over evaluating the logging policy.
-    """
-    if len(logged) == 0:
-        raise ValueError("empty logged dataset")
-    idx = np.arange(len(logged))
-    if logged.propensities is not None:
-        p = logged.propensities
-    elif logging is not None:
-        p = logging.probs_matrix(logged.contexts)[idx, logged.actions]
-    else:
-        raise ValueError("need logged propensities or a logging policy")
-    if np.any(p <= 0):
-        raise ValueError("zero propensity encountered")
-    pi = target.probs_matrix(logged.contexts)[idx, logged.actions]
-    return np.clip(pi / p, 0.0, w_max)
-
-
-def _model_means(logged: LoggedDataset, model: RewardModel):
-    mat = model.predict_matrix(logged.contexts)
-    if mat.shape != (len(logged), logged.n_actions):
-        raise ValueError("reward model output shape mismatch")
-    at_logged = mat[np.arange(len(logged)), logged.actions]
-    return mat, at_logged
-
-
-def v_dm(logged: LoggedDataset, target: Policy, model: RewardModel) -> float:
-    """Mean over contexts of E_{a~pi}[model(x, a)]."""
-    if len(logged) == 0:
-        raise ValueError("empty logged dataset")
-    mat, _ = _model_means(logged, model)
-    pi = target.probs_matrix(logged.contexts)
-    return float(np.mean(np.sum(pi * mat, axis=1)))
-
-
-def v_ips(logged: LoggedDataset, target: Policy, logging: Policy | None = None,
-          w_max: float = DEFAULT_W_MAX) -> float:
-    w = importance_weights(logged, target, logging, w_max)
-    return float(np.mean(w * logged.rewards))
-
-
-def v_snips(logged: LoggedDataset, target: Policy,
-            logging: Policy | None = None,
-            w_max: float = DEFAULT_W_MAX) -> float:
-    w = importance_weights(logged, target, logging, w_max)
-    denom = w.sum()
-    if denom <= 0:
-        raise UndefinedEstimate("sum of importance weights is zero")
-    return float((w * logged.rewards).sum() / denom)
-
-
-def v_dr(logged: LoggedDataset, target: Policy, logging: Policy | None,
-         model: RewardModel, w_max: float = DEFAULT_W_MAX) -> float:
-    w = importance_weights(logged, target, logging, w_max)
-    _, r_hat = _model_means(logged, model)
-    return v_dm(logged, target, model) + float(
-        np.mean(w * (logged.rewards - r_hat)))
-
-
-def v_sndr(logged: LoggedDataset, target: Policy, logging: Policy | None,
-           model: RewardModel, w_max: float = DEFAULT_W_MAX) -> float:
-    w = importance_weights(logged, target, logging, w_max)
-    denom = w.sum()
-    if denom <= 0:
-        raise UndefinedEstimate("sum of importance weights is zero")
-    _, r_hat = _model_means(logged, model)
-    return v_dm(logged, target, model) + float(
-        (w * (logged.rewards - r_hat)).sum() / denom)
-
-
-def v_dr_switch(logged: LoggedDataset, target: Policy, logging: Policy | None,
-                model: RewardModel, tau: float,
-                w_max: float = DEFAULT_W_MAX) -> float:
-    """DR below the weight threshold tau, DM above it, per record."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    w = importance_weights(logged, target, logging, w_max)
-    mat, r_hat = _model_means(logged, model)
-    pi = target.probs_matrix(logged.contexts)
-    r_pi = np.sum(pi * mat, axis=1)
-    below = w <= tau
-    per_record = np.where(below, w * (logged.rewards - r_hat) + r_pi, r_pi)
-    return float(np.mean(per_record))
-
-
-def v_dr_shrink(logged: LoggedDataset, target: Policy, logging: Policy | None,
-                model: RewardModel, shrink_cap: float,
-                w_max: float = DEFAULT_W_MAX) -> float:
-    """DR with the importance weight hard-capped at shrink_cap."""
-    if shrink_cap < 0:
-        raise ValueError("shrink_cap must be nonnegative")
-    w = importance_weights(logged, target, logging, w_max)
-    _, r_hat = _model_means(logged, model)
-    return v_dm(logged, target, model) + float(
-        np.mean(np.minimum(w, shrink_cap) * (logged.rewards - r_hat)))
-
-
-def v_dm_r(logged: LoggedDataset, target: Policy,
-           robust: RobustRegressor) -> float:
-    """Direct method with clipped robust-regression means."""
-    return v_dm(logged, target, RobustRewardModel(robust))
-
-
-def v_tr(logged: LoggedDataset, target: Policy, logging: Policy | None,
-         robust: RobustRegressor, w_max: float = DEFAULT_W_MAX) -> float:
-    return v_dr(logged, target, logging, RobustRewardModel(robust), w_max)
-
-
-def v_sntr(logged: LoggedDataset, target: Policy, logging: Policy | None,
-           robust: RobustRegressor, w_max: float = DEFAULT_W_MAX) -> float:
-    return v_sndr(logged, target, logging, RobustRewardModel(robust), w_max)
-
-
-def v_tr_switch(logged: LoggedDataset, target: Policy, logging: Policy | None,
-                robust: RobustRegressor, tau: float,
-                w_max: float = DEFAULT_W_MAX) -> float:
-    return v_dr_switch(logged, target, logging, RobustRewardModel(robust),
-                       tau, w_max)
-
-
-def v_tr_shrink(logged: LoggedDataset, target: Policy, logging: Policy | None,
-                robust: RobustRegressor, shrink_cap: float,
-                w_max: float = DEFAULT_W_MAX) -> float:
-    return v_dr_shrink(logged, target, logging, RobustRewardModel(robust),
-                       shrink_cap, w_max)
+    """w = pi(a|x) / p-hat(a|x) at the logged actions, clipped to [0, w_max];
+    logged propensities take precedence over the logging policy."""
+    return _Arrays(logged, target, logging, w_max).w
 
 
 def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
@@ -260,35 +230,86 @@ def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
                        robust: RobustRegressor | None = None,
                        robust_iid: RobustRegressor | None = None,
                        w_max: float = DEFAULT_W_MAX) -> float:
-    """Dispatch a single EstimatorSpec against the prepared components."""
-    kind = spec.kind
-    if kind == "DM":
-        return v_dm(logged, target, model)
-    if kind == "IPS":
-        return v_ips(logged, target, logging, w_max)
-    if kind == "SnIPS":
-        return v_snips(logged, target, logging, w_max)
-    if kind == "DR":
-        return v_dr(logged, target, logging, model, w_max)
-    if kind == "SnDR":
-        return v_sndr(logged, target, logging, model, w_max)
-    if kind == "DR_SWITCH":
-        return v_dr_switch(logged, target, logging, model, spec.tau, w_max)
-    if kind == "DR_SHRINK":
-        return v_dr_shrink(logged, target, logging, model, spec.shrink_cap,
-                           w_max)
-    if kind == "DM_R":
-        return v_dm_r(logged, target, robust)
-    if kind == "DM_I":
-        # iid ablation: predictions at ratio 1, i.e. no stored policies
-        return v_dm(logged, target, RobustRewardModel(robust_iid))
-    if kind == "TR":
-        return v_tr(logged, target, logging, robust, w_max)
-    if kind == "SnTR":
-        return v_sntr(logged, target, logging, robust, w_max)
-    if kind == "TR_SWITCH":
-        return v_tr_switch(logged, target, logging, robust, spec.tau, w_max)
-    if kind == "TR_SHRINK":
-        return v_tr_shrink(logged, target, logging, robust, spec.shrink_cap,
-                           w_max)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    """Score one EstimatorSpec against the prepared components."""
+    formula, reads = _TABLE[spec.kind]
+    chosen = {"direct": model, "robust": robust, "iid": robust_iid}.get(reads)
+    return formula(_Arrays(logged, target, logging, w_max, reads, chosen), spec)
+
+
+def v_dm(logged: LoggedDataset, target: Policy, model: RewardModel) -> float:
+    """Mean over contexts of E_{a~pi}[model(x, a)]."""
+    return evaluate_estimator(EstimatorSpec("DM"), logged, target, model=model)
+
+
+def v_ips(logged: LoggedDataset, target: Policy, logging: Policy | None = None,
+          w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("IPS"), logged, target, logging,
+                              w_max=w_max)
+
+
+def v_snips(logged: LoggedDataset, target: Policy,
+            logging: Policy | None = None,
+            w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("SnIPS"), logged, target, logging,
+                              w_max=w_max)
+
+
+def v_dr(logged: LoggedDataset, target: Policy, logging: Policy | None,
+         model: RewardModel, w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("DR"), logged, target, logging,
+                              model=model, w_max=w_max)
+
+
+def v_sndr(logged: LoggedDataset, target: Policy, logging: Policy | None,
+           model: RewardModel, w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("SnDR"), logged, target, logging,
+                              model=model, w_max=w_max)
+
+
+def v_dr_switch(logged: LoggedDataset, target: Policy, logging: Policy | None,
+                model: RewardModel, tau: float,
+                w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("DR_SWITCH", tau=tau), logged,
+                              target, logging, model=model, w_max=w_max)
+
+
+def v_dr_shrink(logged: LoggedDataset, target: Policy, logging: Policy | None,
+                model: RewardModel, shrink_cap: float,
+                w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("DR_SHRINK", shrink_cap=shrink_cap),
+                              logged, target, logging, model=model,
+                              w_max=w_max)
+
+
+def v_dm_r(logged: LoggedDataset, target: Policy, logging: Policy,
+           robust: RobustRegressor) -> float:
+    """Direct method with clipped robust-regression means."""
+    return evaluate_estimator(EstimatorSpec("DM_R"), logged, target, logging,
+                              robust=robust)
+
+
+def v_tr(logged: LoggedDataset, target: Policy, logging: Policy,
+         robust: RobustRegressor, w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("TR"), logged, target, logging,
+                              robust=robust, w_max=w_max)
+
+
+def v_sntr(logged: LoggedDataset, target: Policy, logging: Policy,
+           robust: RobustRegressor, w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("SnTR"), logged, target, logging,
+                              robust=robust, w_max=w_max)
+
+
+def v_tr_switch(logged: LoggedDataset, target: Policy, logging: Policy,
+                robust: RobustRegressor, tau: float,
+                w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("TR_SWITCH", tau=tau), logged,
+                              target, logging, robust=robust, w_max=w_max)
+
+
+def v_tr_shrink(logged: LoggedDataset, target: Policy, logging: Policy,
+                robust: RobustRegressor, shrink_cap: float,
+                w_max: float = DEFAULT_W_MAX) -> float:
+    return evaluate_estimator(EstimatorSpec("TR_SHRINK", shrink_cap=shrink_cap),
+                              logged, target, logging, robust=robust,
+                              w_max=w_max)

@@ -219,13 +219,9 @@ def _biased_subsample(train: LabeledDataset, beta: float,
 
 
 def _estimator_specs(config: ExperimentConfig) -> list[estimators.EstimatorSpec]:
-    specs = []
-    for name in config.estimator_names:
-        tau = config.tau if name in ("DR_SWITCH", "TR_SWITCH") else None
-        cap = config.shrink_cap if name in ("DR_SHRINK", "TR_SHRINK") else None
-        specs.append(estimators.EstimatorSpec(kind=name, tau=tau,
-                                              shrink_cap=cap))
-    return specs
+    return [estimators.EstimatorSpec(kind=name, tau=config.tau,
+                                     shrink_cap=config.shrink_cap)
+            for name in config.estimator_names]
 
 
 def run_trial(config: ExperimentConfig, dataset: LabeledDataset,
@@ -283,17 +279,17 @@ def run_trial(config: ExperimentConfig, dataset: LabeledDataset,
     settings = RobustTrainSettings(
         rho_learning_rate=config.rho_learning_rate, rho_max=config.rho_max,
         ratio_max=config.ratio_max)
-    need = set(config.estimator_names)
+    reads = {estimators.MODEL_READ[name] for name in config.estimator_names}
     model = robust = robust_iid = None
-    if need & {"DM", "DR", "SnDR", "DR_SWITCH", "DR_SHRINK"}:
+    if "direct" in reads:
         model = estimators.train_direct_model(
             train_log, config.hidden_dims, sgd(config.reward_epochs, seed + 6))
-    if need & {"DM_R", "TR", "SnTR", "TR_SWITCH", "TR_SHRINK"}:
+    if "robust" in reads:
         robust = robust_regression.train_robust(
             train_log, target, p_hat, config.hidden_dims,
             sgd(config.reward_epochs, seed + 7), eta=config.eta, base=base,
             settings=settings)
-    if "DM_I" in need:
+    if "iid" in reads:
         robust_iid = robust_regression.train_iid(
             train_log, config.hidden_dims, sgd(config.reward_epochs, seed + 8),
             eta=config.eta, base=base, settings=settings)

@@ -7,7 +7,7 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,6 +89,28 @@ class SoftmaxClassifierPolicy(Policy):
             p = np.maximum(p, self.prob_floor)
             p /= p.sum(axis=1, keepdims=True)
         return p
+
+
+def density_ratio(num: np.ndarray, den: np.ndarray, cap: float) -> np.ndarray:
+    """num / den clipped to [0, cap], a zero denominator giving the cap: the
+    importance weight pi / p-hat and the robust model's ratio p-hat / pi."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(den > 0, num / np.maximum(den, 1e-300), np.inf)
+    return np.clip(ratio, 0.0, cap)
+
+
+def logged_propensities(logged, logging: Policy | None,
+                        probs: np.ndarray | None = None) -> np.ndarray:
+    """p-hat(a|x) at the logged actions; logged propensities take precedence.
+
+    `probs` is `logging.probs_matrix(logged.contexts)` if already computed."""
+    if logged.propensities is not None:
+        return logged.propensities
+    if logging is None:
+        raise ValueError("need logged propensities or a logging policy")
+    if probs is None:
+        probs = logging.probs_matrix(logged.contexts)
+    return probs[np.arange(len(logged)), logged.actions]
 
 
 def uniform_policy(n_actions: int) -> UniformPolicy:

@@ -14,7 +14,7 @@ ratio to 1 gives the iid ablation trained by `train_iid`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,9 @@ from .nets import (
     forward_batch,
     init_net,
 )
-from .policies import Policy
+from .policies import Policy, density_ratio, logged_propensities
 
-SERIAL_FORMAT_TAG = "robust-regressor-v2"
+SERIAL_FORMAT_TAG = "robust-regressor-v3"
 
 
 @dataclass
@@ -66,14 +66,6 @@ class RobustRegressor:
     r_min: float = 0.0
     r_max: float = 1.0
     ratio_max: float = 100.0
-    # policies the regressor was trained against, kept so callers can
-    # recompute the density ratio when predicting for arbitrary actions
-    logging_policy: Policy | None = field(default=None, repr=False)
-    target_policy: Policy | None = field(default=None, repr=False)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.net.out_dim
 
 
 def action_encoding(action: int, n_actions: int) -> np.ndarray:
@@ -130,31 +122,20 @@ def predict_clipped(reg: RobustRegressor, context: np.ndarray, action: int,
 
 
 def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
-                logging: Policy | None = None,
-                target: Policy | None = None,
-                clip: bool = True) -> np.ndarray:
+                ratios: np.ndarray, clip: bool = True) -> np.ndarray:
     """Predicted means for every action of every context; returns (n, K).
 
-    The density ratio per (x, a) is logging(a|x) / target(a|x), taken from the
-    policies the regressor was trained with unless overridden.
+    `ratios` (n, K) holds the density ratio p(a|x) / pi(a|x) at every
+    (x, a); all ones gives the iid prediction.
     """
-    logging = logging or reg.logging_policy
-    target = target or reg.target_policy
     contexts = np.asarray(contexts, dtype=float)
+    ratios = np.asarray(ratios, dtype=float)
     n = contexts.shape[0]
-    if logging is None or target is None:
-        ratio_mat = np.ones((n, reg.n_actions))
-    else:
-        p = logging.probs_matrix(contexts)
-        pi = target.probs_matrix(contexts)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio_mat = np.where(pi > 0, p / np.maximum(pi, 1e-300), np.inf)
-        ratio_mat = np.clip(ratio_mat, 0.0, reg.ratio_max)
+    if ratios.shape != (n, reg.n_actions):
+        raise ValueError(f"ratios must have shape {(n, reg.n_actions)}")
     out = np.empty((n, reg.n_actions))
     for a in range(reg.n_actions):
-        actions = np.full(n, a)
-        mu, _ = predict_batch(reg, contexts, actions, ratio_mat[:, a])
-        out[:, a] = mu
+        out[:, a] = predict_batch(reg, contexts, np.full(n, a), ratios[:, a])[0]
     if clip:
         out = np.clip(out, reg.r_min, reg.r_max)
     return out
@@ -261,15 +242,10 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
 def training_ratios(logged: LoggedDataset, target: Policy, logging: Policy,
                     ratio_max: float = 100.0) -> np.ndarray:
     """Density ratio p(a|x) / pi(a|x) at the logged records, clipped."""
-    idx = np.arange(len(logged))
-    if logged.propensities is not None:
-        p = logged.propensities
-    else:
-        p = logging.probs_matrix(logged.contexts)[idx, logged.actions]
-    pi = target.probs_matrix(logged.contexts)[idx, logged.actions]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(pi > 0, p / np.maximum(pi, 1e-300), np.inf)
-    return np.clip(ratios, 0.0, ratio_max)
+    p = logged_propensities(logged, logging)
+    pi = target.probs_matrix(logged.contexts)[np.arange(len(logged)),
+                                              logged.actions]
+    return density_ratio(p, pi, ratio_max)
 
 
 def train_robust(logged: LoggedDataset, target: Policy, logging: Policy,
@@ -280,10 +256,7 @@ def train_robust(logged: LoggedDataset, target: Policy, logging: Policy,
     base = base or BaseGaussian()
     settings = settings or RobustTrainSettings()
     ratios = training_ratios(logged, target, logging, settings.ratio_max)
-    reg = _train(logged, ratios, hidden_dims, config, eta, base, settings)
-    reg.logging_policy = logging
-    reg.target_policy = target
-    return reg
+    return _train(logged, ratios, hidden_dims, config, eta, base, settings)
 
 
 def train_iid(logged: LoggedDataset, hidden_dims: list[int],
@@ -292,7 +265,7 @@ def train_iid(logged: LoggedDataset, hidden_dims: list[int],
               settings: RobustTrainSettings | None = None) -> RobustRegressor:
     """Ablation that ignores the shift: every density ratio is fixed to 1.
 
-    Predictions from the result should also be queried at ratio 1.
+    Query its `mean_matrix` at ratio 1 as well.
     """
     base = base or BaseGaussian()
     settings = settings or RobustTrainSettings()
@@ -301,15 +274,9 @@ def train_iid(logged: LoggedDataset, hidden_dims: list[int],
 
 
 def save_regressor(reg: RobustRegressor, path) -> None:
-    """Serialize to .npz, loss-free at 64-bit precision.
-
-    Policies are not stored, only whether the regressor was trained against
-    them; `load_regressor` then requires them back.
-    """
+    """Serialize to .npz, loss-free at 64-bit precision."""
     payload = {
         "format_tag": np.array(SERIAL_FORMAT_TAG),
-        "needs_policies": np.array(reg.logging_policy is not None
-                                   and reg.target_policy is not None),
         "rho_r": np.array(reg.rho.rho_r),
         "rho_xr": reg.rho.rho_xr,
         "mu0": np.array(reg.base.mu0),
@@ -328,17 +295,12 @@ def save_regressor(reg: RobustRegressor, path) -> None:
     np.savez(path, **payload)
 
 
-def load_regressor(path, logging_policy: Policy | None = None,
-                   target_policy: Policy | None = None) -> RobustRegressor:
-    """Inverse of `save_regressor`, reattaching the policies it was trained on."""
+def load_regressor(path) -> RobustRegressor:
+    """Inverse of `save_regressor`."""
     with np.load(path, allow_pickle=False) as blob:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
             raise ValueError(f"unsupported format tag {tag!r}")
-        if bool(blob["needs_policies"]) and (logging_policy is None
-                                             or target_policy is None):
-            raise ValueError("regressor was trained against policies; pass "
-                             "logging_policy and target_policy")
         layers = [
             Layer(weight=blob[f"w{i}"], bias=blob[f"b{i}"],
                   activation=str(blob[f"act{i}"]))
@@ -353,6 +315,4 @@ def load_regressor(path, logging_policy: Policy | None = None,
             r_min=float(blob["r_min"]),
             r_max=float(blob["r_max"]),
             ratio_max=float(blob["ratio_max"]),
-            logging_policy=logging_policy,
-            target_policy=target_policy,
         )

@@ -90,8 +90,7 @@ def test_acceptance_2_reduction_identities():
             net=init_net([1 + n_actions, 3, 2], rng),
             rho=RhoParams(float(rng.uniform(0.1, 1.0)),
                           rng.standard_normal(2)),
-            base=BaseGaussian(0.5, 1.0), n_actions=n_actions,
-            logging_policy=logging, target_policy=target)
+            base=BaseGaussian(0.5, 1.0), n_actions=n_actions)
         checks = [
             v_dr(logged, target, logging, zero)
             - v_ips(logged, target, logging),
@@ -108,11 +107,11 @@ def test_acceptance_2_reduction_identities():
             v_tr_switch(logged, target, logging, robust, np.inf)
             - v_tr(logged, target, logging, robust),
             v_tr_switch(logged, target, logging, robust, 0.0)
-            - v_dm_r(logged, target, robust),
+            - v_dm_r(logged, target, logging, robust),
             v_tr_shrink(logged, target, logging, robust, np.inf)
             - v_tr(logged, target, logging, robust),
             v_tr_shrink(logged, target, logging, robust, 0.0)
-            - v_dm_r(logged, target, robust),
+            - v_dm_r(logged, target, logging, robust),
             v_sndr(logged, target, logging, zero)
             - v_snips(logged, target, logging),
             v_sndr(logged, target, logging, perfect)

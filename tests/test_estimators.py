@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robust_ope import estimators
 from robust_ope.bandit_sim import SyntheticBandit, make_synthetic
 from robust_ope.data import LoggedDataset
 from robust_ope.estimators import (
     ESTIMATOR_KINDS,
     EstimatorSpec,
-    RobustRewardModel,
+    RewardModel,
     TableRewardModel,
     UndefinedEstimate,
     evaluate_estimator,
@@ -88,8 +89,7 @@ def golden_instance():
     robust = RobustRegressor(
         net=init_net([1 + k, 5, 3], rng),
         rho=RhoParams(0.7, rng.standard_normal(3)), base=BaseGaussian(0.4, 1.0),
-        n_actions=k, ratio_max=2.0, logging_policy=logging,
-        target_policy=target)
+        n_actions=k, ratio_max=2.0)
     iid = RobustRegressor(
         net=init_net([1 + k, 4, 2], rng),
         rho=RhoParams(0.3, rng.standard_normal(2)), base=BaseGaussian(0.6, 2.0),
@@ -256,8 +256,6 @@ class TestReductionIdentities:
         robust = constant_feature_regressor([1.0], d=d,
                                             n_actions=logged.n_actions,
                                             mu0=0.0)
-        robust.logging_policy = logging
-        robust.target_policy = target
         assert abs(v_tr(logged, target, logging, robust)
                    - v_ips(logged, target, logging)) < 1e-12
 
@@ -268,16 +266,14 @@ class TestReductionIdentities:
         robust = constant_feature_regressor([1.0], d=d,
                                             n_actions=logged.n_actions,
                                             rho_r=0.4, rho_xr=[-0.3], mu0=0.2)
-        robust.logging_policy = logging
-        robust.target_policy = target
         assert abs(v_tr_switch(logged, target, logging, robust, np.inf)
                    - v_tr(logged, target, logging, robust)) < 1e-12
         assert abs(v_tr_switch(logged, target, logging, robust, 0.0)
-                   - v_dm_r(logged, target, robust)) < 1e-12
+                   - v_dm_r(logged, target, logging, robust)) < 1e-12
         assert abs(v_tr_shrink(logged, target, logging, robust, np.inf)
                    - v_tr(logged, target, logging, robust)) < 1e-12
         assert abs(v_tr_shrink(logged, target, logging, robust, 0.0)
-                   - v_dm_r(logged, target, robust)) < 1e-12
+                   - v_dm_r(logged, target, logging, robust)) < 1e-12
 
 
 class TestDmRobust:
@@ -286,18 +282,14 @@ class TestDmRobust:
         _, logged, logging, target = random_instance(3)
         robust = constant_feature_regressor(
             [1.0], d=1, n_actions=logged.n_actions)  # rho = 0, mu0 = 0.5
-        robust.logging_policy = logging
-        robust.target_policy = target
-        assert v_dm_r(logged, target, robust) == pytest.approx(0.5)
+        assert v_dm_r(logged, target, logging, robust) == pytest.approx(0.5)
 
     def test_predictions_clipped_to_unit_interval(self):
         _, logged, logging, target = random_instance(4)
         robust = constant_feature_regressor([1.0], d=1,
                                             n_actions=logged.n_actions,
                                             rho_r=0.5, rho_xr=[-5.0], mu0=0.0)
-        robust.logging_policy = logging
-        robust.target_policy = target
-        assert 0.0 <= v_dm_r(logged, target, robust) <= 1.0
+        assert 0.0 <= v_dm_r(logged, target, logging, robust) <= 1.0
 
 
 class TestRangesAndPurity:
@@ -393,6 +385,83 @@ class TestGoldenEstimates:
                 robust_iid=inst["iid"])
             assert got == pytest.approx(self.GOLDEN[sample, kind],
                                         rel=1e-12), kind
+
+
+class CountingPolicy(TabularPolicy):
+    calls = 0
+
+    def probs_matrix(self, contexts):
+        self.calls += 1
+        return super().probs_matrix(contexts)
+
+
+class CountingRewardModel(RewardModel):
+    def __init__(self, table):
+        self.inner = TableRewardModel(table)
+        self.calls = 0
+
+    def predict_matrix(self, contexts):
+        self.calls += 1
+        return self.inner.predict_matrix(contexts)
+
+
+class TestOneEvaluationPerInput:
+    """One estimate evaluates the target policy and its reward model once."""
+
+    def counted(self):
+        inst = golden_instance()
+        target = CountingPolicy(inst["target"].table)
+        logging = CountingPolicy(inst["logging"].table)
+        model = CountingRewardModel(inst["model"].table)
+        return inst, target, logging, model
+
+    @pytest.mark.parametrize("kind", ["DR", "SnDR", "DR_SWITCH", "DR_SHRINK"])
+    @pytest.mark.parametrize("sample", ["with_propensities",
+                                        "without_propensities"])
+    def test_direct_kinds(self, kind, sample):
+        inst, target, logging, model = self.counted()
+        evaluate_estimator(EstimatorSpec(kind, tau=1.0, shrink_cap=0.8),
+                           inst[sample], target, logging, model=model)
+        assert (target.calls, model.calls) == (1, 1)
+        assert logging.calls == (sample == "without_propensities")
+
+    @pytest.mark.parametrize("kind", ["TR", "SnTR", "DM_R"])
+    @pytest.mark.parametrize("sample", ["with_propensities",
+                                        "without_propensities"])
+    def test_robust_kinds(self, kind, sample, monkeypatch):
+        inst, target, logging, _ = self.counted()
+        calls, original = [], estimators.mean_matrix
+
+        def counting_mean_matrix(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "mean_matrix", counting_mean_matrix)
+        evaluate_estimator(EstimatorSpec(kind), inst[sample], target,
+                           logging, robust=inst["robust"])
+        assert (target.calls, logging.calls, len(calls)) == (1, 1, 1)
+
+
+class TestRobustKindsNeedLogging:
+    """The robust model reads p-hat / pi at every action, so logged
+    propensities alone cannot stand in for the logging policy."""
+
+    @pytest.mark.parametrize("kind", ["DM_R", "TR"])
+    def test_missing_logging_policy_rejected(self, kind):
+        inst = golden_instance()
+        logged = inst["with_propensities"]
+        assert logged.propensities is not None
+        with pytest.raises(ValueError, match="logging policy"):
+            evaluate_estimator(EstimatorSpec(kind), logged, inst["target"],
+                               robust=inst["robust"])
+
+    def test_iid_kind_needs_no_logging_policy(self):
+        inst = golden_instance()
+        got = evaluate_estimator(EstimatorSpec("DM_I"),
+                                 inst["without_propensities"],
+                                 inst["target"], robust_iid=inst["iid"])
+        assert got == TestGoldenEstimates.GOLDEN["without_propensities",
+                                                 "DM_I"]
 
 
 class TestImportanceWeights:

@@ -8,12 +8,15 @@ import sys
 import numpy as np
 import pytest
 
+from robust_ope import estimators, robust_regression
 from robust_ope.bandit_sim import make_synthetic
 from robust_ope.estimators import ESTIMATOR_KINDS, v_ips
 from robust_ope.harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
+    _estimator_specs,
+    _load_dataset,
     emit_report,
     parse_config,
     run_experiment,
@@ -125,6 +128,46 @@ class TestRunTrial:
                                       np.random.default_rng(2))
         est = v_ips(logged, pol)
         assert abs(est - bandit.exact_value(pol)) < 0.02
+
+
+class TestModelsFromEstimatorTable:
+    """run_trial fits exactly the reward models its estimators read."""
+
+    @pytest.mark.parametrize("names, fitted", [
+        (["IPS", "SnIPS"], set()),
+        (["DM_I"], {"iid"}),
+        (["DR_SWITCH", "TR_SHRINK"], {"direct", "robust"}),
+    ])
+    def test_fits_only_models_read(self, names, fitted, monkeypatch):
+        seen = set()
+
+        def recording(fit, reads):
+            def wrapper(*args, **kwargs):
+                seen.add(reads)
+                return fit(*args, **kwargs)
+            return wrapper
+
+        for owner, attr, reads in (
+                (estimators, "train_direct_model", "direct"),
+                (robust_regression, "train_robust", "robust"),
+                (robust_regression, "train_iid", "iid")):
+            monkeypatch.setattr(owner, attr,
+                                recording(getattr(owner, attr), reads))
+        config = ExperimentConfig(**{**SMALL, "estimator_names": names})
+        result = run_trial(config, _load_dataset(config), seed=0)
+        assert seen == fitted
+        assert sorted(result.errors) == sorted(names)
+
+    def test_every_spec_gets_tau_and_cap(self):
+        config = ExperimentConfig(tau=0.7, shrink_cap=0.3)
+        specs = _estimator_specs(config)
+        assert [s.kind for s in specs] == list(ESTIMATOR_KINDS)
+        assert all((s.tau, s.shrink_cap) == (0.7, 0.3) for s in specs)
+
+    def test_kinds_keep_report_order(self):
+        assert ESTIMATOR_KINDS == (
+            "DM", "IPS", "SnIPS", "DR", "SnDR", "DR_SWITCH", "DR_SHRINK",
+            "DM_R", "DM_I", "TR", "SnTR", "TR_SWITCH", "TR_SHRINK")
 
 
 class TestRunExperiment:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from robust_ope.bandit_sim import make_synthetic
 from robust_ope.data import LoggedDataset
 from robust_ope.nets import FeedForwardNet, Layer, SgdConfig, init_net
-from robust_ope.policies import TabularPolicy, uniform_policy
+from robust_ope.policies import TabularPolicy, density_ratio, uniform_policy
 from robust_ope.robust_regression import (
     BaseGaussian,
     RhoParams,
@@ -317,18 +317,24 @@ class TestTraining:
 
 
 class TestMeanMatrix:
-    def test_no_policies_means_ratio_one(self):
+    def test_ones_ratio_matches_predict_at_one(self):
         reg = constant_feature_regressor([1.0], rho_r=0.5, rho_xr=[-0.3],
                                          mu0=0.0)
         expected_mu = predict(reg, np.array([0.0]), 0, 1.0)[0]
-        mat = mean_matrix(reg, np.array([[0.0]]), clip=False)
+        mat = mean_matrix(reg, np.array([[0.0]]), np.ones((1, 2)), clip=False)
         assert np.allclose(mat, expected_mu)
 
     def test_clipping_applied(self):
         reg = constant_feature_regressor([1.0], rho_r=0.5, rho_xr=[-1.3],
                                          mu0=0.0)
-        mat = mean_matrix(reg, np.array([[0.0]]))
+        mat = mean_matrix(reg, np.array([[0.0]]), np.ones((1, 2)))
         assert np.all(mat == 1.0)
+
+    def test_ratio_matrix_shape_checked(self):
+        # a (1, K) matrix would otherwise broadcast one row's ratios to all
+        reg = constant_feature_regressor([1.0])
+        with pytest.raises(ValueError, match="shape"):
+            mean_matrix(reg, np.zeros((3, 1)), np.ones((1, 2)))
 
 
 class TestSerialization:
@@ -350,7 +356,7 @@ class TestSerialization:
         a = rng.integers(0, 2, size=5)
         assert np.array_equal(features(reg, x, a), features(back, x, a))
 
-    def test_round_trip_reattaches_policies(self, tmp_path):
+    def test_round_trip_same_means_at_explicit_ratios(self, tmp_path):
         rng = np.random.default_rng(27)
         bandit = make_synthetic(6, 3, seed=27)
         logging = TabularPolicy(rng.dirichlet(np.ones(3), size=6))
@@ -360,13 +366,12 @@ class TestSerialization:
                            SgdConfig(epochs=2, seed=0))
         path = tmp_path / "reg.npz"
         save_regressor(reg, path)
-        back = load_regressor(path, logging_policy=logging,
-                              target_policy=target)
+        back = load_regressor(path)
         contexts = bandit.contexts_matrix()
-        assert np.array_equal(mean_matrix(back, contexts),
-                              mean_matrix(reg, contexts))
-        with pytest.raises(ValueError, match="policies"):
-            load_regressor(path)
+        ratios = density_ratio(logging.probs_matrix(contexts),
+                               target.probs_matrix(contexts), reg.ratio_max)
+        assert np.array_equal(mean_matrix(back, contexts, ratios),
+                              mean_matrix(reg, contexts, ratios))
 
     def test_bad_format_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
