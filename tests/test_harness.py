@@ -1,6 +1,7 @@
 """Harness and CLI: config parsing, trial protocol, reports, determinism."""
 
 import csv
+import dataclasses
 import pathlib
 import subprocess
 import sys
@@ -91,6 +92,89 @@ class TestParseConfig:
     def test_invalid_logging_mode_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(logging_mode="surprise")
+
+
+# The accepted INI surface: (section, key, field, raw value, parsed value).
+# Every raw value differs from the field's default; a float field given an
+# integer literal must still parse to a float.
+INI_SURFACE = [
+    ("experiment", "dataset", "dataset", "data/vehicle.csv",
+     "data/vehicle.csv"),
+    ("experiment", "label_column", "label_column", "class", "class"),
+    ("experiment", "synthetic_n", "synthetic_n", "300", 300),
+    ("experiment", "synthetic_d", "synthetic_d", "5", 5),
+    ("experiment", "synthetic_k", "synthetic_k", "6", 6),
+    ("experiment", "train_fraction", "train_fraction", "0.7", 0.7),
+    ("experiment", "logging_mode", "logging_mode", "estimated", "estimated"),
+    ("experiment", "trials", "trials", "3", 3),
+    ("experiment", "seed", "seed", "7", 7),
+    ("experiment", "estimators", "estimator_names", "TR, DM", ["TR", "DM"]),
+    ("training", "learning_rate", "learning_rate", "0.001", 0.001),
+    ("training", "reward_epochs", "reward_epochs", "4", 4),
+    ("training", "classifier_epochs", "classifier_epochs", "2", 2),
+    ("training", "batch_size", "batch_size", "16", 16),
+    ("training", "hidden_width", "hidden_width", "8", 8),
+    ("training", "hidden_layers", "hidden_layers", "2", 2),
+    ("robust", "eta", "eta", "0.01", 0.01),
+    ("robust", "mu0", "mu0", "0.25", 0.25),
+    ("robust", "sigma0_sq", "sigma0_sq", "2", 2.0),
+    ("robust", "rho_learning_rate", "rho_learning_rate", "0.05", 0.05),
+    ("robust", "rho_max", "rho_max", "10", 10.0),
+    ("robust", "ratio_max", "ratio_max", "50", 50.0),
+    ("estimator_params", "tau", "tau", "0.7", 0.7),
+    ("estimator_params", "shrink_cap", "shrink_cap", "0.3", 0.3),
+    ("estimator_params", "w_max", "w_max", "100", 100.0),
+    ("logging_policy", "beta", "beta", "0.2", 0.2),
+    ("logging_policy", "temperature", "temperature", "2", 2.0),
+    ("evaluation_policy", "eval_temperature", "eval_temperature", "0.5",
+     0.5),
+    ("diagnostics", "eta1", "eta1", "0.02", 0.02),
+    ("diagnostics", "eta2", "eta2", "0.03", 0.03),
+    ("diagnostics", "delta", "delta", "0.1", 0.1),
+    ("diagnostics", "epsilon", "epsilon", "0.01", 0.01),
+    ("diagnostics", "bigo_constant", "bigo_constant", "2", 2.0),
+]
+INI_SECTIONS = list(dict.fromkeys(s for s, *_ in INI_SURFACE))
+
+
+class TestIniSurface:
+    """The sections, keys and value types `parse_config` accepts, pinned."""
+
+    def test_surface_covers_every_config_field(self):
+        assert len(INI_SURFACE) == 33
+        assert sorted(f for _, _, f, _, _ in INI_SURFACE) == \
+            sorted(dataclasses.asdict(ExperimentConfig()))
+
+    @pytest.mark.parametrize("section, key, attr, raw, parsed", INI_SURFACE,
+                             ids=[f"{s}.{k}" for s, k, *_ in INI_SURFACE])
+    def test_non_default_value_round_trips(self, tmp_path, section, key,
+                                           attr, raw, parsed):
+        assert getattr(ExperimentConfig(), attr) != parsed
+        config = parse_config(
+            write_config(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+        value = getattr(config, attr)
+        assert value == parsed
+        assert type(value) is type(parsed)
+
+    @pytest.mark.parametrize("section, key, raw", [
+        (s, k, r) for s, k, _, r, _ in INI_SURFACE],
+        ids=[f"{s}.{k}" for s, k, *_ in INI_SURFACE])
+    def test_key_in_wrong_section_rejected(self, tmp_path, section, key, raw):
+        wrong = INI_SECTIONS[(INI_SECTIONS.index(section) + 1)
+                             % len(INI_SECTIONS)]
+        path = write_config(tmp_path, f"[{wrong}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(path)
+
+    def test_tau_under_training_rejected(self, tmp_path):
+        path = write_config(tmp_path, "[training]\ntau = 0.7\n")
+        with pytest.raises(ConfigError):
+            parse_config(path)
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.ini")),
+                             ids=lambda p: p.name)
+    def test_shipped_configs_parse(self, path):
+        assert isinstance(parse_config(path), ExperimentConfig)
 
 
 class TestRunTrial:
