@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # partial-results contract: report and fail
+    except Exception as exc:  # report on stderr, write no report, exit 2
         print(f"runtime fault: {exc}", file=sys.stderr)
         return 2
     if args.out:

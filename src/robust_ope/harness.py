@@ -14,7 +14,8 @@ import concurrent.futures
 import configparser
 import io
 import time
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,132 +34,112 @@ class ConfigError(ValueError):
     pass
 
 
+def _setting(section: str, default=None, *, key: str | None = None,
+             factory=None):
+    """A config field read from `key` (default: the field name) in INI
+    `[section]`; `parse_config` derives the accepted keys from these."""
+    meta = {"section": section, "key": key}
+    if factory is not None:
+        return field(default_factory=factory, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class ExperimentConfig:
-    # data
-    dataset: str = "synthetic"  # CSV path, or the literal "synthetic"
-    label_column: str = "label"
-    synthetic_n: int = 1000
-    synthetic_d: int = 8
-    synthetic_k: int = 4
-    train_fraction: float = 0.6
-    # protocol
-    logging_mode: str = "uniform"
-    trials: int = 20
-    seed: int = 0
-    estimator_names: list[str] = field(default_factory=lambda: list(DEFAULT_ESTIMATORS))
-    # network / SGD defaults
-    learning_rate: float = 1e-4
-    reward_epochs: int = 20
-    classifier_epochs: int = 5
-    batch_size: int = 32
-    hidden_width: int = 64
-    hidden_layers: int = 3  # hidden layers; +1 output layer = 4 weight layers
-    # robust regression
-    eta: float = 1e-3
-    mu0: float = 0.5
-    sigma0_sq: float = 1.0
-    rho_learning_rate: float = 0.01
-    rho_max: float = 1e3
-    ratio_max: float = 100.0
-    # estimator hyperparameters
-    tau: float = 0.5
-    shrink_cap: float = 0.5
-    w_max: float = 1e4
-    # policy construction
-    beta: float = 0.1  # class-skew subsample keep fraction
-    temperature: float = 1.0  # logging-policy softmax temperature
+    # CSV path, or the literal "synthetic"
+    dataset: str = _setting("experiment", "synthetic")
+    label_column: str = _setting("experiment", "label")
+    synthetic_n: int = _setting("experiment", 1000)
+    synthetic_d: int = _setting("experiment", 8)
+    synthetic_k: int = _setting("experiment", 4)
+    train_fraction: float = _setting("experiment", 0.6)
+    logging_mode: str = _setting("experiment", "uniform")
+    trials: int = _setting("experiment", 20)
+    seed: int = _setting("experiment", 0)
+    estimator_names: list[str] = _setting(
+        "experiment", key="estimators",
+        factory=lambda: list(DEFAULT_ESTIMATORS))
+    learning_rate: float = _setting("training", 1e-4)
+    reward_epochs: int = _setting("training", 20)
+    classifier_epochs: int = _setting("training", 5)
+    batch_size: int = _setting("training", 32)
+    hidden_width: int = _setting("training", 64)
+    # hidden layers; +1 output layer = 4 weight layers
+    hidden_layers: int = _setting("training", 3)
+    eta: float = _setting("robust", 1e-3)
+    mu0: float = _setting("robust", 0.5)
+    sigma0_sq: float = _setting("robust", 1.0)
+    rho_learning_rate: float = _setting("robust", 0.01)
+    rho_max: float = _setting("robust", 1e3)
+    ratio_max: float = _setting("robust", 100.0)
+    tau: float = _setting("estimator_params", 0.5)
+    shrink_cap: float = _setting("estimator_params", 0.5)
+    w_max: float = _setting("estimator_params", 1e4)
+    beta: float = _setting("logging_policy", 0.1)  # class-skew keep fraction
+    temperature: float = _setting("logging_policy", 1.0)
     # the evaluation policy is sharpened so its value tracks classifier
     # accuracy; the benchmark is vacuous when the target is near-uniform
-    eval_temperature: float = 0.1
-    # diagnostics
-    eta1: float = 0.01
-    eta2: float = 0.01
-    delta: float = 0.05
-    epsilon: float = 0.0
-    bigo_constant: float = 1.0
+    eval_temperature: float = _setting("evaluation_policy", 0.1)
+    eta1: float = _setting("diagnostics", 0.01)
+    eta2: float = _setting("diagnostics", 0.01)
+    delta: float = _setting("diagnostics", 0.05)
+    epsilon: float = _setting("diagnostics", 0.0)
+    bigo_constant: float = _setting("diagnostics", 1.0)
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.logging_mode not in LOGGING_MODES:
             raise ConfigError(f"logging_mode must be one of {LOGGING_MODES}")
-        for name in self.estimator_names:
+        if not self.estimator_names:
+            raise ConfigError("estimators must name at least one kind")
+        for i, name in enumerate(self.estimator_names):
             if name not in estimators.ESTIMATOR_KINDS:
                 raise ConfigError(f"unknown estimator {name!r}")
+            if name in self.estimator_names[:i]:
+                raise ConfigError(f"estimator {name!r} listed twice")
+        # the robust model's features are the last hidden layer
+        if self.hidden_layers < 1:
+            raise ConfigError("hidden_layers must be >= 1")
+        # the checks of the objects run_trial builds, so that a bad value is
+        # a config error here, not a runtime fault mid-run
+        try:
+            SplitConfig(self.train_fraction)
+            for epochs in (self.reward_epochs, self.classifier_epochs):
+                SgdConfig(self.learning_rate, epochs, self.batch_size)
+            BaseGaussian(self.mu0, self.sigma0_sq)
+            diagnostics.BoundInputs(w_max=1.0, rho_cap=self.rho_max,
+                                    eta1=self.eta1, eta2=self.eta2,
+                                    delta=self.delta)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def hidden_dims(self) -> list[int]:
         return [self.hidden_width] * self.hidden_layers
 
 
-_SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
-    "experiment": {
-        "dataset": ("dataset", str),
-        "label_column": ("label_column", str),
-        "synthetic_n": ("synthetic_n", int),
-        "synthetic_d": ("synthetic_d", int),
-        "synthetic_k": ("synthetic_k", int),
-        "train_fraction": ("train_fraction", float),
-        "logging_mode": ("logging_mode", str),
-        "trials": ("trials", int),
-        "seed": ("seed", int),
-        "estimators": ("estimator_names", list),
-    },
-    "training": {
-        "learning_rate": ("learning_rate", float),
-        "reward_epochs": ("reward_epochs", int),
-        "classifier_epochs": ("classifier_epochs", int),
-        "batch_size": ("batch_size", int),
-        "hidden_width": ("hidden_width", int),
-        "hidden_layers": ("hidden_layers", int),
-    },
-    "robust": {
-        "eta": ("eta", float),
-        "mu0": ("mu0", float),
-        "sigma0_sq": ("sigma0_sq", float),
-        "rho_learning_rate": ("rho_learning_rate", float),
-        "rho_max": ("rho_max", float),
-        "ratio_max": ("ratio_max", float),
-    },
-    "estimator_params": {
-        "tau": ("tau", float),
-        "shrink_cap": ("shrink_cap", float),
-        "w_max": ("w_max", float),
-    },
-    "logging_policy": {
-        "beta": ("beta", float),
-        "temperature": ("temperature", float),
-    },
-    "evaluation_policy": {
-        "eval_temperature": ("eval_temperature", float),
-    },
-    "diagnostics": {
-        "eta1": ("eta1", float),
-        "eta2": ("eta2", float),
-        "delta": ("delta", float),
-        "epsilon": ("epsilon", float),
-        "bigo_constant": ("bigo_constant", float),
-    },
-}
-
-
 def parse_config(path) -> ExperimentConfig:
     """Load a sectioned key=value config file; unknown keys are errors."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    schema: dict[str, dict[str, tuple[str, type]]] = {}
+    for f in fields(ExperimentConfig):
+        schema.setdefault(f.metadata["section"], {})[
+            f.metadata["key"] or f.name] = (f.name, hints[f.name])
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     kwargs = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in schema:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in schema[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            attr, typ = _SCHEMA[section][key]
+            attr, typ = schema[section][key]
             try:
-                if typ is list:
+                if typ == list[str]:
                     kwargs[attr] = [v.strip() for v in raw.split(",")
                                     if v.strip()]
                 else:
@@ -166,10 +147,7 @@ def parse_config(path) -> ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r} in [{section}]: {raw!r}") from exc
-    try:
-        return ExperimentConfig(**kwargs)
-    except (ConfigError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**kwargs)
 
 
 @dataclass

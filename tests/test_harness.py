@@ -177,6 +177,41 @@ class TestIniSurface:
         assert isinstance(parse_config(path), ExperimentConfig)
 
 
+class TestOutOfRangeValues:
+    """Values a trial would reject mid-run are config errors up front."""
+
+    CASES = [
+        ("experiment", "train_fraction = 1.5", "train_fraction"),
+        ("training", "batch_size = 0", "batch_size"),
+        ("training", "classifier_epochs = 0", "epochs"),
+        ("training", "hidden_layers = 0", "hidden_layers"),
+        ("robust", "sigma0_sq = 0", "sigma0_sq"),
+        ("diagnostics", "delta = 2", "delta"),
+        ("diagnostics", "eta2 = -0.1", "slacks"),
+        ("experiment", "estimators =", "at least one"),
+        ("experiment", "estimators = DM, DM", "listed twice"),
+    ]
+
+    @pytest.mark.parametrize("section, line, message", CASES,
+                             ids=[line for _, line, _ in CASES])
+    def test_parse_config_rejects(self, tmp_path, section, line, message):
+        path = write_config(tmp_path, f"[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+
+    @pytest.mark.parametrize("section, line, message", CASES,
+                             ids=[line for _, line, _ in CASES])
+    def test_cli_run_exits_one(self, tmp_path, section, line, message):
+        path = write_config(tmp_path, f"[{section}]\n{line}\n")
+        out = tmp_path / "report.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "robust_ope.cli", "run", "--config",
+             str(path), "--out", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr and message in proc.stderr
+        assert not out.exists()
+
+
 class TestRunTrial:
     def test_same_seed_identical_errors(self):
         config = ExperimentConfig(**SMALL)
