@@ -6,7 +6,6 @@ from .policies import (
     SoftmaxClassifierPolicy,
     UniformPolicy,
     estimate_logging_policy,
-    sample_action,
     train_classifier_policy,
     uniform_policy,
 )

@@ -99,11 +99,24 @@ class ExperimentConfig:
             if name in self.estimator_names[:i]:
                 raise ConfigError(f"estimator {name!r} listed twice")
         # the robust model's features are the last hidden layer
-        if self.hidden_layers < 1:
-            raise ConfigError("hidden_layers must be >= 1")
+        if self.hidden_layers < 1 or self.hidden_width < 1:
+            raise ConfigError("hidden_layers and hidden_width must be >= 1")
+        if self.dataset == "synthetic" and (self.synthetic_n < 2
+                                            or self.synthetic_d < 1
+                                            or self.synthetic_k < 2):
+            raise ConfigError("synthetic data needs synthetic_n >= 2, "
+                              "synthetic_d >= 1 and synthetic_k >= 2")
+        if self.temperature <= 0 or self.eval_temperature <= 0:
+            raise ConfigError("temperature and eval_temperature must be "
+                              "positive")
+        if self.ratio_max <= 0 or self.w_max <= 0:
+            raise ConfigError("ratio_max and w_max must be positive")
+        if self.rho_max < 0:
+            raise ConfigError("rho_max must be nonnegative")
         # the checks of the objects run_trial builds, so that a bad value is
         # a config error here, not a runtime fault mid-run
         try:
+            _estimator_specs(self)
             SplitConfig(self.train_fraction)
             for epochs in (self.reward_epochs, self.classifier_epochs):
                 SgdConfig(self.learning_rate, epochs, self.batch_size)
@@ -130,6 +143,10 @@ def parse_config(path) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    # configparser would copy these keys into every section
+    if parser.defaults():
+        raise ConfigError("keys under [DEFAULT] are not supported; "
+                          "put each key in its own section")
     kwargs = {}
     for section in parser.sections():
         if section not in schema:

@@ -1,4 +1,4 @@
-"""Minimal dense neural kernel: fully connected nets, backprop, SGD, spectral norm.
+"""Minimal dense neural kernel: fully connected nets, backprop, Adam, spectral norm.
 
 Everything runs in float64 on numpy arrays. Nets are plain dataclasses with
 no shared mutable state, so they can be copied and moved between workers
@@ -66,10 +66,6 @@ class SgdConfig:
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
-    # "adam" is the default because the stock learning rate of 1e-4 only
-    # trains these small nets in a reasonable number of epochs with
-    # adaptive per-parameter steps; "sgd" gives the plain update.
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -78,16 +74,13 @@ class SgdConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError("optimizer must be 'adam' or 'sgd'")
 
 
-def init_net(layer_dims: list[int], rng: np.random.Generator,
-             hidden_activation: str = "relu") -> FeedForwardNet:
+def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:
     """Build a net with uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights.
 
-    `layer_dims` lists [input, hidden..., output] sizes. The output layer
-    activation is identity; hidden layers use `hidden_activation`.
+    `layer_dims` lists [input, hidden..., output] sizes. Hidden layers are
+    relu, the output layer identity.
     """
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
@@ -97,7 +90,7 @@ def init_net(layer_dims: list[int], rng: np.random.Generator,
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         b = np.zeros(fan_out)
-        act = "identity" if i == len(layer_dims) - 2 else hidden_activation
+        act = "identity" if i == len(layer_dims) - 2 else "relu"
         layers.append(Layer(weight=w, bias=b, activation=act))
     return FeedForwardNet(layers=layers)
 
@@ -183,22 +176,14 @@ def backward(net: FeedForwardNet, x: np.ndarray, output_grad: np.ndarray):
     return grads, gin[0]
 
 
-def sgd_step(net: FeedForwardNet, grads, config: SgdConfig) -> FeedForwardNet:
-    """In-place SGD update p <- p - lr * grad. Returns the same net."""
-    lr = config.learning_rate
-    for layer, (dw, db) in zip(net.layers, grads):
-        if dw.shape != layer.weight.shape or db.shape != layer.bias.shape:
-            raise DimensionError("gradient shapes do not match parameters")
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise TrainingFault("non-finite gradient in sgd_step")
-        layer.weight -= lr * dw
-        layer.bias -= lr * db
-    return net
-
-
 @dataclass
 class AdamState:
-    """Per-layer first/second moment accumulators for Adam updates."""
+    """Per-layer first/second moment accumulators for Adam updates.
+
+    Adam is the only update rule because the stock learning rate of 1e-4
+    only trains these small nets in a reasonable number of epochs with
+    adaptive per-parameter steps.
+    """
 
     m: list
     v: list
@@ -237,40 +222,26 @@ def adam_step(net: FeedForwardNet, grads, config: SgdConfig,
     return net
 
 
-def make_optimizer(net: FeedForwardNet, config: SgdConfig):
-    """Closure applying one optimizer update per call, per config.optimizer."""
-    if config.optimizer == "adam":
-        state = AdamState.for_net(net)
-        return lambda grads: adam_step(net, grads, config, state)
-    return lambda grads: sgd_step(net, grads, config)
-
-
-def spectral_normalize(weights: np.ndarray, power_iterations: int = 1,
-                       power_vec: np.ndarray | None = None,
-                       rng: np.random.Generator | None = None):
+def spectral_normalize(weights: np.ndarray,
+                       power_vec: np.ndarray | None = None):
     """Divide a matrix by its power-iteration spectral-norm estimate.
 
     Returns (normalized matrix, updated power vector). A zero matrix is
-    returned unchanged (degenerate case). Passing the previous `power_vec`
-    makes single-iteration estimates converge across repeated calls.
+    returned unchanged (degenerate case). Given the previous `power_vec`,
+    one step is taken from it (Miyato et al. 2018); without one, the
+    iteration burns in from a fixed random vector until it stabilizes.
     """
-    if power_iterations < 1:
-        raise ValueError("power_iterations must be >= 1")
     w = np.asarray(weights, dtype=float)
     if not np.any(w):
         return w.copy(), power_vec
     burn_in = power_vec is None
     if burn_in:
-        rng = rng or np.random.default_rng(0)
-        u = rng.standard_normal(w.shape[0])
+        u = np.random.default_rng(0).standard_normal(w.shape[0])
         u /= np.linalg.norm(u)
-        # burn in until the estimate stabilizes so even one requested
-        # iteration per subsequent call stays a usable estimate
-        power_iterations = max(power_iterations, 2000)
     else:
         u = power_vec
     sigma_prev = None
-    for _ in range(power_iterations):
+    for _ in range(2000 if burn_in else 1):
         v = w.T @ u
         v_norm = np.linalg.norm(v)
         if v_norm == 0:
@@ -293,11 +264,10 @@ def spectral_normalize(weights: np.ndarray, power_iterations: int = 1,
     return w / sigma, u
 
 
-def spectral_normalize_net(net: FeedForwardNet, power_iterations: int = 1) -> None:
+def spectral_normalize_net(net: FeedForwardNet) -> None:
     """Normalize every weight matrix in place, reusing persistent power vectors."""
     for layer in net.layers:
-        normed, u = spectral_normalize(layer.weight, power_iterations,
-                                       power_vec=layer.power_vec)
+        normed, u = spectral_normalize(layer.weight, layer.power_vec)
         layer.weight = normed
         layer.power_vec = u
 
@@ -309,11 +279,11 @@ def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,
     Per epoch the rows are permuted by `rng`. Per minibatch of row indices
     `idx` the net is spectral-normalized and traced forward once;
     `output_grads(outputs, idx)` returns d(loss)/d(outputs), which is
-    backpropagated through the same trace for one optimizer step. A
+    backpropagated through the same trace for one `adam_step`. A
     TrainingFault raised in an epoch is re-raised naming that epoch.
     """
     inputs = np.asarray(inputs, dtype=float)
-    step = make_optimizer(net, config)
+    state = AdamState.for_net(net)
     for epoch in range(config.epochs):
         order = rng.permutation(inputs.shape[0])
         try:
@@ -323,7 +293,7 @@ def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,
                 pre, post = _forward_trace(net, inputs[idx])
                 grads, _ = _backprop(net, pre, post,
                                      output_grads(post[-1], idx))
-                step(grads)
+                adam_step(net, grads, config, state)
         except TrainingFault as exc:
             raise TrainingFault(f"{exc} at epoch {epoch}") from exc
     return net

@@ -13,8 +13,8 @@ import numpy as np
 
 from .nets import FeedForwardNet, SgdConfig, fit, forward_batch, init_net
 
-#: probabilities of estimated policies are clamped to at least this value and
-#: renormalized, so importance weights stay finite
+#: probabilities of softmax classifier policies are clamped to at least this
+#: value and renormalized, so importance weights stay finite
 PROB_FLOOR = 1e-4
 
 
@@ -70,7 +70,6 @@ class TabularPolicy(Policy):
 class SoftmaxClassifierPolicy(Policy):
     net: FeedForwardNet
     temperature: float = 1.0
-    prob_floor: float = 0.0
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -85,9 +84,8 @@ class SoftmaxClassifierPolicy(Policy):
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
-        if self.prob_floor > 0:
-            p = np.maximum(p, self.prob_floor)
-            p /= p.sum(axis=1, keepdims=True)
+        p = np.maximum(p, PROB_FLOOR)
+        p /= p.sum(axis=1, keepdims=True)
         return p
 
 
@@ -142,8 +140,8 @@ def _train_softmax_net(contexts: np.ndarray, labels: np.ndarray, n_classes: int,
 
 def train_classifier_policy(contexts: np.ndarray, labels: np.ndarray,
                             n_classes: int, hidden_dims: list[int],
-                            config: SgdConfig, temperature: float = 1.0,
-                            prob_floor: float = PROB_FLOOR) -> SoftmaxClassifierPolicy:
+                            config: SgdConfig,
+                            temperature: float = 1.0) -> SoftmaxClassifierPolicy:
     """Fit a softmax classifier on fully observed (context, label) pairs."""
     contexts = np.asarray(contexts, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -152,13 +150,11 @@ def train_classifier_policy(contexts: np.ndarray, labels: np.ndarray,
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError("labels out of range")
     net = _train_softmax_net(contexts, labels, n_classes, hidden_dims, config)
-    return SoftmaxClassifierPolicy(net=net, temperature=temperature,
-                                   prob_floor=prob_floor)
+    return SoftmaxClassifierPolicy(net=net, temperature=temperature)
 
 
 def estimate_logging_policy(logged, hidden_dims: list[int],
-                            config: SgdConfig,
-                            prob_floor: float = PROB_FLOOR) -> SoftmaxClassifierPolicy:
+                            config: SgdConfig) -> SoftmaxClassifierPolicy:
     """Fit p-hat(a|x) by log-loss on the logged (context, action) pairs."""
     contexts = np.asarray(logged.contexts, dtype=float)
     actions = np.asarray(logged.actions, dtype=int)
@@ -168,13 +164,7 @@ def estimate_logging_policy(logged, hidden_dims: list[int],
         raise ValueError("action index out of range")
     net = _train_softmax_net(contexts, actions, logged.n_actions, hidden_dims,
                              config)
-    return SoftmaxClassifierPolicy(net=net, prob_floor=prob_floor)
-
-
-def sample_action(policy: Policy, context: np.ndarray,
-                  rng: np.random.Generator) -> int:
-    p = policy.probs(context)
-    return int(rng.choice(p.shape[0], p=p))
+    return SoftmaxClassifierPolicy(net=net)
 
 
 def sample_actions(policy: Policy, contexts: np.ndarray,

@@ -68,14 +68,6 @@ class RobustRegressor:
     ratio_max: float = 100.0
 
 
-def action_encoding(action: int, n_actions: int) -> np.ndarray:
-    if not 0 <= action < n_actions:
-        raise ValueError(f"action {action} out of range for K={n_actions}")
-    v = np.zeros(n_actions)
-    v[action] = 1.0
-    return v
-
-
 def _net_inputs(contexts: np.ndarray, actions: np.ndarray,
                 n_actions: int) -> np.ndarray:
     contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
@@ -122,8 +114,9 @@ def predict_clipped(reg: RobustRegressor, context: np.ndarray, action: int,
 
 
 def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
-                ratios: np.ndarray, clip: bool = True) -> np.ndarray:
-    """Predicted means for every action of every context; returns (n, K).
+                ratios: np.ndarray) -> np.ndarray:
+    """Predicted means for every action of every context, clipped to
+    [r_min, r_max]; returns (n, K).
 
     `ratios` (n, K) holds the density ratio p(a|x) / pi(a|x) at every
     (x, a); all ones gives the iid prediction.
@@ -136,9 +129,7 @@ def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
     out = np.empty((n, reg.n_actions))
     for a in range(reg.n_actions):
         out[:, a] = predict_batch(reg, contexts, np.full(n, a), ratios[:, a])[0]
-    if clip:
-        out = np.clip(out, reg.r_min, reg.r_max)
-    return out
+    return np.clip(out, reg.r_min, reg.r_max)
 
 
 def _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats):

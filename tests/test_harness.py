@@ -89,6 +89,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize("body", [
+        "[DEFAULT]\ntau = 0.7\n",
+        "[DEFAULT]\ntau = 0.7\n[experiment]\ntrials = 2\n",
+    ], ids=["alone", "with-section"])
+    def test_default_section_keys_rejected(self, tmp_path, body):
+        # configparser keeps [DEFAULT] out of sections() and copies its keys
+        # into every other section
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+            parse_config(write_config(tmp_path, body))
+
     def test_invalid_logging_mode_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(logging_mode="surprise")
@@ -190,6 +200,17 @@ class TestOutOfRangeValues:
         ("diagnostics", "eta2 = -0.1", "slacks"),
         ("experiment", "estimators =", "at least one"),
         ("experiment", "estimators = DM, DM", "listed twice"),
+        ("experiment", "synthetic_n = 1", "synthetic_n"),
+        ("experiment", "synthetic_d = 0", "synthetic_d"),
+        ("experiment", "synthetic_k = 1", "synthetic_k"),
+        ("training", "hidden_width = 0", "hidden_width"),
+        ("logging_policy", "temperature = 0", "temperature"),
+        ("evaluation_policy", "eval_temperature = 0", "eval_temperature"),
+        ("estimator_params", "tau = -1", "tau"),
+        ("estimator_params", "shrink_cap = -1", "shrink_cap"),
+        ("estimator_params", "w_max = 0", "w_max"),
+        ("robust", "ratio_max = -1", "ratio_max"),
+        ("robust", "rho_max = -1", "rho_max"),
     ]
 
     @pytest.mark.parametrize("section, line, message", CASES,

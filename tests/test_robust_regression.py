@@ -14,7 +14,6 @@ from robust_ope.robust_regression import (
     RhoParams,
     RobustRegressor,
     RobustTrainSettings,
-    action_encoding,
     batch_nll,
     features,
     load_regressor,
@@ -115,22 +114,6 @@ class TestPredictClipped:
                                          mu0=0.0)
         assert predict(reg, np.array([0.0]), 0, 1.0)[0] < 0
         assert predict_clipped(reg, np.array([0.0]), 0, 1.0) == 0.0
-
-
-class TestActionEncoding:
-    def test_one_hot(self):
-        assert np.array_equal(action_encoding(2, 4), [0, 0, 1, 0])
-        assert np.array_equal(action_encoding(0, 2), [1, 0])
-
-    def test_distinct_actions_orthogonal(self):
-        for a in range(3):
-            for b in range(3):
-                dot = action_encoding(a, 3) @ action_encoding(b, 3)
-                assert dot == (1.0 if a == b else 0.0)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            action_encoding(4, 4)
 
 
 class TestRhoGradients:
@@ -321,7 +304,7 @@ class TestMeanMatrix:
         reg = constant_feature_regressor([1.0], rho_r=0.5, rho_xr=[-0.3],
                                          mu0=0.0)
         expected_mu = predict(reg, np.array([0.0]), 0, 1.0)[0]
-        mat = mean_matrix(reg, np.array([[0.0]]), np.ones((1, 2)), clip=False)
+        mat = mean_matrix(reg, np.array([[0.0]]), np.ones((1, 2)))
         assert np.allclose(mat, expected_mu)
 
     def test_clipping_applied(self):
