@@ -34,6 +34,8 @@ class BoundInputs:
             raise ValueError("n must be >= 1")
         if self.eta1 < 0 or self.eta2 < 0:
             raise ValueError("slacks must be nonnegative")
+        if self.epsilon < 0 or self.bigo_constant < 0:
+            raise ValueError("epsilon and bigo_constant must be nonnegative")
 
 
 def bias_bound(inputs: BoundInputs) -> float:

@@ -111,8 +111,9 @@ class ExperimentConfig:
                               "positive")
         if self.ratio_max <= 0 or self.w_max <= 0:
             raise ConfigError("ratio_max and w_max must be positive")
-        if self.rho_max < 0:
-            raise ConfigError("rho_max must be nonnegative")
+        if self.rho_max < 0 or self.eta < 0 or self.rho_learning_rate <= 0:
+            raise ConfigError("rho_max and eta must be nonnegative and "
+                              "rho_learning_rate positive")
         # the checks of the objects run_trial builds, so that a bad value is
         # a config error here, not a runtime fault mid-run
         try:
@@ -123,7 +124,8 @@ class ExperimentConfig:
             BaseGaussian(self.mu0, self.sigma0_sq)
             diagnostics.BoundInputs(w_max=1.0, rho_cap=self.rho_max,
                                     eta1=self.eta1, eta2=self.eta2,
-                                    delta=self.delta)
+                                    delta=self.delta, epsilon=self.epsilon,
+                                    bigo_constant=self.bigo_constant)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -1,13 +1,14 @@
 """Minimal dense neural kernel: fully connected nets, backprop, Adam, spectral norm.
 
-Everything runs in float64 on numpy arrays. Nets are plain dataclasses with
-no shared mutable state, so they can be copied and moved between workers
-freely; training a single net is single-threaded.
+Everything runs in float64 on numpy arrays. Nets are plain dataclasses; a
+trained net's arrays view one flat buffer, and a copy or a pickle owns its
+memory, so nets move between workers freely. Training is single-threaded.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,15 +179,18 @@ def backward(net: FeedForwardNet, x: np.ndarray, output_grad: np.ndarray):
 
 @dataclass
 class AdamState:
-    """Per-layer first/second moment accumulators for Adam updates.
+    """Adam moments over `params`, one flat buffer of all a net's parameters.
 
-    Adam is the only update rule because the stock learning rate of 1e-4
-    only trains these small nets in a reasonable number of epochs with
-    adaptive per-parameter steps.
+    `for_net` copies the weights and biases into `params` and rebinds each
+    layer's arrays to views of it, so one update covers the whole net. Adam
+    is the only update rule because the stock learning rate of 1e-4 only
+    trains these small nets in a reasonable number of epochs with adaptive
+    per-parameter steps.
     """
 
-    m: list
-    v: list
+    params: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -194,63 +198,62 @@ class AdamState:
 
     @classmethod
     def for_net(cls, net: FeedForwardNet) -> "AdamState":
-        m = [(np.zeros_like(l.weight), np.zeros_like(l.bias))
-             for l in net.layers]
-        v = [(np.zeros_like(l.weight), np.zeros_like(l.bias))
-             for l in net.layers]
-        return cls(m=m, v=v)
+        arrays = [a for l in net.layers for a in (l.weight, l.bias)]
+        params = np.concatenate([a.ravel() for a in arrays])
+        views = np.split(params, np.cumsum([a.size for a in arrays])[:-1])
+        for i, layer in enumerate(net.layers):
+            layer.weight = views[2 * i].reshape(layer.weight.shape)
+            layer.bias = views[2 * i + 1].reshape(layer.bias.shape)
+        return cls(params, np.zeros_like(params), np.zeros_like(params))
 
 
 def adam_step(net: FeedForwardNet, grads, config: SgdConfig,
               state: AdamState) -> FeedForwardNet:
-    """In-place Adam update with bias correction. Returns the same net."""
+    """In-place Adam update with bias correction. Returns the same net.
+
+    `grads` lists (dW, db) per layer, packed here in `state.params` order.
+    """
+    g = np.concatenate([a.ravel() for pair in grads for a in pair])
+    if not np.isfinite(g).all():
+        raise TrainingFault("non-finite gradient in adam_step")
     lr = config.learning_rate
     state.step += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for layer, (dw, db), (mw, mb), (vw, vb) in zip(net.layers, grads,
-                                                   state.m, state.v):
-        if not (np.all(np.isfinite(dw)) and np.all(np.isfinite(db))):
-            raise TrainingFault("non-finite gradient in adam_step")
-        mw[:] = b1 * mw + (1 - b1) * dw
-        vw[:] = b2 * vw + (1 - b2) * dw ** 2
-        mb[:] = b1 * mb + (1 - b1) * db
-        vb[:] = b2 * vb + (1 - b2) * db ** 2
-        layer.weight -= lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
-        layer.bias -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+    state.m[:] = b1 * state.m + (1 - b1) * g
+    state.v[:] = b2 * state.v + (1 - b2) * g ** 2
+    state.params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
     return net
 
 
-def spectral_normalize(weights: np.ndarray,
-                       power_vec: np.ndarray | None = None):
-    """Divide a matrix by its power-iteration spectral-norm estimate.
+def _spectral_sigma(w: np.ndarray, power_vec: np.ndarray | None):
+    """Return (power-iteration spectral-norm estimate of `w`, power vector).
 
-    Returns (normalized matrix, updated power vector). A zero matrix is
-    returned unchanged (degenerate case). Given the previous `power_vec`,
-    one step is taken from it (Miyato et al. 2018); without one, the
-    iteration burns in from a fixed random vector until it stabilizes.
+    Given `power_vec`, one step is taken from it (Miyato et al. 2018);
+    without one, the iteration burns in from a fixed random vector until it
+    stabilizes. The estimate is None where `w` is to be left as it is: a
+    zero matrix, a vanishing iterate or an estimate that is not positive.
     """
-    w = np.asarray(weights, dtype=float)
-    if not np.any(w):
-        return w.copy(), power_vec
     burn_in = power_vec is None
     if burn_in:
+        if not np.any(w):
+            return None, None
         u = np.random.default_rng(0).standard_normal(w.shape[0])
-        u /= np.linalg.norm(u)
+        u /= math.sqrt(u @ u)
     else:
         u = power_vec
     sigma_prev = None
     for _ in range(2000 if burn_in else 1):
         v = w.T @ u
-        v_norm = np.linalg.norm(v)
+        v_norm = math.sqrt(v @ v)
         if v_norm == 0:
-            return w.copy(), u
+            return None, u
         v /= v_norm
         u = w @ v
-        u_norm = np.linalg.norm(u)
+        u_norm = math.sqrt(u @ u)
         if u_norm == 0:
-            return w.copy(), u
+            return None, u
         u /= u_norm
         if burn_in:
             sigma_now = float(u @ w @ v)
@@ -259,17 +262,29 @@ def spectral_normalize(weights: np.ndarray,
                 break
             sigma_prev = sigma_now
     sigma = float(u @ w @ v)
-    if sigma <= 0:
-        return w.copy(), u
-    return w / sigma, u
+    return (None if sigma <= 0 else sigma), u
+
+
+def spectral_normalize(weights: np.ndarray,
+                       power_vec: np.ndarray | None = None):
+    """Divide a matrix by its power-iteration spectral-norm estimate.
+
+    Returns (normalized matrix, updated power vector); see `_spectral_sigma`.
+    """
+    w = np.asarray(weights, dtype=float)
+    sigma, u = _spectral_sigma(w, power_vec)
+    return (w.copy() if sigma is None else w / sigma), u
 
 
 def spectral_normalize_net(net: FeedForwardNet) -> None:
-    """Normalize every weight matrix in place, reusing persistent power vectors."""
+    """Normalize every weight matrix in place, reusing persistent power vectors.
+
+    Weights are divided, never rebound, so views of `AdamState.params` hold.
+    """
     for layer in net.layers:
-        normed, u = spectral_normalize(layer.weight, layer.power_vec)
-        layer.weight = normed
-        layer.power_vec = u
+        sigma, layer.power_vec = _spectral_sigma(layer.weight, layer.power_vec)
+        if sigma is not None:
+            layer.weight /= sigma
 
 
 def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,

@@ -1,5 +1,6 @@
 """Shared fixtures: repository paths and benchmark CSV materialization."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -8,6 +9,11 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "data"
+
+# the CLI tests run `python -m robust_ope.cli` in a subprocess; it imports the
+# same `src` that the `pythonpath` setting in pyproject.toml puts on sys.path
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ from robust_ope.estimators import (
 from robust_ope.nets import SgdConfig, init_net
 from robust_ope.policies import TabularPolicy, uniform_policy
 from robust_ope.robust_regression import BaseGaussian, RhoParams, \
-    RobustRegressor
+    RobustRegressor, mean_matrix, train_iid, train_robust
 from tests.test_robust_regression import constant_feature_regressor
 
 
@@ -440,6 +440,45 @@ class TestOneEvaluationPerInput:
         evaluate_estimator(EstimatorSpec(kind), inst[sample], target,
                            logging, robust=inst["robust"])
         assert (target.calls, logging.calls, len(calls)) == (1, 1, 1)
+
+
+class IidMeansModel(RewardModel):
+    """An iid-ablation regressor read as a direct model, at ratio 1."""
+
+    def __init__(self, reg):
+        self.reg = reg
+
+    def predict_matrix(self, contexts):
+        ones = np.ones((len(contexts), self.reg.n_actions))
+        return mean_matrix(self.reg, contexts, ones)
+
+
+class TestTargetEqualsLogging:
+    """With target = logging every ratio p-hat / pi is exactly 1, so the
+    robust fit is the iid fit and TR is the DR formula on the iid means."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_robust_reduces_to_iid_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        bandit = make_synthetic(5, 3, seed=seed)
+        policy = TabularPolicy(rng.dirichlet(np.ones(3), size=5))
+        logged = bandit.sample_logged(30, policy, rng)
+        config = SgdConfig(learning_rate=0.01, epochs=2, batch_size=8,
+                           seed=seed)
+        robust = train_robust(logged, policy, policy, [6, 4], config)
+        iid = train_iid(logged, [6, 4], config)
+        assert robust.rho.rho_r == iid.rho.rho_r
+        assert np.array_equal(robust.rho.rho_xr, iid.rho.rho_xr)
+        assert np.any(robust.rho.rho_xr)  # training moved rho
+        for a, b in zip(robust.net.layers, iid.net.layers):
+            assert np.array_equal(a.weight, b.weight)
+            assert np.array_equal(a.bias, b.bias)
+
+        tr = v_tr(logged, policy, policy, robust)
+        assert v_tr(logged, policy, policy, iid) == tr
+        assert v_dr(logged, policy, policy, IidMeansModel(iid)) == tr
+        assert v_dm_r(logged, policy, policy, robust) == evaluate_estimator(
+            EstimatorSpec("DM_I"), logged, policy, robust_iid=iid)
 
 
 class TestRobustKindsNeedLogging:

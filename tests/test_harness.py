@@ -211,6 +211,10 @@ class TestOutOfRangeValues:
         ("estimator_params", "w_max = 0", "w_max"),
         ("robust", "ratio_max = -1", "ratio_max"),
         ("robust", "rho_max = -1", "rho_max"),
+        ("diagnostics", "epsilon = -5", "epsilon"),
+        ("diagnostics", "bigo_constant = -1", "bigo_constant"),
+        ("robust", "rho_learning_rate = -1", "rho_learning_rate"),
+        ("robust", "eta = -1", "eta must be nonnegative"),
     ]
 
     @pytest.mark.parametrize("section, line, message", CASES,

@@ -257,6 +257,72 @@ class TestFit:
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
 
+    def test_two_epochs_match_per_layer_reference(self):
+        # 2 epochs x 3 minibatches against per-layer Adam and spectral norm
+        # written out here, so a weight rebound off the flat buffer after the
+        # first step shows
+        rng = np.random.default_rng(15)
+        inputs = rng.standard_normal((6, 3))
+        targets = rng.standard_normal((6, 2))
+        net = init_net([3, 5, 4, 2], rng)
+        ref = net.copy()
+        config = SgdConfig(learning_rate=0.01, epochs=2, batch_size=2)
+        fit(net, inputs, lambda out, idx: out - targets[idx], config,
+            np.random.default_rng(0))
+
+        lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
+        moments = [[np.zeros_like(a) for a in (l.weight, l.bias) * 2]
+                   for l in ref.layers]
+        order_rng, step = np.random.default_rng(0), 0
+        for _ in range(config.epochs):
+            order = order_rng.permutation(6)
+            for start in range(0, 6, config.batch_size):
+                idx = order[start:start + config.batch_size]
+                for layer in ref.layers:
+                    layer.weight, layer.power_vec = spectral_normalize(
+                        layer.weight, layer.power_vec)
+                g = forward_batch(ref, inputs[idx]) - targets[idx]
+                grads, _ = backward_batch(ref, inputs[idx], g)
+                step += 1
+                c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+                for layer, (dw, db), (mw, mb, vw, vb) in zip(
+                        ref.layers, grads, moments):
+                    mw[:] = b1 * mw + (1 - b1) * dw
+                    vw[:] = b2 * vw + (1 - b2) * dw ** 2
+                    mb[:] = b1 * mb + (1 - b1) * db
+                    vb[:] = b2 * vb + (1 - b2) * db ** 2
+                    layer.weight -= lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
+                    layer.bias -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+        assert step == 6
+        for a, b in zip(net.layers, ref.layers):
+            assert np.array_equal(a.weight, b.weight)
+            assert np.array_equal(a.bias, b.bias)
+            assert np.array_equal(a.power_vec, b.power_vec)
+
+    def test_copy_of_fitted_net_owns_its_arrays(self):
+        rng = np.random.default_rng(16)
+        net = init_net([3, 4, 1], rng)
+        fit(net, rng.standard_normal((8, 3)), lambda out, idx: out,
+            SgdConfig(epochs=1, batch_size=4), rng)
+        buffer = net.layers[0].weight.base
+        assert buffer is not None
+        assert all(a.base is buffer for l in net.layers
+                   for a in (l.weight, l.bias))
+        before = [(l.weight.copy(), l.bias.copy()) for l in net.layers]
+        twin = net.copy()
+        for layer in twin.layers:
+            assert not np.shares_memory(layer.weight, buffer)
+            assert not np.shares_memory(layer.bias, buffer)
+            layer.weight += 1.0
+            layer.bias += 1.0
+        grads = [(np.ones_like(l.weight), np.ones_like(l.bias))
+                 for l in twin.layers]
+        adam_step(twin, grads, SgdConfig(), AdamState.for_net(twin))
+        for (w, b), layer in zip(before, net.layers):
+            assert np.array_equal(w, layer.weight)
+            assert np.array_equal(b, layer.bias)
+        assert not np.array_equal(twin.layers[0].weight, before[0][0])
+
     def test_every_step_goes_through_module_adam_step(self, monkeypatch):
         # the bench's `nets.adam_step` span wraps this module attribute, so
         # `fit` must look it up on every step: 3 minibatches x 2 epochs
