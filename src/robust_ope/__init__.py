@@ -7,32 +7,20 @@ from .policies import (
     UniformPolicy,
     estimate_logging_policy,
     train_classifier_policy,
-    uniform_policy,
 )
 from .robust_regression import (
     BaseGaussian,
     RhoParams,
     RobustRegressor,
-    predict,
-    predict_clipped,
+    mean_matrix,
+    predict_batch,
     train_iid,
     train_robust,
 )
 from .estimators import (
     EstimatorSpec,
     RewardModel,
-    v_dm,
-    v_dm_r,
-    v_dr,
-    v_dr_shrink,
-    v_dr_switch,
-    v_ips,
-    v_sndr,
-    v_snips,
-    v_sntr,
-    v_tr,
-    v_tr_shrink,
-    v_tr_switch,
+    evaluate_estimator,
 )
 from .bandit_sim import (
     LabeledDataset,

@@ -90,7 +90,7 @@ def measure_bound_inputs(logged, target, logging, rho_cap: float,
     from .estimators import importance_weights
 
     w = importance_weights(logged, target, logging, w_max=np.inf)
-    w_max = float(w.max()) if len(w) else 1.0
+    w_max = float(w.max())
     e_p_wr = float(np.mean(w * logged.rewards))
     feature_lower = 1.0
     if feats is not None:

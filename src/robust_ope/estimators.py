@@ -235,81 +235,3 @@ def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
     chosen = {"direct": model, "robust": robust, "iid": robust_iid}.get(reads)
     return formula(_Arrays(logged, target, logging, w_max, reads, chosen), spec)
 
-
-def v_dm(logged: LoggedDataset, target: Policy, model: RewardModel) -> float:
-    """Mean over contexts of E_{a~pi}[model(x, a)]."""
-    return evaluate_estimator(EstimatorSpec("DM"), logged, target, model=model)
-
-
-def v_ips(logged: LoggedDataset, target: Policy, logging: Policy | None = None,
-          w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("IPS"), logged, target, logging,
-                              w_max=w_max)
-
-
-def v_snips(logged: LoggedDataset, target: Policy,
-            logging: Policy | None = None,
-            w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("SnIPS"), logged, target, logging,
-                              w_max=w_max)
-
-
-def v_dr(logged: LoggedDataset, target: Policy, logging: Policy | None,
-         model: RewardModel, w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("DR"), logged, target, logging,
-                              model=model, w_max=w_max)
-
-
-def v_sndr(logged: LoggedDataset, target: Policy, logging: Policy | None,
-           model: RewardModel, w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("SnDR"), logged, target, logging,
-                              model=model, w_max=w_max)
-
-
-def v_dr_switch(logged: LoggedDataset, target: Policy, logging: Policy | None,
-                model: RewardModel, tau: float,
-                w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("DR_SWITCH", tau=tau), logged,
-                              target, logging, model=model, w_max=w_max)
-
-
-def v_dr_shrink(logged: LoggedDataset, target: Policy, logging: Policy | None,
-                model: RewardModel, shrink_cap: float,
-                w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("DR_SHRINK", shrink_cap=shrink_cap),
-                              logged, target, logging, model=model,
-                              w_max=w_max)
-
-
-def v_dm_r(logged: LoggedDataset, target: Policy, logging: Policy,
-           robust: RobustRegressor) -> float:
-    """Direct method with clipped robust-regression means."""
-    return evaluate_estimator(EstimatorSpec("DM_R"), logged, target, logging,
-                              robust=robust)
-
-
-def v_tr(logged: LoggedDataset, target: Policy, logging: Policy,
-         robust: RobustRegressor, w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("TR"), logged, target, logging,
-                              robust=robust, w_max=w_max)
-
-
-def v_sntr(logged: LoggedDataset, target: Policy, logging: Policy,
-           robust: RobustRegressor, w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("SnTR"), logged, target, logging,
-                              robust=robust, w_max=w_max)
-
-
-def v_tr_switch(logged: LoggedDataset, target: Policy, logging: Policy,
-                robust: RobustRegressor, tau: float,
-                w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("TR_SWITCH", tau=tau), logged,
-                              target, logging, robust=robust, w_max=w_max)
-
-
-def v_tr_shrink(logged: LoggedDataset, target: Policy, logging: Policy,
-                robust: RobustRegressor, shrink_cap: float,
-                w_max: float = DEFAULT_W_MAX) -> float:
-    return evaluate_estimator(EstimatorSpec("TR_SHRINK", shrink_cap=shrink_cap),
-                              logged, target, logging, robust=robust,
-                              w_max=w_max)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import configparser
 import io
+import math
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -26,8 +27,6 @@ from .nets import SgdConfig
 from .robust_regression import BaseGaussian, RobustTrainSettings
 
 LOGGING_MODES = ("uniform", "biased_known", "estimated")
-
-DEFAULT_ESTIMATORS = list(estimators.ESTIMATOR_KINDS)
 
 
 class ConfigError(ValueError):
@@ -58,7 +57,7 @@ class ExperimentConfig:
     seed: int = _setting("experiment", 0)
     estimator_names: list[str] = _setting(
         "experiment", key="estimators",
-        factory=lambda: list(DEFAULT_ESTIMATORS))
+        factory=lambda: list(estimators.ESTIMATOR_KINDS))
     learning_rate: float = _setting("training", 1e-4)
     reward_epochs: int = _setting("training", 20)
     classifier_epochs: int = _setting("training", 5)
@@ -87,6 +86,11 @@ class ExperimentConfig:
     bigo_constant: float = _setting("diagnostics", 1.0)
 
     def __post_init__(self):
+        # NaN passes every range check below, since it compares false
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError(f"{f.name} must not be NaN")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.logging_mode not in LOGGING_MODES:
@@ -243,7 +247,7 @@ def run_trial(config: ExperimentConfig, dataset: LabeledDataset,
 
     known_propensities = True
     if config.logging_mode == "uniform":
-        logging_policy = policies.uniform_policy(k)
+        logging_policy = policies.UniformPolicy(k)
     else:
         sub = _biased_subsample(train, config.beta, rng)
         sample_model = policies.train_classifier_policy(
@@ -323,20 +327,15 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
     return [int(s.generate_state(1)[0]) for s in ss.spawn(trials)]
 
 
-def _run_trial_star(args):
-    config, dataset, seed = args
-    return run_trial(config, dataset, seed)
-
-
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     dataset = _load_dataset(config)
     seeds = trial_seeds(config.seed, config.trials)
-    work = [(config, dataset, s) for s in seeds]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_trial_star, work))
+            results = list(pool.map(run_trial, [config] * len(seeds),
+                                    [dataset] * len(seeds), seeds))
     else:
-        results = [run_trial(*w) for w in work]
+        results = [run_trial(config, dataset, s) for s in seeds]
     names = list(config.estimator_names)
     errors = np.array([[r.errors[n] for n in names] for r in results])
     return ExperimentReport(

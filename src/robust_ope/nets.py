@@ -114,13 +114,6 @@ def forward_batch(net: FeedForwardNet, inputs: np.ndarray) -> np.ndarray:
     return h
 
 
-def forward(net: FeedForwardNet, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != net.in_dim:
-        raise DimensionError(f"expected ({net.in_dim},) input, got {x.shape}")
-    return forward_batch(net, x[None, :])[0]
-
-
 def _forward_trace(net: FeedForwardNet, inputs: np.ndarray):
     """Forward pass keeping pre-activations for backprop."""
     h = inputs
@@ -164,17 +157,6 @@ def _backprop(net: FeedForwardNet, pre, post, g: np.ndarray):
         grads[i] = (g.T @ post[i], g.sum(axis=0))
         g = g @ layer.weight
     return grads, g
-
-
-def backward(net: FeedForwardNet, x: np.ndarray, output_grad: np.ndarray):
-    """Single-input backprop; returns ([(dW, db) per layer], input gradient)."""
-    x = np.asarray(x, dtype=float)
-    output_grad = np.asarray(output_grad, dtype=float)
-    if output_grad.shape != (net.out_dim,):
-        raise DimensionError(
-            f"expected ({net.out_dim},) output gradient, got {output_grad.shape}")
-    grads, gin = backward_batch(net, x[None, :], output_grad[None, :])
-    return grads, gin[0]
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Conditional action distributions: uniform, softmax classifiers, logging-policy fits.
 
-A policy maps a context vector to a probability vector over K actions.
+A policy maps each row of a context matrix to a probability vector over K
+actions (`probs_matrix`).
 Policies are immutable after construction/training and safe to evaluate
 concurrently.
 """
@@ -22,9 +23,6 @@ class Policy:
     """Base interface: deterministic map context -> probability simplex."""
 
     n_actions: int
-
-    def probs(self, x: np.ndarray) -> np.ndarray:
-        return self.probs_matrix(np.asarray(x, dtype=float)[None, :])[0]
 
     def probs_matrix(self, contexts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -109,10 +107,6 @@ def logged_propensities(logged, logging: Policy | None,
     if probs is None:
         probs = logging.probs_matrix(logged.contexts)
     return probs[np.arange(len(logged)), logged.actions]
-
-
-def uniform_policy(n_actions: int) -> UniformPolicy:
-    return UniformPolicy(n_actions)
 
 
 def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from .nets import (
 )
 from .policies import Policy, density_ratio, logged_propensities
 
-SERIAL_FORMAT_TAG = "robust-regressor-v3"
+SERIAL_FORMAT_TAG = "robust-regressor-v4"
 
 
 @dataclass
@@ -62,7 +62,6 @@ class RobustRegressor:
     rho: RhoParams
     base: BaseGaussian
     n_actions: int
-    eta: float = 0.0
     r_min: float = 0.0
     r_max: float = 1.0
     ratio_max: float = 100.0
@@ -93,24 +92,12 @@ def _gaussian_params(reg: RobustRegressor, feats: np.ndarray,
     return mu, sigma_sq
 
 
-def predict(reg: RobustRegressor, context: np.ndarray, action: int,
-            ratio: float) -> tuple[float, float]:
-    """Conditional Gaussian (mu, sigma_sq) for one (context, action, ratio)."""
-    f = features(reg, np.asarray(context)[None, :], np.array([action]))
-    mu, sigma_sq = _gaussian_params(reg, f, np.array([ratio]))
-    return float(mu[0]), float(sigma_sq[0])
-
-
 def predict_batch(reg: RobustRegressor, contexts: np.ndarray,
                   actions: np.ndarray, ratios: np.ndarray):
+    """Conditional Gaussian (mu, sigma_sq) per (context, action, ratio) row;
+    each (n,), unclipped."""
     feats = features(reg, contexts, actions)
     return _gaussian_params(reg, feats, ratios)
-
-
-def predict_clipped(reg: RobustRegressor, context: np.ndarray, action: int,
-                    ratio: float) -> float:
-    mu, _ = predict(reg, context, action, ratio)
-    return float(np.clip(mu, reg.r_min, reg.r_max))
 
 
 def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
@@ -205,8 +192,8 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
     k = hidden_dims[-1]
     reg = RobustRegressor(
         net=net, rho=RhoParams(0.0, np.zeros(k)), base=base,
-        n_actions=logged.n_actions, eta=eta,
-        r_min=logged.r_min, r_max=logged.r_max, ratio_max=settings.ratio_max)
+        n_actions=logged.n_actions, r_min=logged.r_min, r_max=logged.r_max,
+        ratio_max=settings.ratio_max)
     inputs = _net_inputs(logged.contexts, logged.actions, logged.n_actions)
     rewards = logged.rewards
     ratios = np.clip(np.asarray(ratios, dtype=float), 0.0, settings.ratio_max)
@@ -273,7 +260,6 @@ def save_regressor(reg: RobustRegressor, path) -> None:
         "mu0": np.array(reg.base.mu0),
         "sigma0_sq": np.array(reg.base.sigma0_sq),
         "n_actions": np.array(reg.n_actions),
-        "eta": np.array(reg.eta),
         "r_min": np.array(reg.r_min),
         "r_max": np.array(reg.r_max),
         "ratio_max": np.array(reg.ratio_max),
@@ -302,7 +288,6 @@ def load_regressor(path) -> RobustRegressor:
             rho=RhoParams(float(blob["rho_r"]), blob["rho_xr"]),
             base=BaseGaussian(float(blob["mu0"]), float(blob["sigma0_sq"])),
             n_actions=int(blob["n_actions"]),
-            eta=float(blob["eta"]),
             r_min=float(blob["r_min"]),
             r_max=float(blob["r_max"]),
             ratio_max=float(blob["ratio_max"]),

@@ -20,19 +20,17 @@ from robust_ope.diagnostics import (
     minimax_lower_bound,
     variance_bound,
 )
-from robust_ope.estimators import TableRewardModel, v_dm, v_dm_r, v_dr, \
-    v_dr_shrink, v_dr_switch, v_ips, v_sndr, v_snips, v_tr, v_tr_shrink, \
-    v_tr_switch
+from robust_ope.estimators import EstimatorSpec, TableRewardModel, \
+    evaluate_estimator
 from robust_ope.harness import ExperimentConfig, run_experiment
 from robust_ope.nets import SgdConfig, init_net
-from robust_ope.policies import TabularPolicy, uniform_policy
+from robust_ope.policies import TabularPolicy, UniformPolicy
 from robust_ope.robust_regression import (
     BaseGaussian,
     RhoParams,
     RobustRegressor,
     RobustTrainSettings,
     batch_nll,
-    predict,
     predict_batch,
     rho_gradients,
     theta_gradients,
@@ -63,7 +61,9 @@ def test_acceptance_1_ips_unbiasedness():
     target = stochastic_policy(rng, 8, 4)
     truth = bandit.exact_value(target)
     estimates = np.array([
-        v_ips(bandit.sample_logged(500, logging, rng), target, w_max=np.inf)
+        evaluate_estimator(EstimatorSpec("IPS"),
+                           bandit.sample_logged(500, logging, rng), target,
+                           w_max=np.inf)
         for _ in range(500)
     ])
     se = estimates.std(ddof=1) / math.sqrt(len(estimates))
@@ -92,30 +92,54 @@ def test_acceptance_2_reduction_identities():
                           rng.standard_normal(2)),
             base=BaseGaussian(0.5, 1.0), n_actions=n_actions)
         checks = [
-            v_dr(logged, target, logging, zero)
-            - v_ips(logged, target, logging),
-            v_dr(logged, target, logging, perfect)
-            - v_dm(logged, target, perfect),
-            v_dr_switch(logged, target, logging, model, np.inf)
-            - v_dr(logged, target, logging, model),
-            v_dr_switch(logged, target, logging, model, 0.0)
-            - v_dm(logged, target, model),
-            v_dr_shrink(logged, target, logging, model, np.inf)
-            - v_dr(logged, target, logging, model),
-            v_dr_shrink(logged, target, logging, model, 0.0)
-            - v_dm(logged, target, model),
-            v_tr_switch(logged, target, logging, robust, np.inf)
-            - v_tr(logged, target, logging, robust),
-            v_tr_switch(logged, target, logging, robust, 0.0)
-            - v_dm_r(logged, target, logging, robust),
-            v_tr_shrink(logged, target, logging, robust, np.inf)
-            - v_tr(logged, target, logging, robust),
-            v_tr_shrink(logged, target, logging, robust, 0.0)
-            - v_dm_r(logged, target, logging, robust),
-            v_sndr(logged, target, logging, zero)
-            - v_snips(logged, target, logging),
-            v_sndr(logged, target, logging, perfect)
-            - v_dm(logged, target, perfect),
+            evaluate_estimator(EstimatorSpec("DR"), logged, target, logging,
+                               model=zero)
+            - evaluate_estimator(EstimatorSpec("IPS"), logged, target,
+                                 logging),
+            evaluate_estimator(EstimatorSpec("DR"), logged, target, logging,
+                               model=perfect)
+            - evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                 model=perfect),
+            evaluate_estimator(EstimatorSpec("DR_SWITCH", tau=np.inf), logged,
+                               target, logging, model=model)
+            - evaluate_estimator(EstimatorSpec("DR"), logged, target, logging,
+                                 model=model),
+            evaluate_estimator(EstimatorSpec("DR_SWITCH", tau=0.0), logged,
+                               target, logging, model=model)
+            - evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                 model=model),
+            evaluate_estimator(EstimatorSpec("DR_SHRINK", shrink_cap=np.inf),
+                               logged, target, logging, model=model)
+            - evaluate_estimator(EstimatorSpec("DR"), logged, target, logging,
+                                 model=model),
+            evaluate_estimator(EstimatorSpec("DR_SHRINK", shrink_cap=0.0),
+                               logged, target, logging, model=model)
+            - evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                 model=model),
+            evaluate_estimator(EstimatorSpec("TR_SWITCH", tau=np.inf), logged,
+                               target, logging, robust=robust)
+            - evaluate_estimator(EstimatorSpec("TR"), logged, target, logging,
+                                 robust=robust),
+            evaluate_estimator(EstimatorSpec("TR_SWITCH", tau=0.0), logged,
+                               target, logging, robust=robust)
+            - evaluate_estimator(EstimatorSpec("DM_R"), logged, target,
+                                 logging, robust=robust),
+            evaluate_estimator(EstimatorSpec("TR_SHRINK", shrink_cap=np.inf),
+                               logged, target, logging, robust=robust)
+            - evaluate_estimator(EstimatorSpec("TR"), logged, target, logging,
+                                 robust=robust),
+            evaluate_estimator(EstimatorSpec("TR_SHRINK", shrink_cap=0.0),
+                               logged, target, logging, robust=robust)
+            - evaluate_estimator(EstimatorSpec("DM_R"), logged, target,
+                                 logging, robust=robust),
+            evaluate_estimator(EstimatorSpec("SnDR"), logged, target, logging,
+                               model=zero)
+            - evaluate_estimator(EstimatorSpec("SnIPS"), logged, target,
+                                 logging),
+            evaluate_estimator(EstimatorSpec("SnDR"), logged, target, logging,
+                               model=perfect)
+            - evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                 model=perfect),
         ]
         ok = ok and max(abs(c) for c in checks) <= tol
     report_line(2, "reduction identities at 1e-12", ok)
@@ -198,7 +222,7 @@ def test_acceptance_4_base_distribution_limit():
     for _ in range(1000):
         x = rng.standard_normal(3)
         a = int(rng.integers(0, 4))
-        mu, s2 = predict(reg, x, a, 0.0)
+        (mu,), (s2,) = predict_batch(reg, [x], [a], [0.0])
         ok = ok and mu == 0.5 and s2 == 1.0
     report_line(4, "ratio-0 base-distribution limit", ok)
 
@@ -211,7 +235,7 @@ def test_acceptance_5_constant_reward_oracle():
     actions = rng.integers(0, k, size=n)
     logged = LoggedDataset(contexts, actions, np.full(n, 0.7), k,
                            propensities=np.full(n, 1.0 / k))
-    pol = uniform_policy(k)
+    pol = UniformPolicy(k)
     config = SgdConfig(epochs=100, batch_size=32, seed=0)
     settings = RobustTrainSettings(rho_learning_rate=0.05)
     held = rng.standard_normal((400, d))

@@ -16,7 +16,7 @@ from robust_ope.bandit_sim import (
     standardize,
     true_value,
 )
-from robust_ope.policies import TabularPolicy, uniform_policy
+from robust_ope.policies import TabularPolicy, UniformPolicy
 
 
 def write(tmp_path, name, text):
@@ -138,33 +138,33 @@ class TestLogBanditFeedback:
         rng = np.random.default_rng(1)
         ds = LabeledDataset(rng.standard_normal((4000, 2)),
                             rng.integers(0, 4, 4000), 4)
-        logged = log_bandit_feedback(ds, uniform_policy(4), seed=2)
+        logged = log_bandit_feedback(ds, UniformPolicy(4), seed=2)
         assert abs(float(logged.rewards.mean()) - 0.25) < 0.03
 
     def test_fixed_seed_reproducible(self):
         ds = make_synthetic_labeled(100, 3, 3, seed=0)
-        a = log_bandit_feedback(ds, uniform_policy(3), seed=5)
-        b = log_bandit_feedback(ds, uniform_policy(3), seed=5)
+        a = log_bandit_feedback(ds, UniformPolicy(3), seed=5)
+        b = log_bandit_feedback(ds, UniformPolicy(3), seed=5)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.rewards, b.rewards)
 
     def test_rewards_binary_and_match_labels(self):
         ds = make_synthetic_labeled(200, 2, 3, seed=1)
-        logged = log_bandit_feedback(ds, uniform_policy(3), seed=3)
+        logged = log_bandit_feedback(ds, UniformPolicy(3), seed=3)
         assert set(np.unique(logged.rewards)) <= {0.0, 1.0}
         assert np.array_equal(logged.rewards,
                               (logged.actions == ds.labels).astype(float))
 
     def test_propensities_exact(self):
         ds = make_synthetic_labeled(100, 2, 3, seed=2)
-        pol = uniform_policy(3)
+        pol = UniformPolicy(3)
         logged = log_bandit_feedback(ds, pol, seed=4)
         assert np.all(logged.propensities == 1.0 / 3.0)
 
     def test_action_count_mismatch_rejected(self):
         ds = make_synthetic_labeled(10, 2, 3, seed=0)
         with pytest.raises(ValueError):
-            log_bandit_feedback(ds, uniform_policy(4), seed=0)
+            log_bandit_feedback(ds, UniformPolicy(4), seed=0)
 
 
 class TestTrueValue:
@@ -175,7 +175,7 @@ class TestTrueValue:
 
     def test_uniform_target_is_one_over_k(self):
         ds = make_synthetic_labeled(333, 3, 4, seed=0)
-        assert true_value(ds, uniform_policy(4)) == pytest.approx(0.25,
+        assert true_value(ds, UniformPolicy(4)) == pytest.approx(0.25,
                                                                   abs=1e-15)
 
     def test_two_row_hand_average(self):
@@ -189,7 +189,7 @@ class TestSyntheticBandit:
     def test_two_by_two_uniform_value(self):
         bandit = SyntheticBandit(np.array([[1.0, 0.0], [0.0, 1.0]]),
                                  np.array([0.5, 0.5]))
-        assert bandit.exact_value(uniform_policy(2)) == pytest.approx(0.5)
+        assert bandit.exact_value(UniformPolicy(2)) == pytest.approx(0.5)
 
     def test_greedy_target_value_is_mean_row_max(self):
         bandit = make_synthetic(6, 3, seed=4)

@@ -15,7 +15,7 @@ from robust_ope.diagnostics import (
     minimax_lower_bound,
     variance_bound,
 )
-from robust_ope.policies import TabularPolicy, uniform_policy
+from robust_ope.policies import TabularPolicy, UniformPolicy
 
 
 def inputs(**kw):
@@ -133,7 +133,7 @@ class TestMeasureBoundInputs:
         contexts = np.array([[0.0]])
         logged = LoggedDataset(contexts, np.array([0]), np.zeros(1), 2,
                                propensities=np.array([0.5]))
-        out = measure_bound_inputs(logged, uniform_policy(2), None,
+        out = measure_bound_inputs(logged, UniformPolicy(2), None,
                                    rho_cap=1.0, sigma0_sq=1.0,
                                    feats=np.array([[-1.0, 2.0]]))
         assert out.feature_lower == 1.0
@@ -142,7 +142,7 @@ class TestMeasureBoundInputs:
         contexts = np.array([[0.0]])
         logged = LoggedDataset(contexts, np.array([0]), np.zeros(1), 2,
                                propensities=np.array([0.5]))
-        out = measure_bound_inputs(logged, uniform_policy(2), None,
+        out = measure_bound_inputs(logged, UniformPolicy(2), None,
                                    rho_cap=1.0, sigma0_sq=1.0,
                                    feats=np.array([[0.2, 2.0]]))
         assert out.feature_lower == pytest.approx(0.2)

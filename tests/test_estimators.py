@@ -17,20 +17,9 @@ from robust_ope.estimators import (
     evaluate_estimator,
     importance_weights,
     train_direct_model,
-    v_dm,
-    v_dm_r,
-    v_dr,
-    v_dr_shrink,
-    v_dr_switch,
-    v_ips,
-    v_sndr,
-    v_snips,
-    v_tr,
-    v_tr_shrink,
-    v_tr_switch,
 )
 from robust_ope.nets import SgdConfig, init_net
-from robust_ope.policies import TabularPolicy, uniform_policy
+from robust_ope.policies import TabularPolicy, UniformPolicy
 from robust_ope.robust_regression import BaseGaussian, RhoParams, \
     RobustRegressor, mean_matrix, train_iid, train_robust
 from tests.test_robust_regression import constant_feature_regressor
@@ -106,7 +95,8 @@ class TestVDm:
     def test_constant_model(self):
         logged, target = hand_logged([1.0, 1.0], [0.0, 1.0])
         model = TableRewardModel(np.full((2, 2), 0.3))
-        assert v_dm(logged, target, model) == pytest.approx(0.3)
+        assert evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                  model=model) == pytest.approx(0.3)
 
     def test_deterministic_target(self):
         contexts = np.array([[0.0], [1.0]])
@@ -114,7 +104,9 @@ class TestVDm:
                                np.zeros(2), 2, propensities=np.full(2, 0.5))
         target = TabularPolicy(np.array([[0.0, 1.0], [0.0, 1.0]]))
         model = TableRewardModel(np.array([[0.1, 0.9], [0.2, 0.4]]))
-        assert v_dm(logged, target, model) == pytest.approx((0.9 + 0.4) / 2)
+        assert evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                  model=model) == pytest.approx(
+                                      (0.9 + 0.4) / 2)
 
     def test_hand_weighted_sum(self):
         contexts = np.array([[0.0], [1.0]])
@@ -123,52 +115,61 @@ class TestVDm:
         target = TabularPolicy(np.array([[0.7, 0.3], [0.2, 0.8]]))
         model = TableRewardModel(np.array([[0.5, 0.1], [0.9, 0.6]]))
         expected = ((0.7 * 0.5 + 0.3 * 0.1) + (0.2 * 0.9 + 0.8 * 0.6)) / 2
-        assert v_dm(logged, target, model) == pytest.approx(expected)
+        assert evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                  model=model) == pytest.approx(expected)
 
     def test_empty_dataset_rejected(self):
         logged = LoggedDataset(np.zeros((0, 1)), np.zeros(0, dtype=int),
                                np.zeros(0), 2)
         with pytest.raises(ValueError):
-            v_dm(logged, uniform_policy(2), TableRewardModel(np.zeros((1, 2))))
+            evaluate_estimator(EstimatorSpec("DM"), logged, UniformPolicy(2),
+                               model=TableRewardModel(np.zeros((1, 2))))
 
 
 class TestVIps:
     def test_on_policy_is_sample_mean(self):
         logged, target = hand_logged([1.0, 1.0, 1.0], [1.0, 0.0, 1.0])
-        assert v_ips(logged, target) == pytest.approx(2.0 / 3.0)
+        assert evaluate_estimator(EstimatorSpec("IPS"), logged,
+                                  target) == pytest.approx(2.0 / 3.0)
 
     def test_all_zero_rewards(self):
         logged, target = hand_logged([2.0, 0.5], [0.0, 0.0])
-        assert v_ips(logged, target) == 0.0
+        assert evaluate_estimator(EstimatorSpec("IPS"), logged, target) == 0.0
 
     def test_hand_three_records(self):
         logged, target = hand_logged([2.0, 0.5, 1.0], [1.0, 0.0, 1.0])
-        assert v_ips(logged, target) == pytest.approx(1.0)
+        assert evaluate_estimator(EstimatorSpec("IPS"), logged,
+                                  target) == pytest.approx(1.0)
 
     def test_zero_propensity_rejected(self):
         contexts = np.array([[0.0]])
         logged = LoggedDataset(contexts, np.array([0]), np.zeros(1), 2)
         logging = TabularPolicy(np.array([[0.0, 1.0]]))
         with pytest.raises(ValueError):
-            v_ips(logged, uniform_policy(2), logging)
+            evaluate_estimator(EstimatorSpec("IPS"), logged, UniformPolicy(2),
+                               logging)
 
     def test_weight_clipping(self):
         logged, target = hand_logged([2.0], [1.0])
-        assert v_ips(logged, target, w_max=1.5) == pytest.approx(1.5)
+        assert evaluate_estimator(EstimatorSpec("IPS"), logged, target,
+                                  w_max=1.5) == pytest.approx(1.5)
 
 
 class TestVSnips:
     def test_constant_reward_exact(self):
         logged, target = hand_logged([2.0, 0.5, 0.25], [0.6, 0.6, 0.6])
-        assert v_snips(logged, target) == 0.6
+        assert evaluate_estimator(EstimatorSpec("SnIPS"), logged,
+                                  target) == 0.6
 
     def test_on_policy_is_sample_mean(self):
         logged, target = hand_logged([1.0, 1.0], [0.2, 0.8])
-        assert v_snips(logged, target) == pytest.approx(0.5)
+        assert evaluate_estimator(EstimatorSpec("SnIPS"), logged,
+                                  target) == pytest.approx(0.5)
 
     def test_hand_three_records(self):
         logged, target = hand_logged([2.0, 0.5, 1.0], [1.0, 0.0, 1.0])
-        assert v_snips(logged, target) == pytest.approx(3.0 / 3.5)
+        assert evaluate_estimator(EstimatorSpec("SnIPS"), logged,
+                                  target) == pytest.approx(3.0 / 3.5)
 
     def test_zero_weight_sum_undefined(self):
         contexts = np.array([[0.0]])
@@ -176,23 +177,27 @@ class TestVSnips:
                                propensities=np.array([0.5]))
         target = TabularPolicy(np.array([[0.0, 1.0]]))
         with pytest.raises(UndefinedEstimate):
-            v_snips(logged, target)
+            evaluate_estimator(EstimatorSpec("SnIPS"), logged, target)
 
 
 class TestDrFamilyHand:
     def test_dr_hand_table(self):
         logged, target = hand_logged([2.0, 0.5], [1.0, 0.0])
         model = TableRewardModel(np.array([[0.5, 0.2], [0.1, 0.3]]))
-        dm = v_dm(logged, target, model)
+        dm = evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                model=model)
         resid = (2.0 * (1.0 - 0.5) + 0.5 * (0.0 - 0.1)) / 2
-        assert v_dr(logged, target, None, model) == pytest.approx(dm + resid)
+        assert evaluate_estimator(EstimatorSpec("DR"), logged, target, None,
+                                  model=model) == pytest.approx(dm + resid)
 
     def test_sndr_hand_table(self):
         logged, target = hand_logged([2.0, 0.5], [1.0, 0.0])
         model = TableRewardModel(np.array([[0.5, 0.2], [0.1, 0.3]]))
-        dm = v_dm(logged, target, model)
+        dm = evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                model=model)
         resid = (2.0 * 0.5 + 0.5 * (-0.1)) / 2.5
-        assert v_sndr(logged, target, None, model) == pytest.approx(dm + resid)
+        assert evaluate_estimator(EstimatorSpec("SnDR"), logged, target, None,
+                                  model=model) == pytest.approx(dm + resid)
 
     def test_switch_mixed_threshold(self):
         logged, target = hand_logged([2.0, 0.5], [1.0, 0.0])
@@ -202,15 +207,18 @@ class TestDrFamilyHand:
         r_pi = np.sum(pi * mat, axis=1)
         # record 0: w=2 > tau -> r_pi only; record 1: w=0.5 <= tau -> DR term
         expected = (r_pi[0] + (0.5 * (0.0 - 0.1) + r_pi[1])) / 2
-        got = v_dr_switch(logged, target, None, model, tau=0.5)
+        got = evaluate_estimator(EstimatorSpec("DR_SWITCH", tau=0.5), logged,
+                                 target, None, model=model)
         assert got == pytest.approx(expected)
 
     def test_shrink_hand_weights(self):
         logged, target = hand_logged([2.0, 0.3], [1.0, 0.0])
         model = TableRewardModel(np.array([[0.5, 0.2], [0.1, 0.3]]))
-        dm = v_dm(logged, target, model)
+        dm = evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                model=model)
         resid = (0.5 * (1.0 - 0.5) + 0.3 * (0.0 - 0.1)) / 2
-        got = v_dr_shrink(logged, target, None, model, shrink_cap=0.5)
+        got = evaluate_estimator(EstimatorSpec("DR_SHRINK", shrink_cap=0.5),
+                                 logged, target, None, model=model)
         assert got == pytest.approx(dm + resid)
 
 
@@ -219,35 +227,49 @@ class TestReductionIdentities:
     def test_dr_with_zero_model_is_ips(self, seed):
         _, logged, logging, target = random_instance(seed)
         zero = TableRewardModel(np.zeros((50, logged.n_actions)))
-        assert abs(v_dr(logged, target, logging, zero)
-                   - v_ips(logged, target, logging)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("DR"), logged, target,
+                                      logging, model=zero)
+                   - evaluate_estimator(EstimatorSpec("IPS"), logged, target,
+                                        logging)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_dr_with_perfect_model_is_dm(self, seed):
         bandit, logged, logging, target = random_instance(seed)
         perfect = TableRewardModel(bandit.reward_table)
-        assert abs(v_dr(logged, target, logging, perfect)
-                   - v_dm(logged, target, perfect)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("DR"), logged, target,
+                                      logging, model=perfect)
+                   - evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                        model=perfect)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_switch_limits(self, seed):
         bandit, logged, logging, target = random_instance(seed)
         model = TableRewardModel(
             np.random.default_rng(seed + 1).random(bandit.reward_table.shape))
-        assert abs(v_dr_switch(logged, target, logging, model, np.inf)
-                   - v_dr(logged, target, logging, model)) < 1e-12
-        assert abs(v_dr_switch(logged, target, logging, model, 0.0)
-                   - v_dm(logged, target, model)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("DR_SWITCH", tau=np.inf),
+                                      logged, target, logging, model=model)
+                   - evaluate_estimator(EstimatorSpec("DR"), logged, target,
+                                        logging, model=model)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("DR_SWITCH", tau=0.0),
+                                      logged, target, logging, model=model)
+                   - evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                        model=model)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(10))
     def test_shrink_limits(self, seed):
         bandit, logged, logging, target = random_instance(seed)
         model = TableRewardModel(
             np.random.default_rng(seed + 2).random(bandit.reward_table.shape))
-        assert abs(v_dr_shrink(logged, target, logging, model, np.inf)
-                   - v_dr(logged, target, logging, model)) < 1e-12
-        assert abs(v_dr_shrink(logged, target, logging, model, 0.0)
-                   - v_dm(logged, target, model)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("DR_SHRINK",
+                                                    shrink_cap=np.inf),
+                                      logged, target, logging, model=model)
+                   - evaluate_estimator(EstimatorSpec("DR"), logged, target,
+                                        logging, model=model)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("DR_SHRINK",
+                                                    shrink_cap=0.0),
+                                      logged, target, logging, model=model)
+                   - evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                        model=model)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tr_with_zero_mean_robust_is_ips(self, seed):
@@ -256,8 +278,10 @@ class TestReductionIdentities:
         robust = constant_feature_regressor([1.0], d=d,
                                             n_actions=logged.n_actions,
                                             mu0=0.0)
-        assert abs(v_tr(logged, target, logging, robust)
-                   - v_ips(logged, target, logging)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("TR"), logged, target,
+                                      logging, robust=robust)
+                   - evaluate_estimator(EstimatorSpec("IPS"), logged, target,
+                                        logging)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
     def test_tr_switch_and_shrink_limits(self, seed):
@@ -266,14 +290,24 @@ class TestReductionIdentities:
         robust = constant_feature_regressor([1.0], d=d,
                                             n_actions=logged.n_actions,
                                             rho_r=0.4, rho_xr=[-0.3], mu0=0.2)
-        assert abs(v_tr_switch(logged, target, logging, robust, np.inf)
-                   - v_tr(logged, target, logging, robust)) < 1e-12
-        assert abs(v_tr_switch(logged, target, logging, robust, 0.0)
-                   - v_dm_r(logged, target, logging, robust)) < 1e-12
-        assert abs(v_tr_shrink(logged, target, logging, robust, np.inf)
-                   - v_tr(logged, target, logging, robust)) < 1e-12
-        assert abs(v_tr_shrink(logged, target, logging, robust, 0.0)
-                   - v_dm_r(logged, target, logging, robust)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("TR_SWITCH", tau=np.inf),
+                                      logged, target, logging, robust=robust)
+                   - evaluate_estimator(EstimatorSpec("TR"), logged, target,
+                                        logging, robust=robust)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("TR_SWITCH", tau=0.0),
+                                      logged, target, logging, robust=robust)
+                   - evaluate_estimator(EstimatorSpec("DM_R"), logged, target,
+                                        logging, robust=robust)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("TR_SHRINK",
+                                                    shrink_cap=np.inf),
+                                      logged, target, logging, robust=robust)
+                   - evaluate_estimator(EstimatorSpec("TR"), logged, target,
+                                        logging, robust=robust)) < 1e-12
+        assert abs(evaluate_estimator(EstimatorSpec("TR_SHRINK",
+                                                    shrink_cap=0.0),
+                                      logged, target, logging, robust=robust)
+                   - evaluate_estimator(EstimatorSpec("DM_R"), logged, target,
+                                        logging, robust=robust)) < 1e-12
 
 
 class TestDmRobust:
@@ -282,14 +316,16 @@ class TestDmRobust:
         _, logged, logging, target = random_instance(3)
         robust = constant_feature_regressor(
             [1.0], d=1, n_actions=logged.n_actions)  # rho = 0, mu0 = 0.5
-        assert v_dm_r(logged, target, logging, robust) == pytest.approx(0.5)
+        assert evaluate_estimator(EstimatorSpec("DM_R"), logged, target,
+                                  logging, robust=robust) == pytest.approx(0.5)
 
     def test_predictions_clipped_to_unit_interval(self):
         _, logged, logging, target = random_instance(4)
         robust = constant_feature_regressor([1.0], d=1,
                                             n_actions=logged.n_actions,
                                             rho_r=0.5, rho_xr=[-5.0], mu0=0.0)
-        assert 0.0 <= v_dm_r(logged, target, logging, robust) <= 1.0
+        assert 0.0 <= evaluate_estimator(EstimatorSpec("DM_R"), logged, target,
+                                         logging, robust=robust) <= 1.0
 
 
 class TestRangesAndPurity:
@@ -298,19 +334,27 @@ class TestRangesAndPurity:
     def test_simplex_bounded_estimators_stay_in_unit_interval(self, seed):
         bandit, logged, logging, target = random_instance(seed)
         model = TableRewardModel(bandit.reward_table)
-        assert 0.0 <= v_dm(logged, target, model) <= 1.0
-        assert 0.0 <= v_snips(logged, target, logging) <= 1.0
+        assert 0.0 <= evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                         model=model) <= 1.0
+        assert 0.0 <= evaluate_estimator(EstimatorSpec("SnIPS"), logged,
+                                         target, logging) <= 1.0
 
     def test_estimators_are_pure(self):
         bandit, logged, logging, target = random_instance(11)
         model = TableRewardModel(bandit.reward_table)
         for _ in range(2):
-            vals = [v_dm(logged, target, model),
-                    v_ips(logged, target, logging),
-                    v_dr(logged, target, logging, model)]
-        again = [v_dm(logged, target, model),
-                 v_ips(logged, target, logging),
-                 v_dr(logged, target, logging, model)]
+            vals = [evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                       model=model),
+                    evaluate_estimator(EstimatorSpec("IPS"), logged, target,
+                                       logging),
+                    evaluate_estimator(EstimatorSpec("DR"), logged, target,
+                                       logging, model=model)]
+        again = [evaluate_estimator(EstimatorSpec("DM"), logged, target,
+                                    model=model),
+                 evaluate_estimator(EstimatorSpec("IPS"), logged, target,
+                                    logging),
+                 evaluate_estimator(EstimatorSpec("DR"), logged, target,
+                                    logging, model=model)]
         assert vals == again
 
 
@@ -328,15 +372,6 @@ class TestEstimatorSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             EstimatorSpec("MAGIC")
-
-    def test_dispatch_matches_direct_calls(self):
-        bandit, logged, logging, target = random_instance(12)
-        model = TableRewardModel(bandit.reward_table)
-        assert evaluate_estimator(EstimatorSpec("IPS"), logged, target,
-                                  logging) == v_ips(logged, target, logging)
-        assert evaluate_estimator(EstimatorSpec("DR"), logged, target, logging,
-                                  model=model) == v_dr(logged, target, logging,
-                                                       model)
 
 
 class TestGoldenEstimates:
@@ -474,10 +509,14 @@ class TestTargetEqualsLogging:
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
 
-        tr = v_tr(logged, policy, policy, robust)
-        assert v_tr(logged, policy, policy, iid) == tr
-        assert v_dr(logged, policy, policy, IidMeansModel(iid)) == tr
-        assert v_dm_r(logged, policy, policy, robust) == evaluate_estimator(
+        tr = evaluate_estimator(EstimatorSpec("TR"), logged, policy, policy,
+                                robust=robust)
+        assert evaluate_estimator(EstimatorSpec("TR"), logged, policy, policy,
+                                  robust=iid) == tr
+        assert evaluate_estimator(EstimatorSpec("DR"), logged, policy, policy,
+                                  model=IidMeansModel(iid)) == tr
+        assert evaluate_estimator(EstimatorSpec("DM_R"), logged, policy,
+                                  policy, robust=robust) == evaluate_estimator(
             EstimatorSpec("DM_I"), logged, policy, robust_iid=iid)
 
 
@@ -509,14 +548,14 @@ class TestImportanceWeights:
         logged = LoggedDataset(contexts, np.array([0]), np.zeros(1), 2,
                                propensities=np.array([0.25]))
         # uniform logging would give w = 1; logged propensity gives w = 2
-        w = importance_weights(logged, uniform_policy(2), uniform_policy(2))
+        w = importance_weights(logged, UniformPolicy(2), UniformPolicy(2))
         assert np.allclose(w, [2.0])
 
     def test_missing_propensity_source_rejected(self):
         contexts = np.array([[0.0]])
         logged = LoggedDataset(contexts, np.array([0]), np.zeros(1), 2)
         with pytest.raises(ValueError):
-            importance_weights(logged, uniform_policy(2), None)
+            importance_weights(logged, UniformPolicy(2), None)
 
 
 class TestTrainDirectModel:

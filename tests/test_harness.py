@@ -9,9 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from robust_ope import estimators, robust_regression
-from robust_ope.bandit_sim import make_synthetic
-from robust_ope.estimators import ESTIMATOR_KINDS, v_ips
+from robust_ope import bandit_sim, estimators, robust_regression
+from robust_ope.bandit_sim import LabeledDataset, make_synthetic
+from robust_ope.estimators import ESTIMATOR_KINDS, EstimatorSpec, \
+    evaluate_estimator
 from robust_ope.harness import (
     ConfigError,
     ExperimentConfig,
@@ -215,6 +216,10 @@ class TestOutOfRangeValues:
         ("diagnostics", "bigo_constant = -1", "bigo_constant"),
         ("robust", "rho_learning_rate = -1", "rho_learning_rate"),
         ("robust", "eta = -1", "eta must be nonnegative"),
+        ("training", "learning_rate = nan", "learning_rate must not be NaN"),
+        ("robust", "ratio_max = nan", "ratio_max must not be NaN"),
+        ("robust", "mu0 = nan", "mu0 must not be NaN"),
+        ("estimator_params", "tau = nan", "tau must not be NaN"),
     ]
 
     @pytest.mark.parametrize("section, line, message", CASES,
@@ -270,8 +275,44 @@ class TestRunTrial:
         pol = TabularPolicy(t / t.sum(axis=1, keepdims=True))
         logged = bandit.sample_logged(10_000, pol,
                                       np.random.default_rng(2))
-        est = v_ips(logged, pol)
+        est = evaluate_estimator(EstimatorSpec("IPS"), logged, pol)
         assert abs(est - bandit.exact_value(pol)) < 0.02
+
+    def test_scoring_calls_are_replayable(self, monkeypatch):
+        """The benchmark records one trial's scoring and truth calls and
+        replays them on resamples; pin the call shapes it relies on."""
+        config = ExperimentConfig(**SMALL)
+        dataset = _load_dataset(config)
+        score, truth = estimators.evaluate_estimator, bandit_sim.true_value
+        scored, truths = [], []
+
+        def record_score(*args, **kwargs):
+            value = score(*args, **kwargs)
+            scored.append((args, kwargs, value))
+            return value
+
+        def record_truth(*args, **kwargs):
+            truths.append((args, kwargs))
+            return truth(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "evaluate_estimator", record_score)
+        monkeypatch.setattr(bandit_sim, "true_value", record_truth)
+        result = run_trial(config, dataset, seed=0)
+
+        ((test, target), truth_kwargs), = truths
+        assert truth_kwargs == {}
+        assert isinstance(test, LabeledDataset) and len(test) < len(dataset)
+        assert [args[0].kind for args, _, _ in scored] == SMALL[
+            "estimator_names"]
+        for (spec, logged, pi), kwargs, value in scored:
+            assert isinstance(spec, EstimatorSpec)
+            assert pi is target
+            assert np.array_equal(logged.contexts, test.contexts)
+            assert np.array_equal(logged.rewards,
+                                  logged.actions == test.labels)
+            assert set(kwargs) == {"logging", "model", "robust",
+                                   "robust_iid", "w_max"}
+            assert result.errors[spec.kind] == abs(value - result.true_value)
 
 
 class TestModelsFromEstimatorTable:

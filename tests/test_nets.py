@@ -16,16 +16,14 @@ from robust_ope.nets import (
     SgdConfig,
     TrainingFault,
     adam_step,
-    backward,
     backward_batch,
     fit,
-    forward,
     forward_batch,
     init_net,
     spectral_normalize,
     spectral_normalize_net,
 )
-from robust_ope.policies import train_classifier_policy, uniform_policy
+from robust_ope.policies import UniformPolicy, train_classifier_policy
 from robust_ope.robust_regression import train_robust
 
 
@@ -36,11 +34,11 @@ def identity_layer(dim, activation="identity"):
 class TestForward:
     def test_identity_layer_passthrough(self):
         net = FeedForwardNet([identity_layer(2)])
-        assert np.array_equal(forward(net, [1.0, 2.0]), [1.0, 2.0])
+        assert np.array_equal(forward_batch(net, [[1.0, 2.0]])[0], [1.0, 2.0])
 
     def test_relu_zeroes_negative(self):
         net = FeedForwardNet([identity_layer(2, "relu")])
-        assert np.array_equal(forward(net, [-1.0, 3.0]), [0.0, 3.0])
+        assert np.array_equal(forward_batch(net, [[-1.0, 3.0]])[0], [0.0, 3.0])
 
     def test_two_layer_hand_computation(self):
         # layer 1: relu(W1 x + b1), W1 = [[1, 2], [0, -1]], b1 = [0.5, 0]
@@ -51,19 +49,19 @@ class TestForward:
                   "relu"),
             Layer(np.array([[1.0, 1.0]]), np.array([-1.0]), "identity"),
         ])
-        assert np.allclose(forward(net, [1.0, 1.0]), [2.5])
+        assert np.allclose(forward_batch(net, [[1.0, 1.0]])[0], [2.5])
 
     def test_dimension_mismatch_rejected(self):
         net = FeedForwardNet([identity_layer(2)])
         with pytest.raises(DimensionError):
-            forward(net, [1.0, 2.0, 3.0])
+            forward_batch(net, [[1.0, 2.0, 3.0]])
 
     def test_forward_is_pure(self):
         rng = np.random.default_rng(3)
         net = init_net([4, 8, 2], rng)
         x = rng.standard_normal(4)
-        a = forward(net, x)
-        b = forward(net, x)
+        a = forward_batch(net, [x])[0]
+        b = forward_batch(net, [x])[0]
         assert np.array_equal(a, b)
 
     def test_batch_matches_single(self):
@@ -72,7 +70,7 @@ class TestForward:
         xs = rng.standard_normal((6, 3))
         batch = forward_batch(net, xs)
         for i in range(6):
-            assert np.allclose(batch[i], forward(net, xs[i]))
+            assert np.allclose(batch[i], forward_batch(net, xs[i:i + 1])[0])
 
 
 class TestBackward:
@@ -81,7 +79,7 @@ class TestBackward:
         net = FeedForwardNet([Layer(w, np.zeros(2), "identity")])
         x = np.array([2.0, -1.0])
         g = np.array([1.0, 0.5])
-        grads, gin = backward(net, x, g)
+        grads, (gin,) = backward_batch(net, [x], [g])
         assert np.allclose(grads[0][0], np.outer(g, x))
         assert np.allclose(grads[0][1], g)
         assert np.allclose(gin, g @ w)
@@ -89,7 +87,8 @@ class TestBackward:
     def test_zero_output_gradient_gives_zero_gradients(self):
         rng = np.random.default_rng(5)
         net = init_net([4, 6, 3], rng)
-        grads, gin = backward(net, rng.standard_normal(4), np.zeros(3))
+        grads, (gin,) = backward_batch(net, [rng.standard_normal(4)],
+                                       [np.zeros(3)])
         for dw, db in grads:
             assert not np.any(dw) and not np.any(db)
         assert not np.any(gin)
@@ -99,15 +98,15 @@ class TestBackward:
         net = init_net([5, 7, 3], rng)
         x = rng.standard_normal(5)
         v = rng.standard_normal(3)  # loss = v . net(x)
-        grads, _ = backward(net, x, v)
+        grads, _ = backward_batch(net, [x], [v])
         h = 1e-6
         for li, layer in enumerate(net.layers):
             for idx in np.ndindex(layer.weight.shape):
                 orig = layer.weight[idx]
                 layer.weight[idx] = orig + h
-                up = float(v @ forward(net, x))
+                up = float(v @ forward_batch(net, [x])[0])
                 layer.weight[idx] = orig - h
-                dn = float(v @ forward(net, x))
+                dn = float(v @ forward_batch(net, [x])[0])
                 layer.weight[idx] = orig
                 fd = (up - dn) / (2 * h)
                 ana = grads[li][0][idx]
@@ -116,7 +115,7 @@ class TestBackward:
     def test_gradient_shape_mismatch_rejected(self):
         net = FeedForwardNet([identity_layer(2)])
         with pytest.raises(DimensionError):
-            backward(net, np.zeros(2), np.zeros(3))
+            backward_batch(net, np.zeros((1, 2)), np.zeros((1, 3)))
 
     def test_batch_gradients_sum_over_records(self):
         rng = np.random.default_rng(7)
@@ -127,7 +126,7 @@ class TestBackward:
         acc = [(np.zeros_like(l.weight), np.zeros_like(l.bias))
                for l in net.layers]
         for i in range(5):
-            grads, _ = backward(net, xs[i], gs[i])
+            grads, _ = backward_batch(net, xs[i:i + 1], gs[i:i + 1])
             for (aw, ab), (dw, db) in zip(acc, grads):
                 aw += dw
                 ab += db
@@ -158,9 +157,9 @@ class TestSgdStep:
         x, y = np.array([1.0]), 0.0
         losses = []
         for _ in range(3):
-            pred = forward(net, x)[0]
+            pred = forward_batch(net, [x])[0, 0]
             losses.append(0.5 * (pred - y) ** 2)
-            grads, _ = backward(net, x, np.array([pred - y]))
+            grads, _ = backward_batch(net, [x], [[pred - y]])
             adam_step(net, grads, config, state)
         assert losses[0] > losses[1] > losses[2]
 
@@ -344,7 +343,7 @@ class TestFit:
             logged.contexts, logged.actions, 2, [4], config),
         lambda logged, config: train_direct_model(logged, [4], config),
         lambda logged, config: train_robust(
-            logged, uniform_policy(2), uniform_policy(2), [4], config),
+            logged, UniformPolicy(2), UniformPolicy(2), [4], config),
     ], ids=["classifier", "direct", "robust"])
     def test_fault_names_epoch(self, trainer):
         contexts = np.zeros((8, 2))

@@ -16,7 +16,6 @@ from robust_ope.policies import (
     estimate_logging_policy,
     sample_actions,
     train_classifier_policy,
-    uniform_policy,
 )
 
 FAST_SGD = SgdConfig(learning_rate=1e-3, epochs=10, batch_size=32, seed=0)
@@ -24,25 +23,26 @@ FAST_SGD = SgdConfig(learning_rate=1e-3, epochs=10, batch_size=32, seed=0)
 
 class TestUniformPolicy:
     def test_k4_quarter_each(self):
-        p = uniform_policy(4).probs(np.zeros(3))
+        p = UniformPolicy(4).probs_matrix(np.zeros((1, 3)))[0]
         assert np.array_equal(p, np.full(4, 0.25))
 
     def test_k2_half_each(self):
-        assert np.array_equal(uniform_policy(2).probs(np.zeros(1)), [0.5, 0.5])
+        p = UniformPolicy(2).probs_matrix(np.zeros((1, 1)))[0]
+        assert np.array_equal(p, [0.5, 0.5])
 
     def test_k26_simplex(self):
-        p = uniform_policy(26).probs(np.zeros(2))
+        p = UniformPolicy(26).probs_matrix(np.zeros((1, 2)))[0]
         assert np.all(p >= 0) and abs(p.sum() - 1.0) < 1e-9
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            uniform_policy(1)
+            UniformPolicy(1)
 
 
 class TestTabularPolicy:
     def test_rows_index_by_first_feature(self):
         pol = TabularPolicy(np.array([[0.2, 0.8], [1.0, 0.0]]))
-        assert np.allclose(pol.probs(np.array([1.0])), [1.0, 0.0])
+        assert np.allclose(pol.probs_matrix(np.array([[1.0]]))[0], [1.0, 0.0])
 
     def test_invalid_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -148,14 +148,14 @@ class TestSampling:
         assert np.all(sample_actions(pol, np.zeros((20, 1)), rng) == 1)
 
     def test_uniform_frequencies(self):
-        pol = uniform_policy(4)
+        pol = UniformPolicy(4)
         rng = np.random.default_rng(8)
         acts = sample_actions(pol, np.zeros((10_000, 1)), rng)
         freqs = np.bincount(acts, minlength=4) / 10_000
         assert np.max(np.abs(freqs - 0.25)) < 0.02
 
     def test_fixed_seed_reproducible(self):
-        pol = uniform_policy(3)
+        pol = UniformPolicy(3)
         a = sample_actions(pol, np.zeros((50, 1)), np.random.default_rng(9))
         b = sample_actions(pol, np.zeros((50, 1)), np.random.default_rng(9))
         assert np.array_equal(a, b)

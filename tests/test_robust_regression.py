@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from robust_ope.bandit_sim import make_synthetic
 from robust_ope.data import LoggedDataset
 from robust_ope.nets import FeedForwardNet, Layer, SgdConfig, init_net
-from robust_ope.policies import TabularPolicy, density_ratio, uniform_policy
+from robust_ope.policies import TabularPolicy, UniformPolicy, \
+    density_ratio
 from robust_ope.robust_regression import (
     BaseGaussian,
     RhoParams,
@@ -18,9 +19,7 @@ from robust_ope.robust_regression import (
     features,
     load_regressor,
     mean_matrix,
-    predict,
     predict_batch,
-    predict_clipped,
     rho_gradients,
     save_regressor,
     theta_gradients,
@@ -56,13 +55,13 @@ def random_regressor(rng, d=2, n_actions=2, k=3):
 class TestPredict:
     def test_ratio_zero_is_exact_base(self):
         reg = constant_feature_regressor([2.0], rho_r=1.3, rho_xr=[0.7])
-        mu, s2 = predict(reg, np.array([0.3]), 1, 0.0)
+        (mu,), (s2,) = predict_batch(reg, [[0.3]], [1], [0.0])
         assert mu == 0.5 and s2 == 1.0
 
     def test_zero_rho_is_base_for_any_ratio(self):
         reg = constant_feature_regressor([5.0])
         for ratio in (0.0, 0.5, 1.0, 7.0):
-            mu, s2 = predict(reg, np.array([0.0]), 0, ratio)
+            (mu,), (s2,) = predict_batch(reg, [[0.0]], [0], [ratio])
             assert mu == 0.5 and s2 == 1.0
 
     def test_hand_substitution(self):
@@ -71,13 +70,13 @@ class TestPredict:
         # mu = 0.5 * (-2*1*(-1) + 0) = 1.0
         reg = constant_feature_regressor([2.0], rho_r=0.5, rho_xr=[-0.5],
                                          mu0=0.0)
-        mu, s2 = predict(reg, np.array([0.0]), 0, 1.0)
+        (mu,), (s2,) = predict_batch(reg, [[0.0]], [0], [1.0])
         assert np.isclose(s2, 0.5) and np.isclose(mu, 1.0)
 
     def test_variance_strictly_decreasing_in_ratio(self):
         reg = constant_feature_regressor([1.0], rho_r=0.8)
         ratios = np.linspace(0.0, 5.0, 20)
-        s2 = [predict(reg, np.array([0.0]), 0, r)[1] for r in ratios]
+        s2 = [predict_batch(reg, [[0.0]], [0], [r])[1][0] for r in ratios]
         assert all(a > b for a, b in zip(s2, s2[1:]))
 
     @settings(max_examples=30, deadline=None)
@@ -86,14 +85,14 @@ class TestPredict:
     def test_variance_always_positive(self, seed, ratio):
         rng = np.random.default_rng(seed)
         reg = random_regressor(rng)
-        _, s2 = predict(reg, rng.standard_normal(2), 0, ratio)
+        _, (s2,) = predict_batch(reg, [rng.standard_normal(2)], [0], [ratio])
         assert s2 > 0
 
     def test_ratio_clipped_at_ratio_max(self):
         reg = constant_feature_regressor([1.0], rho_r=1.0)
-        capped = predict(reg, np.array([0.0]), 0, reg.ratio_max)
-        beyond = predict(reg, np.array([0.0]), 0, 10.0 * reg.ratio_max)
-        assert capped == beyond
+        capped = predict_batch(reg, [[0.0]], [0], [reg.ratio_max])
+        beyond = predict_batch(reg, [[0.0]], [0], [10.0 * reg.ratio_max])
+        assert np.array_equal(capped, beyond)
 
 
 class TestPredictClipped:
@@ -101,19 +100,19 @@ class TestPredictClipped:
         # sigma_sq = 0.5, <rho_xr, f> = -1.3 -> mu = 0.5 * 2.6 = 1.3
         reg = constant_feature_regressor([1.0], rho_r=0.5, rho_xr=[-1.3],
                                          mu0=0.0)
-        mu, _ = predict(reg, np.array([0.0]), 0, 1.0)
+        (mu,), _ = predict_batch(reg, [[0.0]], [0], [1.0])
         assert np.isclose(mu, 1.3)
-        assert predict_clipped(reg, np.array([0.0]), 0, 1.0) == 1.0
+        assert mean_matrix(reg, [[0.0]], np.ones((1, 2)))[0, 0] == 1.0
 
     def test_interior_point_untouched(self):
         reg = constant_feature_regressor([1.0])
-        assert predict_clipped(reg, np.array([0.0]), 0, 1.0) == 0.5
+        assert mean_matrix(reg, [[0.0]], np.ones((1, 2)))[0, 0] == 0.5
 
     def test_below_range_clips_to_zero(self):
         reg = constant_feature_regressor([1.0], rho_r=0.5, rho_xr=[0.2],
                                          mu0=0.0)
-        assert predict(reg, np.array([0.0]), 0, 1.0)[0] < 0
-        assert predict_clipped(reg, np.array([0.0]), 0, 1.0) == 0.0
+        assert predict_batch(reg, [[0.0]], [0], [1.0])[0][0] < 0
+        assert mean_matrix(reg, [[0.0]], np.ones((1, 2)))[0, 0] == 0.0
 
 
 class TestRhoGradients:
@@ -233,7 +232,7 @@ class TestTraining:
         rewards = rng.random(n)
         logged = LoggedDataset(contexts, actions, rewards, k,
                                propensities=np.full(n, 1.0 / k))
-        pol = uniform_policy(k)
+        pol = UniformPolicy(k)
         config = SgdConfig(epochs=3, seed=5)
         a = train_robust(logged, pol, pol, [8, 4], config)
         b = train_iid(logged, [8, 4], config)
@@ -249,7 +248,7 @@ class TestTraining:
         actions = rng.integers(0, k, size=n)
         logged = LoggedDataset(contexts, actions, np.full(n, 0.7), k,
                                propensities=np.full(n, 0.5))
-        pol = uniform_policy(k)
+        pol = UniformPolicy(k)
         reg = train_robust(
             logged, pol, pol, [16, 8],
             SgdConfig(epochs=60, seed=0),
@@ -267,7 +266,7 @@ class TestTraining:
         rewards = np.clip(0.5 + 0.3 * contexts[:, 0], 0.0, 1.0)
         logged = LoggedDataset(contexts, actions, rewards, k,
                                propensities=np.full(n, 0.5))
-        pol = uniform_policy(k)
+        pol = UniformPolicy(k)
         ratios = np.ones(n)
         nlls = []
         for epochs in (1, 20):
@@ -295,7 +294,7 @@ class TestTraining:
         contexts = np.array([[0.0]])
         logged = LoggedDataset(contexts, np.array([0]), np.zeros(1), 2,
                                propensities=np.array([0.25]))
-        pol = uniform_policy(2)
+        pol = UniformPolicy(2)
         assert np.allclose(training_ratios(logged, pol, pol), [0.5])
 
 
@@ -303,7 +302,7 @@ class TestMeanMatrix:
     def test_ones_ratio_matches_predict_at_one(self):
         reg = constant_feature_regressor([1.0], rho_r=0.5, rho_xr=[-0.3],
                                          mu0=0.0)
-        expected_mu = predict(reg, np.array([0.0]), 0, 1.0)[0]
+        expected_mu = predict_batch(reg, [[0.0]], [0], [1.0])[0][0]
         mat = mean_matrix(reg, np.array([[0.0]]), np.ones((1, 2)))
         assert np.allclose(mat, expected_mu)
 
