@@ -26,7 +26,6 @@ class LabeledDataset:
     contexts: np.ndarray  # (n, d)
     labels: np.ndarray  # (n,) int
     n_classes: int
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         self.contexts = np.asarray(self.contexts, dtype=float)
@@ -65,7 +64,6 @@ def load_csv(path, label_column: str) -> LabeledDataset:
         if label_column not in header:
             raise ParseError(f"{path}: no column named {label_column!r}")
         label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
         rows, raw_labels = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -84,7 +82,7 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     index = {c: i for i, c in enumerate(classes)}
     labels = np.array([index[c] for c in raw_labels])
     return LabeledDataset(contexts=np.array(rows), labels=labels,
-                          n_classes=len(classes), feature_names=feature_names)
+                          n_classes=len(classes))
 
 
 def split(dataset: LabeledDataset,
@@ -100,9 +98,9 @@ def split(dataset: LabeledDataset,
     tr, te = order[:n_train], order[n_train:]
     return (
         LabeledDataset(dataset.contexts[tr], dataset.labels[tr],
-                       dataset.n_classes, dataset.feature_names),
+                       dataset.n_classes),
         LabeledDataset(dataset.contexts[te], dataset.labels[te],
-                       dataset.n_classes, dataset.feature_names),
+                       dataset.n_classes),
     )
 
 
@@ -115,7 +113,7 @@ def standardize(train: LabeledDataset,
     out = []
     for ds in (train, *others):
         out.append(LabeledDataset((ds.contexts - mean) / std, ds.labels,
-                                  ds.n_classes, ds.feature_names))
+                                  ds.n_classes))
     return out
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import importance_weights
+
 
 @dataclass
 class BoundInputs:
@@ -32,9 +34,9 @@ class BoundInputs:
             raise ValueError("delta must lie in (0, 1)")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.eta1 < 0 or self.eta2 < 0:
+        if not (self.eta1 >= 0 and self.eta2 >= 0):
             raise ValueError("slacks must be nonnegative")
-        if self.epsilon < 0 or self.bigo_constant < 0:
+        if not (self.epsilon >= 0 and self.bigo_constant >= 0):
             raise ValueError("epsilon and bigo_constant must be nonnegative")
 
 
@@ -87,8 +89,6 @@ def measure_bound_inputs(logged, target, logging, rho_cap: float,
     absent or when their minimum is not positive, l falls back to 1.0 and the
     l-dependent terms are nominal only.
     """
-    from .estimators import importance_weights
-
     w = importance_weights(logged, target, logging, w_max=np.inf)
     w_max = float(w.max())
     e_p_wr = float(np.mean(w * logged.rewards))

@@ -17,9 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from .data import LoggedDataset
-from .nets import FeedForwardNet, SgdConfig, fit, forward_batch, init_net
+from .nets import (FeedForwardNet, SgdConfig, action_inputs, fit,
+                   forward_actions, init_net)
 from .policies import Policy, density_ratio, logged_propensities
-from .robust_regression import RobustRegressor, _net_inputs, mean_matrix
+from .robust_regression import RobustRegressor, mean_matrix
 
 #: safety clip on importance weights pi / p-hat; np.inf disables it
 DEFAULT_W_MAX = 1e4
@@ -58,13 +59,8 @@ class NetRewardModel(RewardModel):
     r_min: float = 0.0
     r_max: float = 1.0
     def predict_matrix(self, contexts: np.ndarray) -> np.ndarray:
-        contexts = np.asarray(contexts, dtype=float)
-        n = contexts.shape[0]
-        out = np.empty((n, self.n_actions))
-        for a in range(self.n_actions):
-            inputs = _net_inputs(contexts, np.full(n, a), self.n_actions)
-            out[:, a] = forward_batch(self.net, inputs)[:, 0]
-        return np.clip(out, self.r_min, self.r_max)
+        preds = forward_actions(self.net, contexts, self.n_actions)
+        return np.clip(np.hstack(list(preds)), self.r_min, self.r_max)
 
 
 def train_direct_model(logged: LoggedDataset, hidden_dims: list[int],
@@ -75,7 +71,7 @@ def train_direct_model(logged: LoggedDataset, hidden_dims: list[int],
     rng = np.random.default_rng(config.seed)
     in_dim = logged.contexts.shape[1] + logged.n_actions
     net = init_net([in_dim, *hidden_dims, 1], rng)
-    inputs = _net_inputs(logged.contexts, logged.actions, logged.n_actions)
+    inputs = action_inputs(logged.contexts, logged.actions, logged.n_actions)
 
     def output_grads(preds, idx):
         return 2.0 * (preds - logged.rewards[idx, None]) / idx.shape[0]

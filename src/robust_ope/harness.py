@@ -216,7 +216,7 @@ def _biased_subsample(train: LabeledDataset, beta: float,
     if keep.sum() < 2 or len(np.unique(train.labels[keep])) < 2:
         return train
     return LabeledDataset(train.contexts[keep], train.labels[keep],
-                          train.n_classes, train.feature_names)
+                          train.n_classes)
 
 
 def _estimator_specs(config: ExperimentConfig) -> list[estimators.EstimatorSpec]:

@@ -15,6 +15,10 @@ import numpy as np
 
 ACTIVATIONS = ("relu", "identity")
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class DimensionError(ValueError):
     """Input shape does not match the network."""
@@ -69,7 +73,7 @@ class SgdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
@@ -102,16 +106,42 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
     return z
 
 
+def _forward_from(h: np.ndarray, layers: list[Layer]) -> np.ndarray:
+    for layer in layers:
+        h = _apply_activation(h @ layer.weight.T + layer.bias, layer.activation)
+    return h
+
+
 def forward_batch(net: FeedForwardNet, inputs: np.ndarray) -> np.ndarray:
     """Forward pass on a (n, in_dim) batch; returns (n, out_dim)."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != net.in_dim:
         raise DimensionError(
             f"expected (n, {net.in_dim}) input, got {inputs.shape}")
-    h = inputs
-    for layer in net.layers:
-        h = _apply_activation(h @ layer.weight.T + layer.bias, layer.activation)
-    return h
+    return _forward_from(inputs, net.layers)
+
+
+def action_inputs(contexts: np.ndarray, actions: np.ndarray,
+                  n_actions: int) -> np.ndarray:
+    """The input of a net on (context, action) rows: context ⊕ one-hot action."""
+    contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
+    onehot = np.eye(n_actions)[np.asarray(actions, dtype=int)]
+    return np.hstack([contexts, onehot])
+
+
+def forward_actions(net: FeedForwardNet, contexts: np.ndarray, n_actions: int):
+    """Yield the (n, out_dim) outputs on `action_inputs` at each action in
+    turn, multiplying the context half of the first layer once. Equal to
+    `forward_batch` bit for bit where BLAS sums each product in column order."""
+    contexts = np.asarray(contexts, dtype=float)
+    d = net.in_dim - n_actions
+    if contexts.ndim != 2 or contexts.shape[1] != d:
+        raise DimensionError(f"expected (n, {d}) contexts, got {contexts.shape}")
+    first, rest = net.layers[0], net.layers[1:]
+    shared = contexts @ first.weight[:, :d].T
+    return (_forward_from(_apply_activation(
+        shared + first.weight[:, d + a] + first.bias, first.activation), rest)
+        for a in range(n_actions))
 
 
 def _forward_trace(net: FeedForwardNet, inputs: np.ndarray):
@@ -174,9 +204,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_net(cls, net: FeedForwardNet) -> "AdamState":
@@ -200,12 +227,11 @@ def adam_step(net: FeedForwardNet, grads, config: SgdConfig,
         raise TrainingFault("non-finite gradient in adam_step")
     lr = config.learning_rate
     state.step += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    state.m[:] = b1 * state.m + (1 - b1) * g
-    state.v[:] = b2 * state.v + (1 - b2) * g ** 2
-    state.params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + eps)
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    state.m[:] = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
+    state.v[:] = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g ** 2
+    state.params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
     return net
 
 

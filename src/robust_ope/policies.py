@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nets import FeedForwardNet, SgdConfig, fit, forward_batch, init_net
+from .nets import (FeedForwardNet, SgdConfig, action_inputs, fit,
+                   forward_batch, init_net)
 
 #: probabilities of softmax classifier policies are clamped to at least this
 #: value and renormalized, so importance weights stay finite
@@ -109,17 +110,10 @@ def logged_propensities(logged, logging: Policy | None,
     return probs[np.arange(len(logged)), logged.actions]
 
 
-def _one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], n_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def _train_softmax_net(contexts: np.ndarray, labels: np.ndarray, n_classes: int,
                        hidden_dims: list[int], config: SgdConfig) -> FeedForwardNet:
     """Minimize multinomial log-loss with minibatch SGD."""
-    contexts = np.asarray(contexts, dtype=float)
-    targets = _one_hot(np.asarray(labels, dtype=int), n_classes)
+    targets = action_inputs(contexts[:, :0], labels, n_classes)  # one-hot
     rng = np.random.default_rng(config.seed)
     net = init_net([contexts.shape[1], *hidden_dims, n_classes], rng)
 
@@ -150,14 +144,10 @@ def train_classifier_policy(contexts: np.ndarray, labels: np.ndarray,
 def estimate_logging_policy(logged, hidden_dims: list[int],
                             config: SgdConfig) -> SoftmaxClassifierPolicy:
     """Fit p-hat(a|x) by log-loss on the logged (context, action) pairs."""
-    contexts = np.asarray(logged.contexts, dtype=float)
-    actions = np.asarray(logged.actions, dtype=int)
-    if contexts.shape[0] == 0:
+    if len(logged) == 0:
         raise ValueError("empty logged dataset")
-    if actions.max() >= logged.n_actions:
-        raise ValueError("action index out of range")
-    net = _train_softmax_net(contexts, actions, logged.n_actions, hidden_dims,
-                             config)
+    net = _train_softmax_net(logged.contexts, logged.actions, logged.n_actions,
+                             hidden_dims, config)
     return SoftmaxClassifierPolicy(net=net)
 
 

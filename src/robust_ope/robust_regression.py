@@ -24,8 +24,10 @@ from .nets import (
     Layer,
     SgdConfig,
     TrainingFault,
+    action_inputs,
     backward_batch,
     fit,
+    forward_actions,
     forward_batch,
     init_net,
 )
@@ -67,37 +69,29 @@ class RobustRegressor:
     ratio_max: float = 100.0
 
 
-def _net_inputs(contexts: np.ndarray, actions: np.ndarray,
-                n_actions: int) -> np.ndarray:
-    contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-    actions = np.asarray(actions, dtype=int)
-    onehot = np.zeros((contexts.shape[0], n_actions))
-    onehot[np.arange(contexts.shape[0]), actions] = 1.0
-    return np.hstack([contexts, onehot])
-
-
 def features(reg: RobustRegressor, contexts: np.ndarray,
              actions: np.ndarray) -> np.ndarray:
     """f(x, a) for each record; returns (n, k)."""
-    return forward_batch(reg.net, _net_inputs(contexts, actions, reg.n_actions))
+    return forward_batch(reg.net, action_inputs(contexts, actions,
+                                                reg.n_actions))
 
 
 def _gaussian_params(reg: RobustRegressor, feats: np.ndarray,
                      ratios: np.ndarray):
+    """Gaussian (mu, sigma_sq) and the ratios clipped to [0, ratio_max]."""
     ratios = np.clip(np.asarray(ratios, dtype=float), 0.0, reg.ratio_max)
     inv_s0 = 1.0 / reg.base.sigma0_sq
     sigma_sq = 1.0 / (2.0 * ratios * reg.rho.rho_r + inv_s0)
     mu = sigma_sq * (-2.0 * ratios * (feats @ reg.rho.rho_xr)
                      + reg.base.mu0 * inv_s0)
-    return mu, sigma_sq
+    return mu, sigma_sq, ratios
 
 
 def predict_batch(reg: RobustRegressor, contexts: np.ndarray,
                   actions: np.ndarray, ratios: np.ndarray):
     """Conditional Gaussian (mu, sigma_sq) per (context, action, ratio) row;
     each (n,), unclipped."""
-    feats = features(reg, contexts, actions)
-    return _gaussian_params(reg, feats, ratios)
+    return _gaussian_params(reg, features(reg, contexts, actions), ratios)[:2]
 
 
 def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
@@ -108,15 +102,13 @@ def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
     `ratios` (n, K) holds the density ratio p(a|x) / pi(a|x) at every
     (x, a); all ones gives the iid prediction.
     """
-    contexts = np.asarray(contexts, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
-    n = contexts.shape[0]
+    n = len(contexts)
     if ratios.shape != (n, reg.n_actions):
         raise ValueError(f"ratios must have shape {(n, reg.n_actions)}")
-    out = np.empty((n, reg.n_actions))
-    for a in range(reg.n_actions):
-        out[:, a] = predict_batch(reg, contexts, np.full(n, a), ratios[:, a])[0]
-    return np.clip(out, reg.r_min, reg.r_max)
+    feats = forward_actions(reg.net, contexts, reg.n_actions)
+    mu = [_gaussian_params(reg, f, r)[0] for f, r in zip(feats, ratios.T)]
+    return np.clip(np.column_stack(mu), reg.r_min, reg.r_max)
 
 
 def _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats):
@@ -138,9 +130,8 @@ def rho_gradients(reg: RobustRegressor, contexts: np.ndarray,
     rewards = np.asarray(rewards, dtype=float)
     if rewards.shape[0] == 0:
         raise ValueError("empty minibatch")
-    ratios = np.clip(np.asarray(ratios, dtype=float), 0.0, reg.ratio_max)
     feats = features(reg, contexts, actions)
-    mu, sigma_sq = _gaussian_params(reg, feats, ratios)
+    mu, sigma_sq, ratios = _gaussian_params(reg, feats, ratios)
     grad_r, grad_xr = _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats)
     if not (np.isfinite(grad_r) and np.all(np.isfinite(grad_xr))):
         raise TrainingFault("non-finite rho gradient")
@@ -156,10 +147,9 @@ def _theta_out_grads(ratios, rewards, mu, rho_xr):
 def theta_gradients(reg: RobustRegressor, contexts, actions, rewards, ratios):
     """Backpropagated feature-net gradients of the batch-mean Gaussian NLL."""
     rewards = np.asarray(rewards, dtype=float)
-    ratios = np.clip(np.asarray(ratios, dtype=float), 0.0, reg.ratio_max)
-    inputs = _net_inputs(contexts, actions, reg.n_actions)
+    inputs = action_inputs(contexts, actions, reg.n_actions)
     feats = forward_batch(reg.net, inputs)
-    mu, _ = _gaussian_params(reg, feats, ratios)
+    mu, _, ratios = _gaussian_params(reg, feats, ratios)
     out_grads = _theta_out_grads(ratios, rewards, mu, reg.rho.rho_xr)
     grads, _ = backward_batch(reg.net, inputs, out_grads)
     return grads
@@ -169,7 +159,7 @@ def batch_nll(reg: RobustRegressor, contexts, actions, rewards, ratios) -> float
     """Mean Gaussian negative log-likelihood of a batch; the training objective."""
     rewards = np.asarray(rewards, dtype=float)
     feats = features(reg, contexts, actions)
-    mu, sigma_sq = _gaussian_params(reg, feats, ratios)
+    mu, sigma_sq, _ = _gaussian_params(reg, feats, ratios)
     return float(np.mean(0.5 * np.log(2.0 * np.pi * sigma_sq)
                          + (rewards - mu) ** 2 / (2.0 * sigma_sq)))
 
@@ -182,10 +172,12 @@ class RobustTrainSettings:
 
 
 def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
-           config: SgdConfig, eta: float, base: BaseGaussian,
-           settings: RobustTrainSettings) -> RobustRegressor:
+           config: SgdConfig, eta: float, base: BaseGaussian | None,
+           settings: RobustTrainSettings | None) -> RobustRegressor:
     if len(logged) == 0:
         raise ValueError("empty logged dataset")
+    base = base or BaseGaussian()
+    settings = settings or RobustTrainSettings()
     rng = np.random.default_rng(config.seed)
     in_dim = logged.contexts.shape[1] + logged.n_actions
     net = init_net([in_dim, *hidden_dims], rng)
@@ -194,24 +186,22 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
         net=net, rho=RhoParams(0.0, np.zeros(k)), base=base,
         n_actions=logged.n_actions, r_min=logged.r_min, r_max=logged.r_max,
         ratio_max=settings.ratio_max)
-    inputs = _net_inputs(logged.contexts, logged.actions, logged.n_actions)
+    inputs = action_inputs(logged.contexts, logged.actions, logged.n_actions)
     rewards = logged.rewards
-    ratios = np.clip(np.asarray(ratios, dtype=float), 0.0, settings.ratio_max)
     lr_rho = settings.rho_learning_rate
     rho = reg.rho
 
     def output_grads(feats, idx):
         # exact-NLL step on rho, then the feature gradients under the new rho
-        mu, sigma_sq = _gaussian_params(reg, feats, ratios[idx])
+        mu, sigma_sq, w = _gaussian_params(reg, feats, ratios[idx])
         if not np.all(np.isfinite(mu)):
             raise TrainingFault("diverged")
-        grad_r, grad_xr = _nll_rho_grads(rewards[idx], mu, sigma_sq,
-                                         ratios[idx], feats)
+        grad_r, grad_xr = _nll_rho_grads(rewards[idx], mu, sigma_sq, w, feats)
         rho.rho_r = float(np.clip(
             rho.rho_r - lr_rho * (grad_r + eta * rho.rho_r), 0.0,
             settings.rho_max))
         rho.rho_xr = rho.rho_xr - lr_rho * (grad_xr + eta * rho.rho_xr)
-        return _theta_out_grads(ratios[idx], rewards[idx], mu, rho.rho_xr)
+        return _theta_out_grads(w, rewards[idx], mu, rho.rho_xr)
 
     fit(net, inputs, output_grads, config, rng)
     return reg
@@ -231,7 +221,6 @@ def train_robust(logged: LoggedDataset, target: Policy, logging: Policy,
                  eta: float = 1e-3, base: BaseGaussian | None = None,
                  settings: RobustTrainSettings | None = None) -> RobustRegressor:
     """Fit the covariate-shift-aware conditional Gaussian reward model."""
-    base = base or BaseGaussian()
     settings = settings or RobustTrainSettings()
     ratios = training_ratios(logged, target, logging, settings.ratio_max)
     return _train(logged, ratios, hidden_dims, config, eta, base, settings)
@@ -245,10 +234,8 @@ def train_iid(logged: LoggedDataset, hidden_dims: list[int],
 
     Query its `mean_matrix` at ratio 1 as well.
     """
-    base = base or BaseGaussian()
-    settings = settings or RobustTrainSettings()
-    ratios = np.ones(len(logged))
-    return _train(logged, ratios, hidden_dims, config, eta, base, settings)
+    return _train(logged, np.ones(len(logged)), hidden_dims, config, eta, base,
+                  settings)
 
 
 def save_regressor(reg: RobustRegressor, path) -> None:

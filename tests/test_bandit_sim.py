@@ -33,7 +33,6 @@ class TestLoadCsv:
         assert ds.contexts.shape == (3, 2)
         assert np.array_equal(ds.labels, [0, 1, 0])
         assert ds.n_classes == 2
-        assert ds.feature_names == ["a", "b"]
 
     def test_empty_file_rejected(self, tmp_path):
         path = write(tmp_path, "empty.csv", "")

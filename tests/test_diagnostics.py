@@ -113,6 +113,9 @@ class TestInvariants:
             inputs(n=0)
         with pytest.raises(ValueError):
             inputs(eta1=-0.1)
+        for key in ("eta1", "eta2", "epsilon", "bigo_constant"):
+            with pytest.raises(ValueError):
+                inputs(**{key: math.nan})
 
 
 class TestMeasureBoundInputs:

@@ -11,6 +11,7 @@ from robust_ope.data import LoggedDataset
 from robust_ope.estimators import (
     ESTIMATOR_KINDS,
     EstimatorSpec,
+    NetRewardModel,
     RewardModel,
     TableRewardModel,
     UndefinedEstimate,
@@ -18,10 +19,11 @@ from robust_ope.estimators import (
     importance_weights,
     train_direct_model,
 )
-from robust_ope.nets import SgdConfig, init_net
+from robust_ope.nets import SgdConfig, forward_batch, init_net
 from robust_ope.policies import TabularPolicy, UniformPolicy
 from robust_ope.robust_regression import BaseGaussian, RhoParams, \
     RobustRegressor, mean_matrix, train_iid, train_robust
+from tests.test_nets import random_action_net
 from tests.test_robust_regression import constant_feature_regressor
 
 
@@ -573,3 +575,17 @@ class TestTrainDirectModel:
         mat = model.predict_matrix(contexts[:100])
         assert float(np.mean(mat[:, 0])) > 0.7
         assert float(np.mean(mat[:, 1])) < 0.3
+
+    def test_predict_matrix_equals_per_action_reference(self):
+        rng = np.random.default_rng(32)
+        n, d, k = 100, 5, 3
+        net = random_action_net(rng, d, k, [16, 16, 1])
+        model = NetRewardModel(net, k, r_min=-1.0, r_max=1.0)
+        contexts = rng.standard_normal((n, d))
+        ref = np.empty((n, k))
+        for a in range(k):
+            onehot = np.zeros((n, k))
+            onehot[:, a] = 1.0
+            ref[:, a] = forward_batch(net, np.hstack([contexts, onehot]))[:, 0]
+        ref = np.clip(ref, -1.0, 1.0)
+        assert np.array_equal(model.predict_matrix(contexts), ref)

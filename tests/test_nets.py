@@ -15,9 +15,11 @@ from robust_ope.nets import (
     Layer,
     SgdConfig,
     TrainingFault,
+    action_inputs,
     adam_step,
     backward_batch,
     fit,
+    forward_actions,
     forward_batch,
     init_net,
     spectral_normalize,
@@ -71,6 +73,54 @@ class TestForward:
         batch = forward_batch(net, xs)
         for i in range(6):
             assert np.allclose(batch[i], forward_batch(net, xs[i:i + 1])[0])
+
+
+def random_action_net(rng, d, n_actions, dims):
+    """A net on (context, one-hot action) inputs with nonzero biases."""
+    net = init_net([d + n_actions, *dims], rng)
+    for layer in net.layers:
+        layer.bias = rng.standard_normal(layer.bias.shape)
+    return net
+
+
+class TestForwardActions:
+    def test_action_inputs_layout(self):
+        out = action_inputs([[1.0, 2.0], [3.0, 4.0]], [2, 0], 3)
+        assert np.array_equal(out, [[1.0, 2.0, 0.0, 0.0, 1.0],
+                                    [3.0, 4.0, 1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("dims", [[16, 16, 1], [16, 8]],
+                             ids=["one-output", "k-features"])
+    def test_each_action_equals_forward_batch(self, dims):
+        # exact at batch sizes where BLAS runs its blocked matmul kernel,
+        # which sums each product in column order; see the small-batch test
+        rng = np.random.default_rng(3)
+        d, k, n = 6, 4, 100
+        net = random_action_net(rng, d, k, dims)
+        contexts = rng.standard_normal((n, d))
+        outs = forward_actions(net, contexts, k)
+        assert iter(outs) is outs  # yielded one action at a time
+        outs = list(outs)
+        assert len(outs) == k
+        for a, out in enumerate(outs):
+            ref = forward_batch(net, action_inputs(contexts, np.full(n, a), k))
+            assert out.shape == (n, dims[-1])
+            assert np.array_equal(out, ref)
+
+    def test_small_batch_equals_forward_batch_to_rounding(self):
+        rng = np.random.default_rng(4)
+        net = random_action_net(rng, 20, 5, [32, 1])
+        contexts = rng.standard_normal((2, 20))
+        for a, out in enumerate(forward_actions(net, contexts, 5)):
+            ref = forward_batch(net, action_inputs(contexts, [a, a], 5))
+            assert np.allclose(out, ref, rtol=1e-13, atol=1e-13)
+
+    def test_wrong_context_width_raises(self):
+        net = random_action_net(np.random.default_rng(5), 3, 2, [4, 1])
+        with pytest.raises(DimensionError):
+            forward_actions(net, np.zeros((4, 4)), 2)
+        with pytest.raises(DimensionError):
+            forward_actions(net, np.zeros(3), 2)
 
 
 class TestBackward:
@@ -172,6 +222,8 @@ class TestSgdStep:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SgdConfig(learning_rate=0.0)
+        with pytest.raises(ValueError):
+            SgdConfig(learning_rate=float("nan"))
         with pytest.raises(ValueError):
             SgdConfig(epochs=0)
 

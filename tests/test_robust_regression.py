@@ -312,6 +312,20 @@ class TestMeanMatrix:
         mat = mean_matrix(reg, np.array([[0.0]]), np.ones((1, 2)))
         assert np.all(mat == 1.0)
 
+    def test_equals_per_action_reference(self):
+        rng = np.random.default_rng(12)
+        n, d, k = 100, 5, 4
+        reg = random_regressor(rng, d=d, n_actions=k)
+        contexts = rng.standard_normal((n, d))
+        ratios = rng.uniform(0.0, 3.0, (n, k))
+        ratios[::7, 1] = 10.0 * reg.ratio_max
+        ref = np.empty((n, k))
+        for a in range(k):
+            ref[:, a] = predict_batch(reg, contexts, np.full(n, a),
+                                      ratios[:, a])[0]
+        ref = np.clip(ref, reg.r_min, reg.r_max)
+        assert np.array_equal(mean_matrix(reg, contexts, ratios), ref)
+
     def test_ratio_matrix_shape_checked(self):
         # a (1, K) matrix would otherwise broadcast one row's ratios to all
         reg = constant_feature_regressor([1.0])
