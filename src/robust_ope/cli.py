@@ -63,9 +63,6 @@ def main(argv=None) -> int:
     except TrainingFault as exc:
         print(f"training fault: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # report on stderr, write no report, exit 2
         print(f"runtime fault: {exc}", file=sys.stderr)
         return 2

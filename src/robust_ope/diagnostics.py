@@ -30,6 +30,11 @@ class BoundInputs:
     bigo_constant: float = 1.0
 
     def __post_init__(self):
+        if not (self.w_max >= 0 and self.rho_cap >= 0):
+            raise ValueError("w_max and rho_cap must be nonnegative")
+        if not (self.sigma0_sq > 0 and self.feature_lower > 0):
+            raise ValueError("sigma0_sq and feature lower bound l must be "
+                             "positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.n < 1:
@@ -42,8 +47,6 @@ class BoundInputs:
 
 def bias_bound(inputs: BoundInputs) -> float:
     """W*eta1/l + epsilon + C*sqrt(W*log(1/delta)/n)."""
-    if inputs.feature_lower <= 0:
-        raise ValueError("feature lower bound l must be positive")
     w, n = inputs.w_max, inputs.n
     return (w * inputs.eta1 / inputs.feature_lower
             + inputs.epsilon
@@ -53,8 +56,6 @@ def bias_bound(inputs: BoundInputs) -> float:
 
 def variance_bound(inputs: BoundInputs) -> float:
     """2W^2*eta2 + 2W^2/(2WB + 1/sigma0^2) + C*W^2*sqrt(log(1/delta)/n) + 2eps^2."""
-    if inputs.feature_lower <= 0:
-        raise ValueError("feature lower bound l must be positive")
     w, n = inputs.w_max, inputs.n
     mid = 2.0 * w ** 2 / (2.0 * w * inputs.rho_cap + 1.0 / inputs.sigma0_sq)
     return (2.0 * w ** 2 * inputs.eta2
@@ -67,8 +68,6 @@ def variance_bound(inputs: BoundInputs) -> float:
 def minimax_lower_bound(inputs: BoundInputs) -> float:
     """min of the two closed-form lower-bound terms (slack-squared and
     weighted-reward terms)."""
-    if inputs.feature_lower <= 0:
-        raise ValueError("feature lower bound l must be positive")
     w, n, l = inputs.w_max, inputs.n, inputs.feature_lower
     term1 = w ** 2 * inputs.eta2 ** 2 / (64.0 * math.e * l ** 2)
     e_wr = inputs.e_p_wr

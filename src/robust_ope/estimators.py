@@ -132,7 +132,7 @@ class _Arrays:
         if self.reads == "direct":
             mat = self.model.predict_matrix(contexts)
         else:
-            ratios = (density_ratio(self.p, self.pi, self.model.ratio_max)
+            ratios = (density_ratio(self.p, self.pi, np.inf)
                       if self.reads == "robust" else np.ones(shape))
             mat = mean_matrix(self.model, contexts, ratios)
         if mat.shape != shape:
@@ -205,10 +205,11 @@ class EstimatorSpec:
         if self.kind not in _TABLE:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         formula = _TABLE[self.kind][0]
-        if formula is _Arrays.switch and (self.tau is None or self.tau < 0):
+        if formula is _Arrays.switch and (self.tau is None
+                                          or not self.tau >= 0):
             raise ValueError(f"{self.kind} requires a nonnegative tau")
         if formula is _Arrays.shrink and (self.shrink_cap is None
-                                          or self.shrink_cap < 0):
+                                          or not self.shrink_cap >= 0):
             raise ValueError(f"{self.kind} requires a nonnegative shrink_cap")
 
 

@@ -1,19 +1,18 @@
 """Minimal dense neural kernel: fully connected nets, backprop, Adam, spectral norm.
 
-Everything runs in float64 on numpy arrays. Nets are plain dataclasses; a
-trained net's arrays view one flat buffer, and a copy or a pickle owns its
-memory, so nets move between workers freely. Training is single-threaded.
+Everything runs in float64 on numpy arrays. A net is its layers' weights and
+biases, with relu after every layer but the last. A trained net's arrays view
+one flat buffer, and a copy or a pickle owns its memory, so nets move between
+workers freely. Training is single-threaded.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-ACTIVATIONS = ("relu", "identity")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -32,34 +31,21 @@ class TrainingFault(RuntimeError):
 class Layer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-    activation: str = "relu"
-    # persistent left singular vector for power iteration
-    power_vec: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
 
 
 @dataclass
 class FeedForwardNet:
+    """Dense layers with relu after every layer but the last."""
+
     layers: list[Layer]
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.layers[0].weight.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.layers[-1].weight.shape[0]
 
     def copy(self) -> "FeedForwardNet":
         return copy.deepcopy(self)
@@ -84,8 +70,7 @@ class SgdConfig:
 def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:
     """Build a net with uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights.
 
-    `layer_dims` lists [input, hidden..., output] sizes. Hidden layers are
-    relu, the output layer identity.
+    `layer_dims` lists [input, hidden..., output] sizes.
     """
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
@@ -94,22 +79,17 @@ def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:
         fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
         bound = 1.0 / np.sqrt(fan_in)
         w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        b = np.zeros(fan_out)
-        act = "identity" if i == len(layer_dims) - 2 else "relu"
-        layers.append(Layer(weight=w, bias=b, activation=act))
+        layers.append(Layer(weight=w, bias=np.zeros(fan_out)))
     return FeedForwardNet(layers=layers)
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
-def _forward_from(h: np.ndarray, layers: list[Layer]) -> np.ndarray:
+def _forward_from(z: np.ndarray, layers: list[Layer]) -> np.ndarray:
+    """Finish a forward pass from `z`, a fresh output of the layer before
+    `layers`. Relu writes into each hidden output, which is freed once the
+    next layer has read it."""
     for layer in layers:
-        h = _apply_activation(h @ layer.weight.T + layer.bias, layer.activation)
-    return h
+        z = np.maximum(z, 0.0, out=z) @ layer.weight.T + layer.bias
+    return z
 
 
 def forward_batch(net: FeedForwardNet, inputs: np.ndarray) -> np.ndarray:
@@ -118,7 +98,8 @@ def forward_batch(net: FeedForwardNet, inputs: np.ndarray) -> np.ndarray:
     if inputs.ndim != 2 or inputs.shape[1] != net.in_dim:
         raise DimensionError(
             f"expected (n, {net.in_dim}) input, got {inputs.shape}")
-    return _forward_from(inputs, net.layers)
+    first = net.layers[0]
+    return _forward_from(inputs @ first.weight.T + first.bias, net.layers[1:])
 
 
 def action_inputs(contexts: np.ndarray, actions: np.ndarray,
@@ -139,22 +120,17 @@ def forward_actions(net: FeedForwardNet, contexts: np.ndarray, n_actions: int):
         raise DimensionError(f"expected (n, {d}) contexts, got {contexts.shape}")
     first, rest = net.layers[0], net.layers[1:]
     shared = contexts @ first.weight[:, :d].T
-    return (_forward_from(_apply_activation(
-        shared + first.weight[:, d + a] + first.bias, first.activation), rest)
-        for a in range(n_actions))
+    return (_forward_from(shared + first.weight[:, d + a] + first.bias, rest)
+            for a in range(n_actions))
 
 
-def _forward_trace(net: FeedForwardNet, inputs: np.ndarray):
-    """Forward pass keeping pre-activations for backprop."""
-    h = inputs
-    pre = []
-    post = [h]
-    for layer in net.layers:
-        z = h @ layer.weight.T + layer.bias
-        pre.append(z)
-        h = _apply_activation(z, layer.activation)
-        post.append(h)
-    return pre, post
+def _forward_trace(net: FeedForwardNet, inputs: np.ndarray) -> list:
+    """Forward pass keeping each layer's input, then the output, for backprop."""
+    trace = [inputs]
+    for i, layer in enumerate(net.layers):
+        h = trace[-1] @ layer.weight.T + layer.bias
+        trace.append(np.maximum(h, 0.0) if i < len(net.layers) - 1 else h)
+    return trace
 
 
 def backward_batch(net: FeedForwardNet, inputs: np.ndarray,
@@ -173,19 +149,17 @@ def backward_batch(net: FeedForwardNet, inputs: np.ndarray,
         raise DimensionError(
             f"expected {(inputs.shape[0], net.out_dim)} gradient, "
             f"got {output_grads.shape}")
-    pre, post = _forward_trace(net, inputs)
-    return _backprop(net, pre, post, output_grads)
+    return _backprop(net, _forward_trace(net, inputs), output_grads)
 
 
-def _backprop(net: FeedForwardNet, pre, post, g: np.ndarray):
+def _backprop(net: FeedForwardNet, trace, g: np.ndarray):
     """Backpropagate output gradients `g` through a `_forward_trace`."""
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        if layer.activation == "relu":
-            g = g * (pre[i] > 0)
-        grads[i] = (g.T @ post[i], g.sum(axis=0))
-        g = g @ layer.weight
+        if i < len(net.layers) - 1:
+            g = g * (trace[i + 1] > 0)  # relu(z) > 0 exactly where z > 0
+        grads[i] = (g.T @ trace[i], g.sum(axis=0))
+        g = g @ net.layers[i].weight
     return grads, g
 
 
@@ -284,13 +258,15 @@ def spectral_normalize(weights: np.ndarray,
     return (w.copy() if sigma is None else w / sigma), u
 
 
-def spectral_normalize_net(net: FeedForwardNet) -> None:
-    """Normalize every weight matrix in place, reusing persistent power vectors.
+def spectral_normalize_net(net: FeedForwardNet, power_vecs: list) -> None:
+    """Normalize every weight matrix in place.
 
-    Weights are divided, never rebound, so views of `AdamState.params` hold.
+    `power_vecs` holds one power vector per layer, None before the first
+    call, and is updated in place. Weights are divided, never rebound, so
+    views of `AdamState.params` hold.
     """
-    for layer in net.layers:
-        sigma, layer.power_vec = _spectral_sigma(layer.weight, layer.power_vec)
+    for i, layer in enumerate(net.layers):
+        sigma, power_vecs[i] = _spectral_sigma(layer.weight, power_vecs[i])
         if sigma is not None:
             layer.weight /= sigma
 
@@ -307,15 +283,15 @@ def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,
     """
     inputs = np.asarray(inputs, dtype=float)
     state = AdamState.for_net(net)
+    power_vecs = [None] * len(net.layers)
     for epoch in range(config.epochs):
         order = rng.permutation(inputs.shape[0])
         try:
             for start in range(0, inputs.shape[0], config.batch_size):
                 idx = order[start:start + config.batch_size]
-                spectral_normalize_net(net)
-                pre, post = _forward_trace(net, inputs[idx])
-                grads, _ = _backprop(net, pre, post,
-                                     output_grads(post[-1], idx))
+                spectral_normalize_net(net, power_vecs)
+                trace = _forward_trace(net, inputs[idx])
+                grads, _ = _backprop(net, trace, output_grads(trace[-1], idx))
                 adam_step(net, grads, config, state)
         except TrainingFault as exc:
             raise TrainingFault(f"{exc} at epoch {epoch}") from exc

@@ -33,7 +33,7 @@ from .nets import (
 )
 from .policies import Policy, density_ratio, logged_propensities
 
-SERIAL_FORMAT_TAG = "robust-regressor-v4"
+SERIAL_FORMAT_TAG = "robust-regressor-v5"
 
 
 @dataclass
@@ -44,7 +44,7 @@ class RhoParams:
     def __post_init__(self):
         if self.rho_xr is not None:
             self.rho_xr = np.asarray(self.rho_xr, dtype=float)
-        if self.rho_r < 0:
+        if not self.rho_r >= 0:
             raise ValueError("rho_r must be nonnegative")
 
 
@@ -54,7 +54,7 @@ class BaseGaussian:
     sigma0_sq: float = 1.0
 
     def __post_init__(self):
-        if self.sigma0_sq <= 0:
+        if not self.sigma0_sq > 0:
             raise ValueError("sigma0_sq must be positive")
 
 
@@ -207,13 +207,13 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
     return reg
 
 
-def training_ratios(logged: LoggedDataset, target: Policy, logging: Policy,
-                    ratio_max: float = 100.0) -> np.ndarray:
-    """Density ratio p(a|x) / pi(a|x) at the logged records, clipped."""
+def training_ratios(logged: LoggedDataset, target: Policy,
+                    logging: Policy) -> np.ndarray:
+    """Density ratio p(a|x) / pi(a|x) at the logged records, unclipped."""
     p = logged_propensities(logged, logging)
     pi = target.probs_matrix(logged.contexts)[np.arange(len(logged)),
                                               logged.actions]
-    return density_ratio(p, pi, ratio_max)
+    return density_ratio(p, pi, np.inf)
 
 
 def train_robust(logged: LoggedDataset, target: Policy, logging: Policy,
@@ -221,8 +221,7 @@ def train_robust(logged: LoggedDataset, target: Policy, logging: Policy,
                  eta: float = 1e-3, base: BaseGaussian | None = None,
                  settings: RobustTrainSettings | None = None) -> RobustRegressor:
     """Fit the covariate-shift-aware conditional Gaussian reward model."""
-    settings = settings or RobustTrainSettings()
-    ratios = training_ratios(logged, target, logging, settings.ratio_max)
+    ratios = training_ratios(logged, target, logging)
     return _train(logged, ratios, hidden_dims, config, eta, base, settings)
 
 
@@ -255,7 +254,6 @@ def save_regressor(reg: RobustRegressor, path) -> None:
     for i, layer in enumerate(reg.net.layers):
         payload[f"w{i}"] = layer.weight
         payload[f"b{i}"] = layer.bias
-        payload[f"act{i}"] = np.array(layer.activation)
     np.savez(path, **payload)
 
 
@@ -265,11 +263,8 @@ def load_regressor(path) -> RobustRegressor:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
             raise ValueError(f"unsupported format tag {tag!r}")
-        layers = [
-            Layer(weight=blob[f"w{i}"], bias=blob[f"b{i}"],
-                  activation=str(blob[f"act{i}"]))
-            for i in range(int(blob["n_layers"]))
-        ]
+        layers = [Layer(weight=blob[f"w{i}"], bias=blob[f"b{i}"])
+                  for i in range(int(blob["n_layers"]))]
         return RobustRegressor(
             net=FeedForwardNet(layers),
             rho=RhoParams(float(blob["rho_r"]), blob["rho_xr"]),

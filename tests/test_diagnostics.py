@@ -113,9 +113,14 @@ class TestInvariants:
             inputs(n=0)
         with pytest.raises(ValueError):
             inputs(eta1=-0.1)
-        for key in ("eta1", "eta2", "epsilon", "bigo_constant"):
+        for key in ("w_max", "rho_cap", "sigma0_sq", "feature_lower", "eta1",
+                    "eta2", "epsilon", "bigo_constant"):
             with pytest.raises(ValueError):
                 inputs(**{key: math.nan})
+        for key, value in (("w_max", -1.0), ("rho_cap", -1.0),
+                           ("sigma0_sq", 0.0), ("feature_lower", 0.0)):
+            with pytest.raises(ValueError):
+                inputs(**{key: value})
 
 
 class TestMeasureBoundInputs:

@@ -364,11 +364,15 @@ class TestEstimatorSpec:
     def test_switch_requires_tau(self):
         with pytest.raises(ValueError):
             EstimatorSpec("DR_SWITCH")
+        with pytest.raises(ValueError):
+            EstimatorSpec("DR_SWITCH", tau=float("nan"))
         EstimatorSpec("DR_SWITCH", tau=0.5)
 
     def test_shrink_requires_cap(self):
         with pytest.raises(ValueError):
             EstimatorSpec("TR_SHRINK")
+        with pytest.raises(ValueError):
+            EstimatorSpec("TR_SHRINK", shrink_cap=float("nan"))
         EstimatorSpec("TR_SHRINK", shrink_cap=0.5)
 
     def test_unknown_kind_rejected(self):

@@ -29,17 +29,20 @@ from robust_ope.policies import UniformPolicy, train_classifier_policy
 from robust_ope.robust_regression import train_robust
 
 
-def identity_layer(dim, activation="identity"):
-    return Layer(weight=np.eye(dim), bias=np.zeros(dim), activation=activation)
+def identity_layer(dim):
+    return Layer(weight=np.eye(dim), bias=np.zeros(dim))
 
 
 class TestForward:
     def test_identity_layer_passthrough(self):
+        # the last layer has no relu
         net = FeedForwardNet([identity_layer(2)])
-        assert np.array_equal(forward_batch(net, [[1.0, 2.0]])[0], [1.0, 2.0])
+        assert np.array_equal(forward_batch(net, [[-1.0, 2.0]])[0],
+                              [-1.0, 2.0])
 
     def test_relu_zeroes_negative(self):
-        net = FeedForwardNet([identity_layer(2, "relu")])
+        # relu follows every layer but the last
+        net = FeedForwardNet([identity_layer(2), identity_layer(2)])
         assert np.array_equal(forward_batch(net, [[-1.0, 3.0]])[0], [0.0, 3.0])
 
     def test_two_layer_hand_computation(self):
@@ -47,9 +50,8 @@ class TestForward:
         # layer 2: W2 h + b2,       W2 = [[1, 1]],          b2 = [-1]
         # x = [1, 1]: z1 = [3.5, -1] -> h = [3.5, 0] -> y = 3.5 - 1 = 2.5
         net = FeedForwardNet([
-            Layer(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 0.0]),
-                  "relu"),
-            Layer(np.array([[1.0, 1.0]]), np.array([-1.0]), "identity"),
+            Layer(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 0.0])),
+            Layer(np.array([[1.0, 1.0]]), np.array([-1.0])),
         ])
         assert np.allclose(forward_batch(net, [[1.0, 1.0]])[0], [2.5])
 
@@ -126,7 +128,7 @@ class TestForwardActions:
 class TestBackward:
     def test_linear_layer_weight_gradient_is_outer_product(self):
         w = np.array([[1.0, -2.0], [0.5, 3.0]])
-        net = FeedForwardNet([Layer(w, np.zeros(2), "identity")])
+        net = FeedForwardNet([Layer(w, np.zeros(2))])
         x = np.array([2.0, -1.0])
         g = np.array([1.0, 0.5])
         grads, (gin,) = backward_batch(net, [x], [g])
@@ -200,8 +202,7 @@ class TestSgdStep:
 
     def test_quadratic_loss_decreases_monotonically(self):
         # loss = 0.5 * (net(x) - y)^2 on a single linear layer
-        net = FeedForwardNet([Layer(np.array([[2.0]]), np.zeros(1),
-                                    "identity")])
+        net = FeedForwardNet([Layer(np.array([[2.0]]), np.zeros(1))])
         config = SgdConfig(learning_rate=0.05)
         state = AdamState.for_net(net)
         x, y = np.array([1.0]), 0.0
@@ -231,8 +232,7 @@ class TestSgdStep:
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         # with bias correction the first Adam step is ~lr * sign(grad)
-        net = FeedForwardNet([Layer(np.array([[1.0]]), np.zeros(1),
-                                    "identity")])
+        net = FeedForwardNet([Layer(np.array([[1.0]]), np.zeros(1))])
         config = SgdConfig(learning_rate=0.01)
         state = AdamState.for_net(net)
         adam_step(net, [(np.array([[3.0]]), np.zeros(1))], config, state)
@@ -281,11 +281,12 @@ class TestSpectralNormalize:
         net = init_net([4, 6, 2], rng)
         for layer in net.layers:
             layer.weight *= 7.0
-        spectral_normalize_net(net)
-        for layer in net.layers:
+        power_vecs = [None] * len(net.layers)
+        spectral_normalize_net(net, power_vecs)
+        for layer, u in zip(net.layers, power_vecs):
             sigma = np.linalg.svd(layer.weight, compute_uv=False)[0]
             assert abs(sigma - 1.0) <= 1e-2
-            assert layer.power_vec is not None
+            assert u.shape == (layer.weight.shape[0],)
 
 
 class TestFit:
@@ -300,7 +301,7 @@ class TestFit:
             np.random.default_rng(0))
 
         order = np.random.default_rng(0).permutation(6)
-        spectral_normalize_net(ref)
+        spectral_normalize_net(ref, [None] * len(ref.layers))
         g = forward_batch(ref, inputs[order]) - targets[order]
         grads, _ = backward_batch(ref, inputs[order], g)
         adam_step(ref, grads, config, AdamState.for_net(ref))
@@ -324,14 +325,15 @@ class TestFit:
         lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
         moments = [[np.zeros_like(a) for a in (l.weight, l.bias) * 2]
                    for l in ref.layers]
+        power_vecs = [None] * len(ref.layers)
         order_rng, step = np.random.default_rng(0), 0
         for _ in range(config.epochs):
             order = order_rng.permutation(6)
             for start in range(0, 6, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                for layer in ref.layers:
-                    layer.weight, layer.power_vec = spectral_normalize(
-                        layer.weight, layer.power_vec)
+                for i, layer in enumerate(ref.layers):
+                    layer.weight, power_vecs[i] = spectral_normalize(
+                        layer.weight, power_vecs[i])
                 g = forward_batch(ref, inputs[idx]) - targets[idx]
                 grads, _ = backward_batch(ref, inputs[idx], g)
                 step += 1
@@ -348,7 +350,6 @@ class TestFit:
         for a, b in zip(net.layers, ref.layers):
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
-            assert np.array_equal(a.power_vec, b.power_vec)
 
     def test_copy_of_fitted_net_owns_its_arrays(self):
         rng = np.random.default_rng(16)
@@ -375,20 +376,25 @@ class TestFit:
         assert not np.array_equal(twin.layers[0].weight, before[0][0])
 
     def test_every_step_goes_through_module_adam_step(self, monkeypatch):
-        # the bench's `nets.adam_step` span wraps this module attribute, so
-        # `fit` must look it up on every step: 3 minibatches x 2 epochs
+        # the bench's `nets.adam_step` and `nets.spectral_norm` spans wrap
+        # these module attributes, so `fit` must look both up on every step:
+        # 3 minibatches x 2 epochs
         calls = []
 
-        def counting_step(*args):
-            calls.append(args)
-            return adam_step(*args)
+        def counting(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(nets, "adam_step", counting_step)
+        monkeypatch.setattr(nets, "adam_step", counting(adam_step))
+        monkeypatch.setattr(nets, "spectral_normalize_net",
+                            counting(spectral_normalize_net))
         rng = np.random.default_rng(14)
         net = init_net([3, 4, 1], rng)
         fit(net, rng.standard_normal((10, 3)), lambda out, idx: out,
             SgdConfig(epochs=2, batch_size=4), rng)
-        assert len(calls) == 6
+        assert calls == ["spectral_normalize_net", "adam_step"] * 6
 
     @pytest.mark.parametrize("trainer", [
         lambda logged, config: train_classifier_policy(
@@ -413,8 +419,6 @@ class TestInitNet:
         dims = [3, 8, 5, 2]
         for i, layer in enumerate(net.layers):
             assert layer.weight.shape == (dims[i + 1], dims[i])
-        assert net.layers[-1].activation == "identity"
-        assert all(l.activation == "relu" for l in net.layers[:-1])
 
     def test_weight_bounds(self):
         net = init_net([16, 4], np.random.default_rng(1))

@@ -34,8 +34,7 @@ def constant_feature_regressor(feat, d=1, n_actions=2, rho_r=0.0,
     """Regressor whose net outputs the fixed vector `feat` for every input."""
     feat = np.asarray(feat, dtype=float)
     k = feat.shape[0]
-    net = FeedForwardNet([Layer(np.zeros((k, d + n_actions)), feat.copy(),
-                                "identity")])
+    net = FeedForwardNet([Layer(np.zeros((k, d + n_actions)), feat.copy())])
     rho_xr = np.zeros(k) if rho_xr is None else np.asarray(rho_xr, float)
     return RobustRegressor(net=net, rho=RhoParams(rho_r, rho_xr),
                            base=BaseGaussian(mu0, sigma0_sq),
@@ -347,7 +346,6 @@ class TestSerialization:
         for la, lb in zip(reg.net.layers, back.net.layers):
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(la.bias, lb.bias)
-            assert la.activation == lb.activation
         x = rng.standard_normal((5, 2))
         a = rng.integers(0, 2, size=5)
         assert np.array_equal(features(reg, x, a), features(back, x, a))
@@ -370,17 +368,23 @@ class TestSerialization:
                               mean_matrix(reg, contexts, ratios))
 
     def test_bad_format_tag_rejected(self, tmp_path):
+        # v4 stored a per-layer activation tag; v5 sets it by layer position
         path = tmp_path / "bad.npz"
-        np.savez(path, format_tag=np.array("other-format"))
-        with pytest.raises(ValueError):
-            load_regressor(path)
+        for tag in ("other-format", "robust-regressor-v4"):
+            np.savez(path, format_tag=np.array(tag))
+            with pytest.raises(ValueError, match=tag):
+                load_regressor(path)
 
 
 class TestValidation:
     def test_negative_rho_r_rejected(self):
         with pytest.raises(ValueError):
             RhoParams(-0.1, np.zeros(2))
+        with pytest.raises(ValueError):
+            RhoParams(float("nan"), np.zeros(2))
 
     def test_nonpositive_base_variance_rejected(self):
         with pytest.raises(ValueError):
             BaseGaussian(0.5, 0.0)
+        with pytest.raises(ValueError):
+            BaseGaussian(0.5, float("nan"))
