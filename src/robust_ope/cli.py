@@ -1,6 +1,7 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 success, 1 config error, 2 runtime/training fault.
+Exit codes: 0 success, 1 config error, 2 runtime/training fault or usage
+error (argparse).
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ from .harness import ConfigError, emit_report, parse_config, run_experiment
 from .nets import TrainingFault
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robust-ope",
@@ -25,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None,
                      help="output path (default: stdout)")
     run.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=positive_int, default=1)
     run.add_argument("--seed", type=int, default=None,
                      help="override the config's master seed")
 
@@ -46,6 +54,8 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(args.config)
+        if args.command == "run" and args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -55,8 +65,6 @@ def main(argv=None) -> int:
             print(f"{key} = {value}")
         return 0
 
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     try:
         report = run_experiment(config, jobs=args.jobs)
         text = emit_report(report, fmt=args.format)

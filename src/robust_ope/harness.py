@@ -93,6 +93,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must not be NaN")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.logging_mode not in LOGGING_MODES:
             raise ConfigError(f"logging_mode must be one of {LOGGING_MODES}")
         if not self.estimator_names:
@@ -328,6 +330,8 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     dataset = _load_dataset(config)
     seeds = trial_seeds(config.seed, config.trials)
     if jobs > 1:

@@ -1,9 +1,13 @@
 """Minimal dense neural kernel: fully connected nets, backprop, Adam, spectral norm.
 
 Everything runs in float64 on numpy arrays. A net is its layers' weights and
-biases, with relu after every layer but the last. A trained net's arrays view
-one flat buffer, and a copy or a pickle owns its memory, so nets move between
-workers freely. Training is single-threaded.
+biases, with relu after every layer but the last. `fit` trains a net in an
+`AdamState` workspace: the net's arrays become views of one flat parameter
+buffer, backprop writes into one flat gradient buffer and Adam updates in
+place, so a training step allocates nothing parameter-sized. The workspace
+stays with `fit`: a trained net's arrays view the parameter buffer only, and
+a copy or a pickle owns its memory, so nets move between workers freely.
+Training is single-threaded.
 """
 
 from __future__ import annotations
@@ -125,11 +129,15 @@ def forward_actions(net: FeedForwardNet, contexts: np.ndarray, n_actions: int):
 
 
 def _forward_trace(net: FeedForwardNet, inputs: np.ndarray) -> list:
-    """Forward pass keeping each layer's input, then the output, for backprop."""
+    """Forward pass keeping each layer's input, then the output, for backprop.
+    The bias and relu are applied in place on each fresh matmul output."""
     trace = [inputs]
     for i, layer in enumerate(net.layers):
-        h = trace[-1] @ layer.weight.T + layer.bias
-        trace.append(np.maximum(h, 0.0) if i < len(net.layers) - 1 else h)
+        h = trace[-1] @ layer.weight.T
+        h += layer.bias
+        if i < len(net.layers) - 1:
+            np.maximum(h, 0.0, out=h)
+        trace.append(h)
     return trace
 
 
@@ -149,26 +157,40 @@ def backward_batch(net: FeedForwardNet, inputs: np.ndarray,
         raise DimensionError(
             f"expected {(inputs.shape[0], net.out_dim)} gradient, "
             f"got {output_grads.shape}")
-    return _backprop(net, _forward_trace(net, inputs), output_grads)
+    grads = [(np.empty(l.weight.shape), np.empty(l.bias.shape))
+             for l in net.layers]
+    input_grads = _backprop(net, _forward_trace(net, inputs), output_grads,
+                            grads, input_grad=True)
+    return grads, input_grads
 
 
-def _backprop(net: FeedForwardNet, trace, g: np.ndarray):
-    """Backpropagate output gradients `g` through a `_forward_trace`."""
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
-    for i in range(len(net.layers) - 1, -1, -1):
-        if i < len(net.layers) - 1:
-            g = g * (trace[i + 1] > 0)  # relu(z) > 0 exactly where z > 0
-        grads[i] = (g.T @ trace[i], g.sum(axis=0))
-        g = g @ net.layers[i].weight
-    return grads, g
+def _backprop(net: FeedForwardNet, trace, g: np.ndarray, out,
+              input_grad: bool = False):
+    """Backpropagate output gradients `g` through a `_forward_trace`,
+    writing each layer's gradients into its (dW, db) pair in `out`. Returns
+    the input gradient if `input_grad`, else None; training never reads it."""
+    last = len(net.layers) - 1
+    for i in range(last, -1, -1):
+        if i < last:
+            g *= trace[i + 1] > 0  # relu(z) > 0 exactly where z > 0
+        dw, db = out[i]
+        np.matmul(g.T, trace[i], out=dw)
+        g.sum(axis=0, out=db)
+        if i == 0 and not input_grad:
+            return None
+        g = g @ net.layers[i].weight  # a fresh array, so masked in place
+    return g
 
 
 @dataclass
 class AdamState:
-    """Adam moments over `params`, one flat buffer of all a net's parameters.
+    """The workspace of one `fit`: Adam moments over `params`, one flat
+    buffer of all a net's parameters.
 
     `for_net` copies the weights and biases into `params` and rebinds each
-    layer's arrays to views of it, so one update covers the whole net. Adam
+    layer's arrays to views of it, so one update covers the whole net.
+    Backprop writes into `grads`, per-layer (dW, db) views of `grad`, which
+    is laid out like `params`; Adam computes in two `scratch` buffers. Adam
     is the only update rule because the stock learning rate of 1e-4 only
     trains these small nets in a reasonable number of epochs with adaptive
     per-parameter steps.
@@ -177,35 +199,53 @@ class AdamState:
     params: np.ndarray
     m: np.ndarray
     v: np.ndarray
+    grad: np.ndarray
+    grads: list
+    scratch: tuple
     step: int = 0
 
     @classmethod
     def for_net(cls, net: FeedForwardNet) -> "AdamState":
         arrays = [a for l in net.layers for a in (l.weight, l.bias)]
         params = np.concatenate([a.ravel() for a in arrays])
-        views = np.split(params, np.cumsum([a.size for a in arrays])[:-1])
-        for i, layer in enumerate(net.layers):
-            layer.weight = views[2 * i].reshape(layer.weight.shape)
-            layer.bias = views[2 * i + 1].reshape(layer.bias.shape)
-        return cls(params, np.zeros_like(params), np.zeros_like(params))
+        grad = np.empty_like(params)
+        bounds = np.cumsum([a.size for a in arrays])[:-1]
+
+        def layer_views(buffer):
+            views = [v.reshape(a.shape)
+                     for v, a in zip(np.split(buffer, bounds), arrays)]
+            return list(zip(views[::2], views[1::2]))
+
+        for layer, (weight, bias) in zip(net.layers, layer_views(params)):
+            layer.weight, layer.bias = weight, bias
+        return cls(params, np.zeros_like(params), np.zeros_like(params),
+                   grad, layer_views(grad),
+                   (np.empty_like(params), np.empty_like(params)))
 
 
-def adam_step(net: FeedForwardNet, grads, config: SgdConfig,
+def adam_step(net: FeedForwardNet, config: SgdConfig,
               state: AdamState) -> FeedForwardNet:
-    """In-place Adam update with bias correction. Returns the same net.
-
-    `grads` lists (dW, db) per layer, packed here in `state.params` order.
+    """In-place Adam update with bias correction from `state.grad`. Returns
+    the same net. Each formula runs in its written order through the scratch
+    buffers, so the bits equal those of `m = b1 * m + (1 - b1) * g`,
+    `v = b2 * v + (1 - b2) * g ** 2` and
+    `params -= lr * (m / c1) / (sqrt(v / c2) + eps)`.
     """
-    g = np.concatenate([a.ravel() for pair in grads for a in pair])
+    g, m, v = state.grad, state.m, state.v
     if not np.isfinite(g).all():
         raise TrainingFault("non-finite gradient in adam_step")
-    lr = config.learning_rate
+    a, b = state.scratch
     state.step += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step
-    state.m[:] = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
-    state.v[:] = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g ** 2
-    state.params -= lr * (state.m / c1) / (np.sqrt(state.v / c2) + ADAM_EPS)
+    m *= ADAM_BETA1
+    m += np.multiply(1 - ADAM_BETA1, g, out=a)
+    v *= ADAM_BETA2
+    v += np.multiply(1 - ADAM_BETA2, np.square(g, out=a), out=a)
+    np.sqrt(np.divide(v, c2, out=a), out=a)
+    a += ADAM_EPS
+    b = np.multiply(config.learning_rate, np.divide(m, c1, out=b), out=b)
+    state.params -= np.divide(b, a, out=b)
     return net
 
 
@@ -247,17 +287,6 @@ def _spectral_sigma(w: np.ndarray, power_vec: np.ndarray | None):
     return (None if sigma <= 0 else sigma), u
 
 
-def spectral_normalize(weights: np.ndarray,
-                       power_vec: np.ndarray | None = None):
-    """Divide a matrix by its power-iteration spectral-norm estimate.
-
-    Returns (normalized matrix, updated power vector); see `_spectral_sigma`.
-    """
-    w = np.asarray(weights, dtype=float)
-    sigma, u = _spectral_sigma(w, power_vec)
-    return (w.copy() if sigma is None else w / sigma), u
-
-
 def spectral_normalize_net(net: FeedForwardNet, power_vecs: list) -> None:
     """Normalize every weight matrix in place.
 
@@ -291,8 +320,9 @@ def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,
                 idx = order[start:start + config.batch_size]
                 spectral_normalize_net(net, power_vecs)
                 trace = _forward_trace(net, inputs[idx])
-                grads, _ = _backprop(net, trace, output_grads(trace[-1], idx))
-                adam_step(net, grads, config, state)
+                _backprop(net, trace, output_grads(trace[-1], idx),
+                          state.grads)
+                adam_step(net, config, state)
         except TrainingFault as exc:
             raise TrainingFault(f"{exc} at epoch {epoch}") from exc
     return net

@@ -193,6 +193,7 @@ class TestOutOfRangeValues:
 
     CASES = [
         ("experiment", "train_fraction = 1.5", "train_fraction"),
+        ("experiment", "seed = -1", "seed must be >= 0"),
         ("training", "batch_size = 0", "batch_size"),
         ("training", "classifier_epochs = 0", "epochs"),
         ("training", "hidden_layers = 0", "hidden_layers"),
@@ -377,6 +378,11 @@ class TestRunExperiment:
         rows = [l for l in text.strip().splitlines()[1:] if l]
         assert len(rows) == len(SMALL["estimator_names"])
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiment(ExperimentConfig(**SMALL), jobs=jobs)
+
     def test_trial_seeds_distinct_and_reproducible(self):
         a = trial_seeds(0, 10)
         b = trial_seeds(0, 10)
@@ -449,6 +455,26 @@ class TestCli:
         proc = self.run_cli("run", "--config", str(path))
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path):
+        path = write_config(tmp_path, "[experiment]\ntrials = 1\n")
+        out = tmp_path / "report.csv"
+        proc = self.run_cli("run", "--config", str(path), "--seed", "-5",
+                            "--out", str(out))
+        assert proc.returncode == 1
+        assert "config error: seed must be >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, jobs):
+        path = write_config(tmp_path, "[experiment]\ntrials = 1\n")
+        out = tmp_path / "report.csv"
+        proc = self.run_cli("run", "--config", str(path), "--jobs", jobs,
+                            "--out", str(out))
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "--jobs" in proc.stderr
+        assert not out.exists()
 
     def test_runtime_fault_exit_code_two(self, tmp_path):
         path = write_config(tmp_path, (

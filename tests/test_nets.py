@@ -1,5 +1,7 @@
 """Neural kernel: forward/backward correctness, Adam steps, spectral norm."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,6 @@ from robust_ope.nets import (
     forward_actions,
     forward_batch,
     init_net,
-    spectral_normalize,
     spectral_normalize_net,
 )
 from robust_ope.policies import UniformPolicy, train_classifier_policy
@@ -31,6 +32,15 @@ from robust_ope.robust_regression import train_robust
 
 def identity_layer(dim):
     return Layer(weight=np.eye(dim), bias=np.zeros(dim))
+
+
+def step(net, grads, config, state):
+    """One `adam_step` on the (dW, db) pairs `grads`, written into the
+    gradient buffer the way backprop writes it."""
+    for pair, views in zip(grads, state.grads):
+        for grad, view in zip(pair, views):
+            view[...] = grad
+    return adam_step(net, config, state)
 
 
 class TestForward:
@@ -164,6 +174,21 @@ class TestBackward:
                 ana = grads[li][0][idx]
                 assert abs(ana - fd) <= 1e-4 * max(1e-6, abs(ana), abs(fd))
 
+    def test_input_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(9)
+        net = random_action_net(rng, 3, 2, [7, 6, 3])
+        x = rng.standard_normal(5)
+        v = rng.standard_normal(3)  # loss = v . net(x)
+        _, (gin,) = backward_batch(net, [x], [v])
+        h = 1e-6
+        for j in range(x.size):
+            up, dn = x.copy(), x.copy()
+            up[j] += h
+            dn[j] -= h
+            fd = float(v @ (forward_batch(net, [up])[0]
+                            - forward_batch(net, [dn])[0])) / (2 * h)
+            assert abs(gin[j] - fd) <= 1e-4 * max(1e-6, abs(gin[j]), abs(fd))
+
     def test_gradient_shape_mismatch_rejected(self):
         net = FeedForwardNet([identity_layer(2)])
         with pytest.raises(DimensionError):
@@ -195,7 +220,7 @@ class TestSgdStep:
         before = [(l.weight.copy(), l.bias.copy()) for l in net.layers]
         zeros = [(np.zeros_like(l.weight), np.zeros_like(l.bias))
                  for l in net.layers]
-        adam_step(net, zeros, SgdConfig(), AdamState.for_net(net))
+        step(net, zeros, SgdConfig(), AdamState.for_net(net))
         for (bw, bb), l in zip(before, net.layers):
             assert np.array_equal(bw, l.weight)
             assert np.array_equal(bb, l.bias)
@@ -211,14 +236,14 @@ class TestSgdStep:
             pred = forward_batch(net, [x])[0, 0]
             losses.append(0.5 * (pred - y) ** 2)
             grads, _ = backward_batch(net, [x], [[pred - y]])
-            adam_step(net, grads, config, state)
+            step(net, grads, config, state)
         assert losses[0] > losses[1] > losses[2]
 
     def test_non_finite_gradient_is_training_fault(self):
         net = FeedForwardNet([identity_layer(1)])
         with pytest.raises(TrainingFault):
-            adam_step(net, [(np.array([[np.nan]]), np.zeros(1))], SgdConfig(),
-                      AdamState.for_net(net))
+            step(net, [(np.array([[np.nan]]), np.zeros(1))], SgdConfig(),
+                 AdamState.for_net(net))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -235,28 +260,38 @@ class TestAdam:
         net = FeedForwardNet([Layer(np.array([[1.0]]), np.zeros(1))])
         config = SgdConfig(learning_rate=0.01)
         state = AdamState.for_net(net)
-        adam_step(net, [(np.array([[3.0]]), np.zeros(1))], config, state)
+        step(net, [(np.array([[3.0]]), np.zeros(1))], config, state)
         assert np.allclose(net.layers[0].weight, [[1.0 - 0.01]], atol=1e-6)
+
+
+def spectral_normalize_one(weights, power_vec=None):
+    """`spectral_normalize_net` over a one-layer net holding a copy of
+    `weights`; returns (normalized weights, updated power vector)."""
+    weights = np.array(weights, dtype=float)
+    net = FeedForwardNet([Layer(weights, np.zeros(weights.shape[0]))])
+    power_vecs = [power_vec]
+    spectral_normalize_net(net, power_vecs)
+    return net.layers[0].weight, power_vecs[0]
 
 
 class TestSpectralNormalize:
     def test_diagonal_matrix(self):
-        normed, _ = spectral_normalize(np.diag([2.0, 1.0]))
+        normed, _ = spectral_normalize_one(np.diag([2.0, 1.0]))
         assert np.allclose(normed, np.diag([1.0, 0.5]), atol=1e-2)
 
     def test_identity_unchanged(self):
-        normed, _ = spectral_normalize(np.eye(3))
+        normed, _ = spectral_normalize_one(np.eye(3))
         assert np.allclose(normed, np.eye(3), atol=1e-2)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(10)
         w = rng.standard_normal((4, 5))
-        a, _ = spectral_normalize(w)
-        b, _ = spectral_normalize(10.0 * w)
+        a, _ = spectral_normalize_one(w)
+        b, _ = spectral_normalize_one(10.0 * w)
         assert np.allclose(a, b, atol=1e-2)
 
     def test_zero_matrix_passthrough(self):
-        normed, _ = spectral_normalize(np.zeros((3, 3)))
+        normed, _ = spectral_normalize_one(np.zeros((3, 3)))
         assert np.array_equal(normed, np.zeros((3, 3)))
 
     @settings(max_examples=40, deadline=None)
@@ -264,15 +299,15 @@ class TestSpectralNormalize:
     def test_normalized_spectral_norm_near_one(self, seed, rows, cols):
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((rows, cols))
-        normed, _ = spectral_normalize(w)
+        normed, _ = spectral_normalize_one(w)
         sigma = np.linalg.svd(normed, compute_uv=False)[0]
         assert abs(sigma - 1.0) <= 1e-2
 
     def test_persistent_power_vector_converges(self):
         rng = np.random.default_rng(11)
         w = rng.standard_normal((6, 6))
-        _, u = spectral_normalize(w)
-        normed, _ = spectral_normalize(w, power_vec=u)
+        _, u = spectral_normalize_one(w)
+        normed, _ = spectral_normalize_one(w, power_vec=u)
         sigma = np.linalg.svd(normed, compute_uv=False)[0]
         assert abs(sigma - 1.0) <= 1e-2
 
@@ -304,21 +339,23 @@ class TestFit:
         spectral_normalize_net(ref, [None] * len(ref.layers))
         g = forward_batch(ref, inputs[order]) - targets[order]
         grads, _ = backward_batch(ref, inputs[order], g)
-        adam_step(ref, grads, config, AdamState.for_net(ref))
+        step(ref, grads, config, AdamState.for_net(ref))
         for a, b in zip(net.layers, ref.layers):
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
 
-    def test_two_epochs_match_per_layer_reference(self):
-        # 2 epochs x 3 minibatches against per-layer Adam and spectral norm
-        # written out here, so a weight rebound off the flat buffer after the
-        # first step shows
+    @staticmethod
+    def assert_fit_matches_reference(rows, batch_size, epochs):
+        """Fit a 3-layer net on `rows` random rows, train a copy with
+        per-layer Adam written out here, assert both end bit for bit equal
+        and return the number of steps taken."""
         rng = np.random.default_rng(15)
-        inputs = rng.standard_normal((6, 3))
-        targets = rng.standard_normal((6, 2))
+        inputs = rng.standard_normal((rows, 3))
+        targets = rng.standard_normal((rows, 2))
         net = init_net([3, 5, 4, 2], rng)
         ref = net.copy()
-        config = SgdConfig(learning_rate=0.01, epochs=2, batch_size=2)
+        config = SgdConfig(learning_rate=0.01, epochs=epochs,
+                           batch_size=batch_size)
         fit(net, inputs, lambda out, idx: out - targets[idx], config,
             np.random.default_rng(0))
 
@@ -326,18 +363,16 @@ class TestFit:
         moments = [[np.zeros_like(a) for a in (l.weight, l.bias) * 2]
                    for l in ref.layers]
         power_vecs = [None] * len(ref.layers)
-        order_rng, step = np.random.default_rng(0), 0
+        order_rng, steps = np.random.default_rng(0), 0
         for _ in range(config.epochs):
-            order = order_rng.permutation(6)
-            for start in range(0, 6, config.batch_size):
+            order = order_rng.permutation(rows)
+            for start in range(0, rows, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                for i, layer in enumerate(ref.layers):
-                    layer.weight, power_vecs[i] = spectral_normalize(
-                        layer.weight, power_vecs[i])
+                spectral_normalize_net(ref, power_vecs)
                 g = forward_batch(ref, inputs[idx]) - targets[idx]
                 grads, _ = backward_batch(ref, inputs[idx], g)
-                step += 1
-                c1, c2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+                steps += 1
+                c1, c2 = 1.0 - b1 ** steps, 1.0 - b2 ** steps
                 for layer, (dw, db), (mw, mb, vw, vb) in zip(
                         ref.layers, grads, moments):
                     mw[:] = b1 * mw + (1 - b1) * dw
@@ -346,10 +381,79 @@ class TestFit:
                     vb[:] = b2 * vb + (1 - b2) * db ** 2
                     layer.weight -= lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
                     layer.bias -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
-        assert step == 6
         for a, b in zip(net.layers, ref.layers):
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
+        return steps
+
+    def test_two_epochs_match_per_layer_reference(self):
+        # 2 epochs x 3 minibatches against per-layer Adam and spectral norm
+        # written out here, so a weight rebound off the flat buffer after the
+        # first step shows
+        assert self.assert_fit_matches_reference(6, 2, 2) == 6
+
+    def test_short_last_minibatch_matches_per_layer_reference(self):
+        # 7 rows in minibatches of 3: each epoch ends on one row, whose
+        # gradient still fills the whole gradient buffer
+        assert self.assert_fit_matches_reference(7, 3, 2) == 6
+
+    def test_non_finite_step_changes_no_weight(self):
+        # NaN gradients at step 5 (epoch 1): the fault names the epoch and
+        # the net keeps the weights step 5 found, those of steps 1-4 after
+        # step 5's spectral norm
+        rng = np.random.default_rng(17)
+        inputs = rng.standard_normal((10, 3))
+        net = init_net([3, 4, 2], rng)
+        seen = []
+
+        def output_grads(out, idx):
+            seen.append([(l.weight.copy(), l.bias.copy())
+                         for l in net.layers])
+            return np.full_like(out, np.nan) if len(seen) == 5 else out
+
+        with pytest.raises(TrainingFault, match="at epoch 1$"):
+            fit(net, inputs, output_grads, SgdConfig(epochs=2, batch_size=4),
+                rng)
+        assert len(seen) == 5
+        assert not np.array_equal(seen[3][0][0], seen[4][0][0])
+        for (w, b), layer in zip(seen[4], net.layers):
+            assert np.array_equal(w, layer.weight)
+            assert np.array_equal(b, layer.bias)
+
+    def test_no_workspace_reachable_from_fitted_net(self, monkeypatch):
+        # the gradient, moment and scratch buffers stay with `fit`: neither
+        # a fitted net nor its copy or pickle holds a view of them
+        states = []
+
+        def recording(net, config, state):
+            states.append(state)
+            return adam_step(net, config, state)
+
+        monkeypatch.setattr(nets, "adam_step", recording)
+        rng = np.random.default_rng(18)
+        net = init_net([3, 4, 2], rng)
+        fit(net, rng.standard_normal((8, 3)), lambda out, idx: out,
+            SgdConfig(epochs=1, batch_size=4), rng)
+        state = states[0]
+        workspace = [state.grad, state.m, state.v, *state.scratch]
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from arrays(item)
+            elif hasattr(obj, "__dict__"):
+                for item in vars(obj).values():
+                    yield from arrays(item)
+
+        for twin in (net, net.copy(), pickle.loads(pickle.dumps(net))):
+            found = list(arrays(twin))
+            assert len(found) == 2 * len(net.layers)
+            for array in found:
+                assert not any(np.shares_memory(array, buffer)
+                               for buffer in workspace)
+        assert all(np.shares_memory(a, state.params) for a in arrays(net))
 
     def test_copy_of_fitted_net_owns_its_arrays(self):
         rng = np.random.default_rng(16)
@@ -369,7 +473,7 @@ class TestFit:
             layer.bias += 1.0
         grads = [(np.ones_like(l.weight), np.ones_like(l.bias))
                  for l in twin.layers]
-        adam_step(twin, grads, SgdConfig(), AdamState.for_net(twin))
+        step(twin, grads, SgdConfig(), AdamState.for_net(twin))
         for (w, b), layer in zip(before, net.layers):
             assert np.array_equal(w, layer.weight)
             assert np.array_equal(b, layer.bias)
