@@ -127,8 +127,8 @@ def log_bandit_feedback(dataset: LabeledDataset, logging: Policy,
     if logging.n_actions != dataset.n_classes:
         raise ValueError("policy action count != number of classes")
     rng = np.random.default_rng(seed)
-    actions = sample_actions(logging, dataset.contexts, rng)
     probs = logging.probs_matrix(dataset.contexts)
+    actions = sample_actions(probs, rng)
     propensities = probs[np.arange(len(dataset)), actions]
     rewards = (actions == dataset.labels).astype(float)
     return LoggedDataset(contexts=dataset.contexts, actions=actions,
@@ -179,9 +179,9 @@ class SyntheticBandit:
                       rng: np.random.Generator) -> LoggedDataset:
         ctx_ids = rng.choice(self.n_contexts, size=n, p=self.context_probs)
         contexts = ctx_ids.astype(float)[:, None]
-        actions = sample_actions(logging, contexts, rng)
-        rewards = self.reward_table[ctx_ids, actions]
         probs = logging.probs_matrix(contexts)
+        actions = sample_actions(probs, rng)
+        rewards = self.reward_table[ctx_ids, actions]
         propensities = probs[np.arange(n), actions]
         lo, hi = float(self.reward_table.min()), float(self.reward_table.max())
         return LoggedDataset(contexts=contexts, actions=actions,

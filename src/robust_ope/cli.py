@@ -1,7 +1,7 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 success, 1 config error, 2 runtime/training fault or usage
-error (argparse).
+Exit codes: 0 success, 1 config error, 2 runtime/training fault (including
+a report that cannot be written) or usage error (argparse).
 """
 
 from __future__ import annotations
@@ -75,8 +75,13 @@ def main(argv=None) -> int:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"runtime fault: cannot write report: {exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

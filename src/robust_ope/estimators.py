@@ -2,11 +2,13 @@
 
 All estimators are pure functions of a LoggedDataset, the target policy, a
 propensity source (logged propensities or a logging Policy), and where needed
-a reward model. Each kind is one row of `_TABLE`: a formula over per-call
+a reward model. Each kind is one row of `_TABLE`: a formula over shared
 arrays and the one reward model it reads. TR is the DR formula on the robust
-model's means at the density ratio p-hat / pi. Estimates on [0, 1]-reward
-data stay in [0, 1] for DM, DM-R, DM-I and SnIPS; IPS/DR-family estimates may
-leave the interval and are not clipped.
+model's means at the density ratio p-hat / pi. Consecutive calls on the same
+input objects reuse pi, p-hat, the weights and each model's mean matrix, so
+inputs are read-only once scored. Estimates on [0, 1]-reward data stay in
+[0, 1] for DM, DM-R, DM-I and SnIPS; IPS/DR-family estimates may leave the
+interval and are not clipped.
 """
 
 from __future__ import annotations
@@ -81,20 +83,33 @@ def train_direct_model(logged: LoggedDataset, hidden_dims: list[int],
                           r_min=logged.r_min, r_max=logged.r_max)
 
 
-class _Arrays:
-    """The arrays one estimate reads, each built once on first use, and the
-    formulas over them. `mat` holds the means of the model `reads` names:
-    "direct", "robust" (at the density ratio p-hat / pi) or "iid" (at 1)."""
+class _Inputs:
+    """One input set (logged data, target pi, p-hat source) and the arrays
+    every estimate on it shares, each built once on first use: pi and p-hat
+    over all actions, the weights w per clip `w_max`, and one mean matrix per
+    model read, kept against the identity of the model that built it.
+
+    It refers to no estimate, so dropping it frees its arrays at once."""
 
     def __init__(self, logged: LoggedDataset, target: Policy,
-                 logging: Policy | None, w_max: float = DEFAULT_W_MAX,
-                 reads: str | None = None, model=None):
+                 logging: Policy | None):
         if len(logged) == 0:
             raise ValueError("empty logged dataset")
         self.logged, self.target, self.logging = logged, target, logging
-        self.w_max, self.reads, self.model = w_max, reads, model
+        self.fields = tuple(vars(logged).values())
+        self._w: dict[float, np.ndarray] = {}
+        self._mats: dict[str, tuple[object, np.ndarray]] = {}
 
-    def _at_logged(self, mat: np.ndarray) -> np.ndarray:
+    def matches(self, logged: LoggedDataset, target: Policy,
+                logging: Policy | None) -> bool:
+        """Whether a call on these objects is a call on this input set."""
+        return (logged is self.logged and target is self.target
+                and logging is self.logging
+                # the arrays by identity, the scalars by value
+                and all(a is b or (not isinstance(a, np.ndarray) and a == b)
+                        for a, b in zip(self.fields, vars(logged).values())))
+
+    def at_logged(self, mat: np.ndarray) -> np.ndarray:
         return mat[np.arange(len(self.logged)), self.logged.actions]
 
     @cached_property
@@ -108,13 +123,70 @@ class _Arrays:
                              "ratio is read at every action")
         return self.logging.probs_matrix(self.logged.contexts)
 
+    def w(self, w_max: float) -> np.ndarray:
+        """Read-only weights pi / p-hat at the logged actions, clipped to
+        [0, w_max]."""
+        w = self._w.get(w_max)
+        if w is None:
+            # p-hat is evaluated only where no logged propensities stand in
+            probs = (self.p if self.logged.propensities is None
+                     and self.logging is not None else None)
+            p = logged_propensities(self.logged, self.logging, probs)
+            if np.any(p <= 0):
+                raise ValueError("zero propensity encountered")
+            w = density_ratio(self.at_logged(self.pi), p, w_max)
+            w.flags.writeable = False
+            self._w[w_max] = w
+        return w
+
+    def mat(self, reads: str, model) -> np.ndarray:
+        """Means of `model` at every action: "direct", "robust" (at the
+        density ratio p-hat / pi) or "iid" (at 1)."""
+        kept = self._mats.get(reads)
+        if kept is not None and kept[0] is model:
+            return kept[1]
+        if model is None:
+            raise ValueError(f"no {reads} reward model given")
+        contexts = self.logged.contexts
+        shape = (len(self.logged), self.logged.n_actions)
+        if reads == "direct":
+            mat = model.predict_matrix(contexts)
+        else:
+            ratios = (density_ratio(self.p, self.pi, np.inf)
+                      if reads == "robust" else np.ones(shape))
+            mat = mean_matrix(model, contexts, ratios)
+        if mat.shape != shape:
+            raise ValueError("reward model output shape mismatch")
+        self._mats[reads] = (model, mat)
+        return mat
+
+
+#: the input set scored last; a call that names other objects replaces it
+_last: _Inputs | None = None
+
+
+def _inputs(logged: LoggedDataset, target: Policy,
+            logging: Policy | None) -> _Inputs:
+    global _last
+    last = _last  # one read, so concurrent callers never mix two entries
+    if last is None or not last.matches(logged, target, logging):
+        last = _Inputs(logged, target, logging)
+        _last = last
+    return last
+
+
+class _Estimate:
+    """One estimate over a shared input set: its weights, the means of the
+    one model it reads, and the formulas over them."""
+
+    def __init__(self, inputs: _Inputs, w_max: float,
+                 reads: str | None = None, model=None):
+        self.inputs, self.logged = inputs, inputs.logged
+        self.w_max, self.reads, self.model = w_max, reads, model
+
     @cached_property
     def w(self) -> np.ndarray:
-        p = logged_propensities(self.logged, self.logging,
-                                self.p if self.reads == "robust" else None)
-        if np.any(p <= 0):
-            raise ValueError("zero propensity encountered")
-        return density_ratio(self._at_logged(self.pi), p, self.w_max)
+        return self.inputs.w(self.w_max)
 
     @cached_property
     def w_sum(self) -> float:
@@ -125,28 +197,16 @@ class _Arrays:
 
     @cached_property
     def mat(self) -> np.ndarray:
-        if self.model is None:
-            raise ValueError(f"no {self.reads} reward model given")
-        contexts = self.logged.contexts
-        shape = (len(self.logged), self.logged.n_actions)
-        if self.reads == "direct":
-            mat = self.model.predict_matrix(contexts)
-        else:
-            ratios = (density_ratio(self.p, self.pi, np.inf)
-                      if self.reads == "robust" else np.ones(shape))
-            mat = mean_matrix(self.model, contexts, ratios)
-        if mat.shape != shape:
-            raise ValueError("reward model output shape mismatch")
-        return mat
+        return self.inputs.mat(self.reads, self.model)
 
     @cached_property
     def r_pi(self) -> np.ndarray:
         """E_{a~pi}[model(x, a)] per context."""
-        return np.sum(self.pi * self.mat, axis=1)
+        return np.sum(self.inputs.pi * self.mat, axis=1)
 
     @cached_property
     def resid(self) -> np.ndarray:
-        return self.logged.rewards - self._at_logged(self.mat)
+        return self.logged.rewards - self.inputs.at_logged(self.mat)
 
     def dm(self, spec) -> float:
         return float(np.mean(self.r_pi))
@@ -176,19 +236,19 @@ class _Arrays:
 
 #: kind -> (formula, the reward model it reads)
 _TABLE = {
-    "DM": (_Arrays.dm, "direct"),
-    "IPS": (_Arrays.ips, None),
-    "SnIPS": (_Arrays.snips, None),
-    "DR": (_Arrays.dr, "direct"),
-    "SnDR": (_Arrays.sndr, "direct"),
-    "DR_SWITCH": (_Arrays.switch, "direct"),
-    "DR_SHRINK": (_Arrays.shrink, "direct"),
-    "DM_R": (_Arrays.dm, "robust"),
-    "DM_I": (_Arrays.dm, "iid"),
-    "TR": (_Arrays.dr, "robust"),
-    "SnTR": (_Arrays.sndr, "robust"),
-    "TR_SWITCH": (_Arrays.switch, "robust"),
-    "TR_SHRINK": (_Arrays.shrink, "robust"),
+    "DM": (_Estimate.dm, "direct"),
+    "IPS": (_Estimate.ips, None),
+    "SnIPS": (_Estimate.snips, None),
+    "DR": (_Estimate.dr, "direct"),
+    "SnDR": (_Estimate.sndr, "direct"),
+    "DR_SWITCH": (_Estimate.switch, "direct"),
+    "DR_SHRINK": (_Estimate.shrink, "direct"),
+    "DM_R": (_Estimate.dm, "robust"),
+    "DM_I": (_Estimate.dm, "iid"),
+    "TR": (_Estimate.dr, "robust"),
+    "SnTR": (_Estimate.sndr, "robust"),
+    "TR_SWITCH": (_Estimate.switch, "robust"),
+    "TR_SHRINK": (_Estimate.shrink, "robust"),
 }
 ESTIMATOR_KINDS = tuple(_TABLE)
 #: the reward model each kind reads ("direct", "robust", "iid" or None)
@@ -205,11 +265,11 @@ class EstimatorSpec:
         if self.kind not in _TABLE:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         formula = _TABLE[self.kind][0]
-        if formula is _Arrays.switch and (self.tau is None
-                                          or not self.tau >= 0):
+        if formula is _Estimate.switch and (self.tau is None
+                                            or not self.tau >= 0):
             raise ValueError(f"{self.kind} requires a nonnegative tau")
-        if formula is _Arrays.shrink and (self.shrink_cap is None
-                                          or not self.shrink_cap >= 0):
+        if formula is _Estimate.shrink and (self.shrink_cap is None
+                                            or not self.shrink_cap >= 0):
             raise ValueError(f"{self.kind} requires a nonnegative shrink_cap")
 
 
@@ -217,8 +277,11 @@ def importance_weights(logged: LoggedDataset, target: Policy,
                        logging: Policy | None,
                        w_max: float = DEFAULT_W_MAX) -> np.ndarray:
     """w = pi(a|x) / p-hat(a|x) at the logged actions, clipped to [0, w_max];
-    logged propensities take precedence over the logging policy."""
-    return _Arrays(logged, target, logging, w_max).w
+    logged propensities take precedence over the logging policy.
+
+    Shares pi and p-hat with `evaluate_estimator` calls on the same objects;
+    the returned array is read-only."""
+    return _inputs(logged, target, logging).w(w_max)
 
 
 def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
@@ -227,8 +290,18 @@ def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
                        robust: RobustRegressor | None = None,
                        robust_iid: RobustRegressor | None = None,
                        w_max: float = DEFAULT_W_MAX) -> float:
-    """Score one EstimatorSpec against the prepared components."""
+    """Score one EstimatorSpec against the prepared components.
+
+    Consecutive calls that name the same `logged` (with the same field
+    values), `target` and `logging` objects share pi, p-hat, the weights at
+    each `w_max` and the mean matrix of each reward model, so scoring every
+    kind of one trial evaluates each policy and each model once. Inputs are
+    therefore treated as read-only once scored: an array, policy or model
+    changed in place is not seen by the next call on the same objects; pass
+    new objects, or rebind the changed field, instead.
+    """
     formula, reads = _TABLE[spec.kind]
     chosen = {"direct": model, "robust": robust, "iid": robust_iid}.get(reads)
-    return formula(_Arrays(logged, target, logging, w_max, reads, chosen), spec)
+    return formula(_Estimate(_inputs(logged, target, logging), w_max, reads,
+                             chosen), spec)
 

@@ -151,10 +151,9 @@ def estimate_logging_policy(logged, hidden_dims: list[int],
     return SoftmaxClassifierPolicy(net=net)
 
 
-def sample_actions(policy: Policy, contexts: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Vectorized inverse-CDF sampling, one action per context row."""
-    p = policy.probs_matrix(contexts)
+def sample_actions(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Vectorized inverse-CDF sampling, one action per row of the (n, K)
+    probability matrix `p`."""
     cdf = np.cumsum(p, axis=1)
     u = rng.random(p.shape[0])
     return (u[:, None] > cdf).sum(axis=1).clip(0, p.shape[1] - 1)

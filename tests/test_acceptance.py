@@ -6,6 +6,7 @@ here and must not be loosened to make a run pass.
 """
 
 import math
+import os
 import subprocess
 import sys
 
@@ -255,7 +256,9 @@ def _benchmark_rmse(csv_path, logging_mode, estimator_names):
     config = ExperimentConfig(
         dataset=str(csv_path), logging_mode=logging_mode, trials=20, seed=0,
         estimator_names=list(estimator_names))
-    report = run_experiment(config)
+    # trials are independent and `--jobs N` matches `--jobs 1` byte for byte
+    # (TestSmokeConfigReport), so the two benchmarks use both cores
+    report = run_experiment(config, jobs=min(2, os.cpu_count() or 1))
     return dict(zip(report.estimator_names, report.rmse))
 
 

@@ -1,5 +1,10 @@
 """Estimators: hand-computed values, reduction identities, purity, ranges."""
 
+import gc
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -446,21 +451,23 @@ class CountingRewardModel(RewardModel):
         return self.inner.predict_matrix(contexts)
 
 
+def counted_golden():
+    """`golden_instance` with counting target, logging policy and model."""
+    inst = golden_instance()
+    target = CountingPolicy(inst["target"].table)
+    logging = CountingPolicy(inst["logging"].table)
+    model = CountingRewardModel(inst["model"].table)
+    return inst, target, logging, model
+
+
 class TestOneEvaluationPerInput:
     """One estimate evaluates the target policy and its reward model once."""
-
-    def counted(self):
-        inst = golden_instance()
-        target = CountingPolicy(inst["target"].table)
-        logging = CountingPolicy(inst["logging"].table)
-        model = CountingRewardModel(inst["model"].table)
-        return inst, target, logging, model
 
     @pytest.mark.parametrize("kind", ["DR", "SnDR", "DR_SWITCH", "DR_SHRINK"])
     @pytest.mark.parametrize("sample", ["with_propensities",
                                         "without_propensities"])
     def test_direct_kinds(self, kind, sample):
-        inst, target, logging, model = self.counted()
+        inst, target, logging, model = counted_golden()
         evaluate_estimator(EstimatorSpec(kind, tau=1.0, shrink_cap=0.8),
                            inst[sample], target, logging, model=model)
         assert (target.calls, model.calls) == (1, 1)
@@ -470,7 +477,7 @@ class TestOneEvaluationPerInput:
     @pytest.mark.parametrize("sample", ["with_propensities",
                                         "without_propensities"])
     def test_robust_kinds(self, kind, sample, monkeypatch):
-        inst, target, logging, _ = self.counted()
+        inst, target, logging, _ = counted_golden()
         calls, original = [], estimators.mean_matrix
 
         def counting_mean_matrix(*args, **kwargs):
@@ -481,6 +488,165 @@ class TestOneEvaluationPerInput:
         evaluate_estimator(EstimatorSpec(kind), inst[sample], target,
                            logging, robust=inst["robust"])
         assert (target.calls, logging.calls, len(calls)) == (1, 1, 1)
+
+
+def score(kind, logged, target, logging, model, robust, iid, **kwargs):
+    spec = EstimatorSpec(kind, tau=1.0, shrink_cap=0.8)
+    return evaluate_estimator(spec, logged, target, logging, model=model,
+                              robust=robust, robust_iid=iid, **kwargs)
+
+
+def score_fresh(kind, sample, **replace):
+    """`kind` on freshly built golden inputs, with some of them replaced."""
+    inst = {**golden_instance(), **replace}
+    return score(kind, inst[sample], inst["target"], inst["logging"],
+                 inst["model"], inst["robust"], inst["iid"])
+
+
+class TestSharedInputs:
+    """Consecutive calls on the same objects share pi, p-hat, the weights and
+    each model's mean matrix; a call naming other objects builds its own."""
+
+    @pytest.fixture
+    def mean_matrix_models(self, monkeypatch):
+        models, original = [], estimators.mean_matrix
+
+        def counting_mean_matrix(reg, *args):
+            models.append(reg)
+            return original(reg, *args)
+
+        monkeypatch.setattr(estimators, "mean_matrix", counting_mean_matrix)
+        return models
+
+    @pytest.mark.parametrize("sample", ["with_propensities",
+                                        "without_propensities"])
+    def test_all_kinds_evaluate_each_input_once(self, sample,
+                                                mean_matrix_models):
+        inst, target, logging, model = counted_golden()
+        got = {kind: score(kind, inst[sample], target, logging, model,
+                           inst["robust"], inst["iid"])
+               for kind in ESTIMATOR_KINDS}
+        assert (target.calls, logging.calls, model.calls) == (1, 1, 1)
+        assert len(mean_matrix_models) == 2
+        assert mean_matrix_models[0] is inst["robust"]
+        assert mean_matrix_models[1] is inst["iid"]
+        for kind in ESTIMATOR_KINDS:
+            assert got[kind] == score_fresh(kind, sample), kind
+
+    #: change -> evaluations of the first (target, logging policy, direct
+    #: model, robust model) after scoring DR and TR before and after it
+    EVALUATIONS = {"new_logged": (2, 2, 2, 2),
+                   "rebound_rewards": (2, 2, 2, 2),
+                   "new_model": (1, 1, 1, 1),
+                   "new_target": (1, 2, 2, 2)}
+
+    @pytest.mark.parametrize("change", sorted(EVALUATIONS))
+    def test_other_objects_miss(self, change, mean_matrix_models):
+        inst, target, logging, model = counted_golden()
+        sample = "without_propensities"
+        logged, counters = inst[sample], (target, logging, model)
+
+        def dr_and_tr():
+            return [score(kind, logged, target, logging, model,
+                          inst["robust"], None) for kind in ("DR", "TR")]
+
+        first = dr_and_tr()
+        replace = {}
+        if change == "new_logged":
+            logged = LoggedDataset(logged.contexts, logged.actions,
+                                   logged.rewards, logged.n_actions,
+                                   r_min=logged.r_min, r_max=logged.r_max)
+        elif change == "rebound_rewards":
+            logged.rewards = logged.rewards[::-1].copy()
+            replace[sample] = LoggedDataset(
+                logged.contexts, logged.actions, logged.rewards,
+                logged.n_actions, r_min=logged.r_min, r_max=logged.r_max)
+        elif change == "new_model":
+            model = replace["model"] = TableRewardModel(
+                1.0 - model.inner.table)
+        else:
+            target = replace["target"] = TabularPolicy(
+                target.table[:, ::-1])
+        again = dr_and_tr()
+
+        calls = tuple(c.calls for c in counters) + (len(mean_matrix_models),)
+        assert calls == self.EVALUATIONS[change]
+        assert again == [score_fresh(kind, sample, **replace)
+                         for kind in ("DR", "TR")]
+        if change == "new_logged":
+            assert again == first
+        else:
+            assert again[0] != first[0]
+
+    def test_importance_weights_reuse_pi_and_phat(self):
+        inst, target, logging, model = counted_golden()
+        logged = inst["without_propensities"]
+        clipped = score("TR", logged, target, logging, model, inst["robust"],
+                        None, w_max=1.0)
+        w = importance_weights(logged, target, logging, w_max=np.inf)
+        assert (target.calls, logging.calls) == (1, 1)
+        rows = np.arange(len(logged)), logged.actions
+        ctx = logged.contexts[:, 0].astype(int)
+        expected = (inst["target"].table[ctx][rows]
+                    / inst["logging"].table[ctx][rows])
+        assert np.array_equal(w, expected)
+        assert w.max() > 1.0 and not w.flags.writeable
+        fresh = golden_instance()
+        assert clipped == evaluate_estimator(
+            EstimatorSpec("TR"), fresh["without_propensities"],
+            fresh["target"], fresh["logging"], robust=fresh["robust"],
+            w_max=1.0)
+
+    def test_memo_holds_one_input_set_and_no_cycle(self):
+        gc.disable()
+        try:
+            inst = golden_instance()
+            first = weakref.ref(inst["without_propensities"])
+            for kind in ESTIMATOR_KINDS:
+                score(kind, inst["without_propensities"], inst["target"],
+                      inst["logging"], inst["model"], inst["robust"],
+                      inst["iid"])
+            del inst
+            assert first() is not None
+            other = golden_instance()
+            score("DR", other["with_propensities"], other["target"],
+                  other["logging"], other["model"], None, None)
+            assert first() is None
+        finally:
+            gc.enable()
+
+    def test_threads_never_mix_input_sets(self):
+        kinds = ("DM", "IPS", "SnIPS", "DR", "SnDR")
+        cases = []
+        for seed in range(4):
+            bandit, logged, logging, target = random_instance(seed)
+            model = TableRewardModel(bandit.reward_table)
+            args = (logged, target, logging, model, None, None)
+            cases.append((args, [score(k, *args) for k in kinds]))
+        failures = []
+
+        def worker(args, expected):
+            try:
+                for _ in range(50):
+                    got = [score(k, *args) for k in kinds]
+                    if got != expected:
+                        failures.append(got)
+            except Exception as exc:  # a thread's error would pass unseen
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=case)
+                       for case in cases * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
 
 
 class IidMeansModel(RewardModel):

@@ -482,9 +482,7 @@ class TestCli:
         proc = self.run_cli("run", "--config", str(path))
         assert proc.returncode == 2
 
-    def test_run_writes_report(self, tmp_path):
-        path = write_config(tmp_path, (
-            "[experiment]\n"
+    TINY = ("[experiment]\n"
             "dataset = synthetic\n"
             "synthetic_n = 120\n"
             "synthetic_d = 3\n"
@@ -495,13 +493,25 @@ class TestCli:
             "classifier_epochs = 1\n"
             "reward_epochs = 1\n"
             "hidden_width = 4\n"
-            "hidden_layers = 1\n"))
+            "hidden_layers = 1\n")
+
+    def test_run_writes_report(self, tmp_path):
+        path = write_config(tmp_path, self.TINY)
         out = tmp_path / "report.csv"
         proc = self.run_cli("run", "--config", str(path), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("estimator,rmse_mean,rmse_std,n_trials")
         assert len(lines) == 3
+
+    def test_unwritable_out_is_runtime_fault(self, tmp_path):
+        path = write_config(tmp_path, self.TINY)
+        out = tmp_path / "missing_dir" / "report.csv"
+        proc = self.run_cli("run", "--config", str(path), "--out", str(out))
+        assert proc.returncode == 2
+        assert "runtime fault: cannot write report:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.parent.exists()
 
 
 class TestSmokeConfigReport:

@@ -145,24 +145,27 @@ class TestSampling:
     def test_deterministic_policy_always_sampled(self):
         pol = TabularPolicy(np.array([[0.0, 1.0]]))
         rng = np.random.default_rng(7)
-        assert np.all(sample_actions(pol, np.zeros((20, 1)), rng) == 1)
+        acts = sample_actions(pol.probs_matrix(np.zeros((20, 1))), rng)
+        assert np.all(acts == 1)
 
     def test_uniform_frequencies(self):
         pol = UniformPolicy(4)
         rng = np.random.default_rng(8)
-        acts = sample_actions(pol, np.zeros((10_000, 1)), rng)
+        acts = sample_actions(pol.probs_matrix(np.zeros((10_000, 1))), rng)
         freqs = np.bincount(acts, minlength=4) / 10_000
         assert np.max(np.abs(freqs - 0.25)) < 0.02
 
     def test_fixed_seed_reproducible(self):
         pol = UniformPolicy(3)
-        a = sample_actions(pol, np.zeros((50, 1)), np.random.default_rng(9))
-        b = sample_actions(pol, np.zeros((50, 1)), np.random.default_rng(9))
+        a = sample_actions(pol.probs_matrix(np.zeros((50, 1))),
+                           np.random.default_rng(9))
+        b = sample_actions(pol.probs_matrix(np.zeros((50, 1))),
+                           np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_skewed_frequencies_converge(self):
         pol = TabularPolicy(np.array([[0.7, 0.2, 0.1]]))
         rng = np.random.default_rng(10)
-        acts = sample_actions(pol, np.zeros((10_000, 1)), rng)
+        acts = sample_actions(pol.probs_matrix(np.zeros((10_000, 1))), rng)
         freqs = np.bincount(acts, minlength=3) / 10_000
         assert np.max(np.abs(freqs - [0.7, 0.2, 0.1])) < 0.02
