@@ -11,6 +11,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from robust_ope.cli import positive_int
 from robust_ope.harness import ExperimentConfig, emit_report, run_experiment
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "data"
@@ -22,11 +23,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="3 trials instead of 20")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=positive_int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
 
     trials = 3 if args.quick else 20
     for name in DATASETS:

@@ -27,7 +27,6 @@ from .bandit_sim import (
     SplitConfig,
     load_csv,
     log_bandit_feedback,
-    make_synthetic,
     split,
     true_value,
 )

@@ -78,10 +78,14 @@ def load_csv(path, label_column: str) -> LabeledDataset:
                     f"{path}:{lineno}: non-numeric feature value") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
+    contexts = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(contexts).all(axis=1))
+    if bad.size:  # float() also parses nan, inf and -Infinity
+        raise ParseError(f"{path}:{bad[0] + 2}: non-finite feature value")
     classes = sorted(set(raw_labels))
     index = {c: i for i, c in enumerate(classes)}
     labels = np.array([index[c] for c in raw_labels])
-    return LabeledDataset(contexts=np.array(rows), labels=labels,
+    return LabeledDataset(contexts=contexts, labels=labels,
                           n_classes=len(classes))
 
 
@@ -140,65 +144,6 @@ def true_value(dataset: LabeledDataset, target: Policy) -> float:
     """Exact V under the target policy: mean of pi(label | x) over rows."""
     probs = target.probs_matrix(dataset.contexts)
     return float(np.mean(probs[np.arange(len(dataset)), dataset.labels]))
-
-
-@dataclass
-class SyntheticBandit:
-    """Finite context set with an explicit reward table, for exact enumeration.
-
-    Contexts are one-dimensional integer ids so TabularPolicy rows line up.
-    """
-
-    reward_table: np.ndarray  # (n_contexts, K)
-    context_probs: np.ndarray  # (n_contexts,)
-
-    def __post_init__(self):
-        self.reward_table = np.asarray(self.reward_table, dtype=float)
-        self.context_probs = np.asarray(self.context_probs, dtype=float)
-        if not np.isclose(self.context_probs.sum(), 1.0):
-            raise ValueError("context probabilities must sum to 1")
-
-    @property
-    def n_contexts(self) -> int:
-        return self.reward_table.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.reward_table.shape[1]
-
-    def contexts_matrix(self) -> np.ndarray:
-        return np.arange(self.n_contexts, dtype=float)[:, None]
-
-    def exact_value(self, policy: Policy) -> float:
-        """V by exact enumeration over contexts and actions."""
-        pi = policy.probs_matrix(self.contexts_matrix())
-        return float(np.sum(self.context_probs[:, None] * pi
-                            * self.reward_table))
-
-    def sample_logged(self, n: int, logging: Policy,
-                      rng: np.random.Generator) -> LoggedDataset:
-        ctx_ids = rng.choice(self.n_contexts, size=n, p=self.context_probs)
-        contexts = ctx_ids.astype(float)[:, None]
-        probs = logging.probs_matrix(contexts)
-        actions = sample_actions(probs, rng)
-        rewards = self.reward_table[ctx_ids, actions]
-        propensities = probs[np.arange(n), actions]
-        lo, hi = float(self.reward_table.min()), float(self.reward_table.max())
-        return LoggedDataset(contexts=contexts, actions=actions,
-                             rewards=rewards, n_actions=self.n_actions,
-                             propensities=propensities,
-                             r_min=min(lo, 0.0), r_max=max(hi, 1.0))
-
-
-def make_synthetic(n_contexts: int, n_actions: int,
-                   seed: int = 0) -> SyntheticBandit:
-    """Random small bandit with rewards in [0, 1] and uniform context draw."""
-    if n_contexts > 50 or n_actions > 5:
-        raise ValueError("synthetic bandits are meant to stay enumerable")
-    rng = np.random.default_rng(seed)
-    table = rng.random((n_contexts, n_actions))
-    probs = np.full(n_contexts, 1.0 / n_contexts)
-    return SyntheticBandit(reward_table=table, context_probs=probs)
 
 
 def make_synthetic_labeled(n: int, d: int, n_classes: int,

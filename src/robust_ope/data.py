@@ -34,13 +34,14 @@ class LoggedDataset:
             raise ValueError("misaligned record arrays")
         if n and (self.actions.min() < 0 or self.actions.max() >= self.n_actions):
             raise ValueError("action index out of range")
-        if n and (self.rewards.min() < self.r_min - 1e-12
-                  or self.rewards.max() > self.r_max + 1e-12):
+        if n and not (self.rewards.min() >= self.r_min - 1e-12
+                      and self.rewards.max() <= self.r_max + 1e-12):
             raise ValueError("reward outside [r_min, r_max]")
         if self.propensities is not None:
             if self.propensities.shape != (n,):
                 raise ValueError("misaligned propensities")
-            if n and (self.propensities.min() <= 0 or self.propensities.max() > 1):
+            if n and not (self.propensities.min() > 0
+                          and self.propensities.max() <= 1):
                 raise ValueError("propensities must lie in (0, 1]")
 
     def __len__(self) -> int:

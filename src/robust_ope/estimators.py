@@ -41,18 +41,6 @@ class RewardModel:
 
 
 @dataclass
-class TableRewardModel(RewardModel):
-    """Explicit reward table keyed by integer context id, for tests/oracles."""
-
-    table: np.ndarray  # (n_contexts, K)
-    r_min: float = 0.0
-    r_max: float = 1.0
-    def predict_matrix(self, contexts: np.ndarray) -> np.ndarray:
-        idx = np.asarray(contexts)[:, 0].astype(int)
-        return np.clip(self.table[idx], self.r_min, self.r_max)
-
-
-@dataclass
 class NetRewardModel(RewardModel):
     """Squared-loss regression net on (context, one-hot action)."""
 

@@ -335,7 +335,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     dataset = _load_dataset(config)
     seeds = trial_seeds(config.seed, config.trials)
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-context pool starts all its workers at once
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(seeds))) as pool:
             results = list(pool.map(run_trial, [config] * len(seeds),
                                     [dataset] * len(seeds), seeds))
     else:

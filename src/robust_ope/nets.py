@@ -12,7 +12,6 @@ Training is single-threaded.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -50,9 +49,6 @@ class FeedForwardNet:
     @property
     def out_dim(self) -> int:
         return self.layers[-1].weight.shape[0]
-
-    def copy(self) -> "FeedForwardNet":
-        return copy.deepcopy(self)
 
 
 @dataclass
@@ -141,45 +137,18 @@ def _forward_trace(net: FeedForwardNet, inputs: np.ndarray) -> list:
     return trace
 
 
-def backward_batch(net: FeedForwardNet, inputs: np.ndarray,
-                   output_grads: np.ndarray):
-    """Batch backprop of a scalar objective whose per-output gradients are given.
-
-    Parameter gradients are *summed* over the batch; divide by n upstream for
-    mean objectives. Returns (list of (dW, db) per layer, input gradients).
-    """
-    inputs = np.asarray(inputs, dtype=float)
-    output_grads = np.asarray(output_grads, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != net.in_dim:
-        raise DimensionError(
-            f"expected (n, {net.in_dim}) input, got {inputs.shape}")
-    if output_grads.shape != (inputs.shape[0], net.out_dim):
-        raise DimensionError(
-            f"expected {(inputs.shape[0], net.out_dim)} gradient, "
-            f"got {output_grads.shape}")
-    grads = [(np.empty(l.weight.shape), np.empty(l.bias.shape))
-             for l in net.layers]
-    input_grads = _backprop(net, _forward_trace(net, inputs), output_grads,
-                            grads, input_grad=True)
-    return grads, input_grads
-
-
-def _backprop(net: FeedForwardNet, trace, g: np.ndarray, out,
-              input_grad: bool = False):
+def _backprop(net: FeedForwardNet, trace, g: np.ndarray, out) -> None:
     """Backpropagate output gradients `g` through a `_forward_trace`,
-    writing each layer's gradients into its (dW, db) pair in `out`. Returns
-    the input gradient if `input_grad`, else None; training never reads it."""
-    last = len(net.layers) - 1
-    for i in range(last, -1, -1):
-        if i < last:
-            g *= trace[i + 1] > 0  # relu(z) > 0 exactly where z > 0
+    writing each layer's gradients into its (dW, db) pair in `out`. Layer
+    0's input gradient is never formed."""
+    for i in range(len(net.layers) - 1, -1, -1):
         dw, db = out[i]
         np.matmul(g.T, trace[i], out=dw)
         g.sum(axis=0, out=db)
-        if i == 0 and not input_grad:
-            return None
+        if i == 0:
+            return
         g = g @ net.layers[i].weight  # a fresh array, so masked in place
-    return g
+        g *= trace[i] > 0  # relu(z) > 0 exactly where z > 0
 
 
 @dataclass

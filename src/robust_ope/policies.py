@@ -43,35 +43,12 @@ class UniformPolicy(Policy):
 
 
 @dataclass
-class TabularPolicy(Policy):
-    """Explicit per-context probability table, for synthetic bandits and tests.
-
-    Contexts are identified by their integer index in the first feature.
-    """
-
-    table: np.ndarray  # (n_contexts, K)
-
-    def __post_init__(self):
-        self.table = np.asarray(self.table, dtype=float)
-        if np.any(self.table < 0) or not np.allclose(self.table.sum(axis=1), 1.0):
-            raise ValueError("rows must be probability distributions")
-
-    @property
-    def n_actions(self) -> int:
-        return self.table.shape[1]
-
-    def probs_matrix(self, contexts: np.ndarray) -> np.ndarray:
-        idx = np.asarray(contexts)[:, 0].astype(int)
-        return self.table[idx]
-
-
-@dataclass
 class SoftmaxClassifierPolicy(Policy):
     net: FeedForwardNet
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError("temperature must be positive")
 
     @property

@@ -25,7 +25,6 @@ from .nets import (
     SgdConfig,
     TrainingFault,
     action_inputs,
-    backward_batch,
     fit,
     forward_actions,
     forward_batch,
@@ -119,49 +118,10 @@ def _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats):
     return grad_r, grad_xr
 
 
-def rho_gradients(reg: RobustRegressor, contexts: np.ndarray,
-                  actions: np.ndarray, rewards: np.ndarray,
-                  ratios: np.ndarray):
-    """Gradient of the minibatch Gaussian negative log-likelihood w.r.t. rho.
-
-    Returns (grad_rho_r, grad_rho_xr). These are the quantities descended on
-    during training; they match central finite differences of the batch NLL.
-    """
-    rewards = np.asarray(rewards, dtype=float)
-    if rewards.shape[0] == 0:
-        raise ValueError("empty minibatch")
-    feats = features(reg, contexts, actions)
-    mu, sigma_sq, ratios = _gaussian_params(reg, feats, ratios)
-    grad_r, grad_xr = _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats)
-    if not (np.isfinite(grad_r) and np.all(np.isfinite(grad_xr))):
-        raise TrainingFault("non-finite rho gradient")
-    return grad_r, grad_xr
-
-
 def _theta_out_grads(ratios, rewards, mu, rho_xr):
     """d(batch-mean NLL)/d(features), per sample: 2 w (r - mu) rho_xr / n."""
     coeff = (2.0 * ratios * (rewards - mu) / rewards.shape[0])[:, None]
     return coeff * rho_xr[None, :]
-
-
-def theta_gradients(reg: RobustRegressor, contexts, actions, rewards, ratios):
-    """Backpropagated feature-net gradients of the batch-mean Gaussian NLL."""
-    rewards = np.asarray(rewards, dtype=float)
-    inputs = action_inputs(contexts, actions, reg.n_actions)
-    feats = forward_batch(reg.net, inputs)
-    mu, _, ratios = _gaussian_params(reg, feats, ratios)
-    out_grads = _theta_out_grads(ratios, rewards, mu, reg.rho.rho_xr)
-    grads, _ = backward_batch(reg.net, inputs, out_grads)
-    return grads
-
-
-def batch_nll(reg: RobustRegressor, contexts, actions, rewards, ratios) -> float:
-    """Mean Gaussian negative log-likelihood of a batch; the training objective."""
-    rewards = np.asarray(rewards, dtype=float)
-    feats = features(reg, contexts, actions)
-    mu, sigma_sq, _ = _gaussian_params(reg, feats, ratios)
-    return float(np.mean(0.5 * np.log(2.0 * np.pi * sigma_sq)
-                         + (rewards - mu) ** 2 / (2.0 * sigma_sq)))
 
 
 @dataclass

@@ -13,7 +13,6 @@ import sys
 import numpy as np
 import pytest
 
-from robust_ope.bandit_sim import make_synthetic
 from robust_ope.data import LoggedDataset
 from robust_ope.diagnostics import (
     BoundInputs,
@@ -21,23 +20,21 @@ from robust_ope.diagnostics import (
     minimax_lower_bound,
     variance_bound,
 )
-from robust_ope.estimators import EstimatorSpec, TableRewardModel, \
-    evaluate_estimator
+from robust_ope.estimators import EstimatorSpec, evaluate_estimator
 from robust_ope.harness import ExperimentConfig, run_experiment
 from robust_ope.nets import SgdConfig, init_net
-from robust_ope.policies import TabularPolicy, UniformPolicy
+from robust_ope.policies import UniformPolicy
 from robust_ope.robust_regression import (
     BaseGaussian,
     RhoParams,
     RobustRegressor,
     RobustTrainSettings,
-    batch_nll,
     predict_batch,
-    rho_gradients,
-    theta_gradients,
     train_iid,
     train_robust,
 )
+from tests.oracles import (TableRewardModel, TabularPolicy, batch_nll,
+                           make_synthetic, rho_gradients, theta_gradients)
 
 BASELINE_FAMILY = ["DM", "IPS", "SnIPS", "DR", "SnDR", "DR_SWITCH",
                    "DR_SHRINK"]

@@ -7,16 +7,15 @@ from robust_ope.bandit_sim import (
     LabeledDataset,
     ParseError,
     SplitConfig,
-    SyntheticBandit,
     load_csv,
     log_bandit_feedback,
-    make_synthetic,
     make_synthetic_labeled,
     split,
     standardize,
     true_value,
 )
-from robust_ope.policies import TabularPolicy, UniformPolicy
+from robust_ope.policies import UniformPolicy
+from tests.oracles import SyntheticBandit, TabularPolicy, make_synthetic
 
 
 def write(tmp_path, name, text):
@@ -54,9 +53,10 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=":3"):
             load_csv(path, "label")
 
-    def test_non_numeric_feature_rejected(self, tmp_path):
-        path = write(tmp_path, "nan.csv", "a,label\nfoo,0\n")
-        with pytest.raises(ParseError):
+    @pytest.mark.parametrize("value", ["foo", "nan", "inf", "-Infinity"])
+    def test_non_numeric_feature_rejected(self, tmp_path, value):
+        path = write(tmp_path, "bad.csv", f"a,label\n{value},0\n")
+        with pytest.raises(ParseError, match=r"bad\.csv:2: non-"):
             load_csv(path, "label")
 
     def test_character_labels_reindexed_densely(self, tmp_path):

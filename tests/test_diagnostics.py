@@ -15,7 +15,8 @@ from robust_ope.diagnostics import (
     minimax_lower_bound,
     variance_bound,
 )
-from robust_ope.policies import TabularPolicy, UniformPolicy
+from robust_ope.policies import UniformPolicy
+from tests.oracles import TabularPolicy
 
 
 def inputs(**kw):

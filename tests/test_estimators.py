@@ -11,23 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_ope import estimators
-from robust_ope.bandit_sim import SyntheticBandit, make_synthetic
 from robust_ope.data import LoggedDataset
 from robust_ope.estimators import (
     ESTIMATOR_KINDS,
     EstimatorSpec,
     NetRewardModel,
     RewardModel,
-    TableRewardModel,
     UndefinedEstimate,
     evaluate_estimator,
     importance_weights,
     train_direct_model,
 )
 from robust_ope.nets import SgdConfig, forward_batch, init_net
-from robust_ope.policies import TabularPolicy, UniformPolicy
+from robust_ope.policies import UniformPolicy
 from robust_ope.robust_regression import BaseGaussian, RhoParams, \
     RobustRegressor, mean_matrix, train_iid, train_robust
+from tests.oracles import (SyntheticBandit, TableRewardModel, TabularPolicy,
+                           make_synthetic)
 from tests.test_nets import random_action_net
 from tests.test_robust_regression import constant_feature_regressor
 

@@ -1,5 +1,6 @@
 """Harness and CLI: config parsing, trial protocol, reports, determinism."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import pathlib
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from robust_ope import bandit_sim, estimators, robust_regression
-from robust_ope.bandit_sim import LabeledDataset, make_synthetic
+from robust_ope.bandit_sim import LabeledDataset
 from robust_ope.estimators import ESTIMATOR_KINDS, EstimatorSpec, \
     evaluate_estimator
 from robust_ope.harness import (
@@ -25,7 +26,7 @@ from robust_ope.harness import (
     run_trial,
     trial_seeds,
 )
-from robust_ope.policies import TabularPolicy
+from tests.oracles import TabularPolicy, make_synthetic
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -383,6 +384,30 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             run_experiment(ExperimentConfig(**SMALL), jobs=jobs)
 
+    def test_pool_capped_at_trial_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        report = run_experiment(ExperimentConfig(**SMALL), jobs=64)
+        assert sizes == [SMALL["trials"]]
+        assert len(report.errors) == SMALL["trials"]
+
     def test_trial_seeds_distinct_and_reproducible(self):
         a = trial_seeds(0, 10)
         b = trial_seeds(0, 10)
@@ -475,6 +500,14 @@ class TestCli:
         assert proc.returncode == 2
         assert "usage:" in proc.stderr and "--jobs" in proc.stderr
         assert not out.exists()
+
+    def test_benchmark_script_jobs_below_one_is_usage_error(self):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_benchmark.py"),
+             "--quick", "--jobs", "0"], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "usage:" in proc.stderr and "--jobs" in proc.stderr
+        assert proc.stdout == ""  # no trial ran, so no table was printed
 
     def test_runtime_fault_exit_code_two(self, tmp_path):
         path = write_config(tmp_path, (

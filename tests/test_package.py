@@ -13,10 +13,10 @@ PUBLIC_NAMES = [
     "SplitConfig", "UniformPolicy", "bandit_sim", "bias_bound", "data",
     "diagnostics", "emit_report", "estimate_logging_policy", "estimators",
     "evaluate_estimator", "harness", "load_csv", "log_bandit_feedback",
-    "make_synthetic", "mean_matrix", "minimax_lower_bound", "nets",
-    "policies", "predict_batch", "robust_regression", "run_experiment",
-    "run_trial", "split", "train_classifier_policy", "train_iid",
-    "train_robust", "true_value", "variance_bound",
+    "mean_matrix", "minimax_lower_bound", "nets", "policies",
+    "predict_batch", "robust_regression", "run_experiment", "run_trial",
+    "split", "train_classifier_policy", "train_iid", "train_robust",
+    "true_value", "variance_bound",
 ]
 
 
@@ -30,6 +30,7 @@ DARK_SPANS = {
     "robust_ope.estimators.forward_batch",
     "robust_ope.estimators.backward_batch",
     "robust_ope.policies.backward_batch",
+    "robust_ope.robust_regression.backward_batch",
     "robust_ope.estimators.spectral_normalize_net",
     "robust_ope.policies.spectral_normalize_net",
     "robust_ope.robust_regression.spectral_normalize_net",

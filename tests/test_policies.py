@@ -11,12 +11,12 @@ from robust_ope.nets import SgdConfig, init_net
 from robust_ope.policies import (
     PROB_FLOOR,
     SoftmaxClassifierPolicy,
-    TabularPolicy,
     UniformPolicy,
     estimate_logging_policy,
     sample_actions,
     train_classifier_policy,
 )
+from tests.oracles import TabularPolicy
 
 FAST_SGD = SgdConfig(learning_rate=1e-3, epochs=10, batch_size=32, seed=0)
 
@@ -63,6 +63,11 @@ class TestTrainClassifierPolicy:
                                       FAST_SGD, temperature=1e6)
         p = pol.probs_matrix(data.contexts)
         assert np.max(np.abs(p - 0.25)) < 1e-3
+
+    def test_nan_temperature_rejected(self):
+        net = init_net([2, 3], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="temperature"):
+            SoftmaxClassifierPolicy(net, temperature=float("nan"))
 
     def test_single_class_degenerate(self):
         rng = np.random.default_rng(2)

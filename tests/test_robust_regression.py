@@ -5,28 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_ope.bandit_sim import make_synthetic
 from robust_ope.data import LoggedDataset
 from robust_ope.nets import FeedForwardNet, Layer, SgdConfig, init_net
-from robust_ope.policies import TabularPolicy, UniformPolicy, \
-    density_ratio
+from robust_ope.policies import UniformPolicy, density_ratio
 from robust_ope.robust_regression import (
     BaseGaussian,
     RhoParams,
     RobustRegressor,
     RobustTrainSettings,
-    batch_nll,
     features,
     load_regressor,
     mean_matrix,
     predict_batch,
-    rho_gradients,
     save_regressor,
-    theta_gradients,
     train_iid,
     train_robust,
     training_ratios,
 )
+from tests.oracles import (TabularPolicy, batch_nll, make_synthetic,
+                           rho_gradients, theta_gradients)
 
 
 def constant_feature_regressor(feat, d=1, n_actions=2, rho_r=0.0,
