@@ -32,6 +32,8 @@ class LoggedDataset:
         n = self.contexts.shape[0]
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("misaligned record arrays")
+        if not np.isfinite(self.contexts).all():
+            raise ValueError("contexts must be finite")
         if n and (self.actions.min() < 0 or self.actions.max() >= self.n_actions):
             raise ValueError("action index out of range")
         if n and not (self.rewards.min() >= self.r_min - 1e-12

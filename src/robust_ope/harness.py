@@ -115,11 +115,10 @@ class ExperimentConfig:
         if self.temperature <= 0 or self.eval_temperature <= 0:
             raise ConfigError("temperature and eval_temperature must be "
                               "positive")
-        if self.ratio_max <= 0 or self.w_max <= 0:
-            raise ConfigError("ratio_max and w_max must be positive")
-        if self.rho_max < 0 or self.eta < 0 or self.rho_learning_rate <= 0:
-            raise ConfigError("rho_max and eta must be nonnegative and "
-                              "rho_learning_rate positive")
+        if self.w_max <= 0:
+            raise ConfigError("w_max must be positive")
+        if self.eta < 0:
+            raise ConfigError("eta must be nonnegative")
         # the checks of the objects run_trial builds, so that a bad value is
         # a config error here, not a runtime fault mid-run
         try:
@@ -128,6 +127,8 @@ class ExperimentConfig:
             for epochs in (self.reward_epochs, self.classifier_epochs):
                 SgdConfig(self.learning_rate, epochs, self.batch_size)
             BaseGaussian(self.mu0, self.sigma0_sq)
+            RobustTrainSettings(self.rho_learning_rate, self.rho_max,
+                                self.ratio_max)
             diagnostics.BoundInputs(w_max=1.0, rho_cap=self.rho_max,
                                     eta1=self.eta1, eta2=self.eta2,
                                     delta=self.delta, epsilon=self.epsilon,

@@ -8,6 +8,12 @@ place, so a training step allocates nothing parameter-sized. The workspace
 stays with `fit`: a trained net's arrays view the parameter buffer only, and
 a copy or a pickle owns its memory, so nets move between workers freely.
 Training is single-threaded.
+
+Two per-step updates use folded forms that equal the textbook rules in real
+arithmetic and match them to a few ulps in floating point. Adam folds its
+bias corrections into one step size and one epsilon (Kingma & Ba 2014, end
+of section 2). The spectral norm's power step takes sigma = |w v| in place
+of u^T w v (Miyato et al. 2018, Alg. 1).
 """
 
 from __future__ import annotations
@@ -195,10 +201,17 @@ class AdamState:
 def adam_step(net: FeedForwardNet, config: SgdConfig,
               state: AdamState) -> FeedForwardNet:
     """In-place Adam update with bias correction from `state.grad`. Returns
-    the same net. Each formula runs in its written order through the scratch
-    buffers, so the bits equal those of `m = b1 * m + (1 - b1) * g`,
-    `v = b2 * v + (1 - b2) * g ** 2` and
-    `params -= lr * (m / c1) / (sqrt(v / c2) + eps)`.
+    the same net.
+
+    The moments are kept scaled by 1 / (1 - beta): `m = b1 * m + g` and
+    `v = b2 * v + g ** 2`, and the step folds the bias corrections c1, c2
+    and those scales into two scalars (Kingma & Ba 2014, end of section 2):
+    `params -= lr_t * m / (sqrt(v) + eps_t)` with
+    `lr_t = lr * sqrt(c2) / c1 * (1 - b1) / sqrt(1 - b2)` and
+    `eps_t = eps * sqrt(c2 / (1 - b2))`. In real arithmetic this is the
+    textbook `params -= lr * (m / c1) / (sqrt(v / c2) + eps)` on unscaled
+    moments; in floating point the two agree to a few ulps. One finite
+    check precedes every write.
     """
     g, m, v = state.grad, state.m, state.v
     if not np.isfinite(g).all():
@@ -207,36 +220,39 @@ def adam_step(net: FeedForwardNet, config: SgdConfig,
     state.step += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step
     c2 = 1.0 - ADAM_BETA2 ** state.step
+    lr_t = (config.learning_rate * math.sqrt(c2) / c1 * (1 - ADAM_BETA1)
+            / math.sqrt(1 - ADAM_BETA2))
+    eps_t = ADAM_EPS * math.sqrt(c2 / (1 - ADAM_BETA2))
     m *= ADAM_BETA1
-    m += np.multiply(1 - ADAM_BETA1, g, out=a)
+    m += g
     v *= ADAM_BETA2
-    v += np.multiply(1 - ADAM_BETA2, np.square(g, out=a), out=a)
-    np.sqrt(np.divide(v, c2, out=a), out=a)
-    a += ADAM_EPS
-    b = np.multiply(config.learning_rate, np.divide(m, c1, out=b), out=b)
-    state.params -= np.divide(b, a, out=b)
+    v += np.square(g, out=a)
+    np.sqrt(v, out=a)
+    a += eps_t
+    state.params -= np.divide(np.multiply(lr_t, m, out=b), a, out=b)
     return net
 
 
-def _spectral_sigma(w: np.ndarray, power_vec: np.ndarray | None):
-    """Return (power-iteration spectral-norm estimate of `w`, power vector).
+def _spectral_sigma(w: np.ndarray):
+    """Return (power-iteration spectral-norm estimate of `w`, power vector),
+    burning in from a fixed random vector until the estimate stabilizes.
 
-    Given `power_vec`, one step is taken from it (Miyato et al. 2018);
-    without one, the iteration burns in from a fixed random vector until it
-    stabilizes. The estimate is None where `w` is to be left as it is: a
-    zero matrix, a vanishing iterate or an estimate that is not positive.
+    Each iteration takes v = w^T u / |w^T u|, u = w v / |w v| and
+    sigma = u^T w v. The product `u @ w` that gives sigma is reused as the
+    next iteration's w^T u: both are one BLAS gemv over `w` and equal bit
+    for bit (a test pins this at the nets' shapes), so the iterates and the
+    estimate are those of the loop that forms w^T u afresh.
+    The estimate is None where `w` is to be left as it is: a zero matrix, a
+    vanishing iterate or an estimate that is not positive.
     """
-    burn_in = power_vec is None
-    if burn_in:
-        if not np.any(w):
-            return None, None
-        u = np.random.default_rng(0).standard_normal(w.shape[0])
-        u /= math.sqrt(u @ u)
-    else:
-        u = power_vec
-    sigma_prev = None
-    for _ in range(2000 if burn_in else 1):
-        v = w.T @ u
+    if not np.any(w):
+        return None, None
+    u = np.random.default_rng(0).standard_normal(w.shape[0])
+    u /= math.sqrt(u @ u)
+    ut_w = w.T @ u
+    sigma = None
+    for _ in range(2000):
+        v = ut_w
         v_norm = math.sqrt(v @ v)
         if v_norm == 0:
             return None, u
@@ -246,13 +262,11 @@ def _spectral_sigma(w: np.ndarray, power_vec: np.ndarray | None):
         if u_norm == 0:
             return None, u
         u /= u_norm
-        if burn_in:
-            sigma_now = float(u @ w @ v)
-            if sigma_prev is not None and abs(sigma_now - sigma_prev) \
-                    <= 1e-12 * abs(sigma_now):
-                break
-            sigma_prev = sigma_now
-    sigma = float(u @ w @ v)
+        ut_w = u @ w
+        sigma_prev, sigma = sigma, float(ut_w @ v)
+        if sigma_prev is not None and abs(sigma - sigma_prev) \
+                <= 1e-12 * abs(sigma):
+            break
     return (None if sigma <= 0 else sigma), u
 
 
@@ -260,13 +274,30 @@ def spectral_normalize_net(net: FeedForwardNet, power_vecs: list) -> None:
     """Normalize every weight matrix in place.
 
     `power_vecs` holds one power vector per layer, None before the first
-    call, and is updated in place. Weights are divided, never rebound, so
-    views of `AdamState.params` hold.
+    call, and is updated in place. A layer without one burns in through
+    `_spectral_sigma`; a layer with one takes one power step from it
+    (Miyato et al. 2018, Alg. 1): v = w^T u / |w^T u|, u = w v,
+    sigma = |u|, u /= sigma, w /= sigma. After that step u^T w v = |w v|,
+    so sigma needs no further product and matches u^T w v to a few ulps.
+    Weights are divided, never rebound, so views of `AdamState.params` hold.
     """
     for i, layer in enumerate(net.layers):
-        sigma, power_vecs[i] = _spectral_sigma(layer.weight, power_vecs[i])
+        w, u = layer.weight, power_vecs[i]
+        if u is None:
+            sigma, power_vecs[i] = _spectral_sigma(w)
+        else:
+            v = w.T @ u
+            v_norm = math.sqrt(v @ v)
+            if v_norm == 0:
+                continue
+            v /= v_norm
+            power_vecs[i] = u = w @ v
+            sigma = math.sqrt(u @ u)
+            if sigma == 0:
+                continue
+            u /= sigma
         if sigma is not None:
-            layer.weight /= sigma
+            w /= sigma
 
 
 def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,

@@ -14,6 +14,7 @@ ratio to 1 gives the iid ablation trained by `train_iid`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ class BaseGaussian:
     sigma0_sq: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.mu0):
+            raise ValueError("mu0 must be finite")
         if not self.sigma0_sq > 0:
             raise ValueError("sigma0_sq must be positive")
 
@@ -75,22 +78,28 @@ def features(reg: RobustRegressor, contexts: np.ndarray,
                                                 reg.n_actions))
 
 
+def _clip_ratios(reg: RobustRegressor, ratios) -> np.ndarray:
+    """The density ratios clipped to [0, ratio_max]: the one cap on them."""
+    return np.clip(np.asarray(ratios, dtype=float), 0.0, reg.ratio_max)
+
+
 def _gaussian_params(reg: RobustRegressor, feats: np.ndarray,
                      ratios: np.ndarray):
-    """Gaussian (mu, sigma_sq) and the ratios clipped to [0, ratio_max]."""
-    ratios = np.clip(np.asarray(ratios, dtype=float), 0.0, reg.ratio_max)
+    """Gaussian (mu, sigma_sq) at features `feats` and density ratios
+    `ratios` already clipped by `_clip_ratios`."""
     inv_s0 = 1.0 / reg.base.sigma0_sq
-    sigma_sq = 1.0 / (2.0 * ratios * reg.rho.rho_r + inv_s0)
-    mu = sigma_sq * (-2.0 * ratios * (feats @ reg.rho.rho_xr)
-                     + reg.base.mu0 * inv_s0)
-    return mu, sigma_sq, ratios
+    two_w = 2.0 * ratios
+    sigma_sq = 1.0 / (two_w * reg.rho.rho_r + inv_s0)
+    mu = sigma_sq * (reg.base.mu0 * inv_s0 - two_w * (feats @ reg.rho.rho_xr))
+    return mu, sigma_sq
 
 
 def predict_batch(reg: RobustRegressor, contexts: np.ndarray,
                   actions: np.ndarray, ratios: np.ndarray):
     """Conditional Gaussian (mu, sigma_sq) per (context, action, ratio) row;
     each (n,), unclipped."""
-    return _gaussian_params(reg, features(reg, contexts, actions), ratios)[:2]
+    return _gaussian_params(reg, features(reg, contexts, actions),
+                            _clip_ratios(reg, ratios))
 
 
 def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
@@ -101,7 +110,7 @@ def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
     `ratios` (n, K) holds the density ratio p(a|x) / pi(a|x) at every
     (x, a); all ones gives the iid prediction.
     """
-    ratios = np.asarray(ratios, dtype=float)
+    ratios = _clip_ratios(reg, ratios)
     n = len(contexts)
     if ratios.shape != (n, reg.n_actions):
         raise ValueError(f"ratios must have shape {(n, reg.n_actions)}")
@@ -111,17 +120,18 @@ def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
 
 
 def _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats):
-    """Exact gradients of the batch-mean Gaussian NLL w.r.t. (rho_r, rho_xr)."""
-    resid = rewards - mu
-    grad_r = float(np.mean(ratios * (rewards ** 2 - mu ** 2 - sigma_sq)))
-    grad_xr = (2.0 * ratios * resid) @ feats / rewards.shape[0]
-    return grad_r, grad_xr
+    """Exact gradients of the batch-mean Gaussian NLL w.r.t. (rho_r, rho_xr),
+    and the per-sample term 2 w (r - mu) that `_theta_out_grads` shares."""
+    n = rewards.shape[0]
+    grad_r = float((ratios * (rewards ** 2 - mu ** 2 - sigma_sq)).sum() / n)
+    two_w_resid = 2.0 * ratios * (rewards - mu)
+    return grad_r, two_w_resid @ feats / n, two_w_resid
 
 
-def _theta_out_grads(ratios, rewards, mu, rho_xr):
-    """d(batch-mean NLL)/d(features), per sample: 2 w (r - mu) rho_xr / n."""
-    coeff = (2.0 * ratios * (rewards - mu) / rewards.shape[0])[:, None]
-    return coeff * rho_xr[None, :]
+def _theta_out_grads(two_w_resid, rho_xr):
+    """d(batch-mean NLL)/d(features), per sample: 2 w (r - mu) rho_xr / n,
+    from the `two_w_resid` of `_nll_rho_grads`."""
+    return (two_w_resid / two_w_resid.shape[0])[:, None] * rho_xr[None, :]
 
 
 @dataclass
@@ -129,6 +139,15 @@ class RobustTrainSettings:
     rho_learning_rate: float = 0.01
     rho_max: float = 1e3
     ratio_max: float = 100.0
+
+    def __post_init__(self):
+        # negated in-range tests, so that NaN fails them
+        if not self.rho_learning_rate > 0:
+            raise ValueError("rho_learning_rate must be positive")
+        if not self.rho_max >= 0:
+            raise ValueError("rho_max must be nonnegative")
+        if not self.ratio_max > 0:
+            raise ValueError("ratio_max must be positive")
 
 
 def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
@@ -148,20 +167,22 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
         ratio_max=settings.ratio_max)
     inputs = action_inputs(logged.contexts, logged.actions, logged.n_actions)
     rewards = logged.rewards
-    lr_rho = settings.rho_learning_rate
+    ratios = _clip_ratios(reg, ratios)
+    lr_rho, rho_max = settings.rho_learning_rate, settings.rho_max
     rho = reg.rho
 
     def output_grads(feats, idx):
         # exact-NLL step on rho, then the feature gradients under the new rho
-        mu, sigma_sq, w = _gaussian_params(reg, feats, ratios[idx])
-        if not np.all(np.isfinite(mu)):
+        w = ratios[idx]
+        mu, sigma_sq = _gaussian_params(reg, feats, w)
+        if not np.isfinite(mu).all():
             raise TrainingFault("diverged")
-        grad_r, grad_xr = _nll_rho_grads(rewards[idx], mu, sigma_sq, w, feats)
-        rho.rho_r = float(np.clip(
-            rho.rho_r - lr_rho * (grad_r + eta * rho.rho_r), 0.0,
-            settings.rho_max))
+        grad_r, grad_xr, two_w_resid = _nll_rho_grads(rewards[idx], mu,
+                                                      sigma_sq, w, feats)
+        rho.rho_r = min(max(rho.rho_r - lr_rho * (grad_r + eta * rho.rho_r),
+                            0.0), rho_max)
         rho.rho_xr = rho.rho_xr - lr_rho * (grad_xr + eta * rho.rho_xr)
-        return _theta_out_grads(w, rewards[idx], mu, rho.rho_xr)
+        return _theta_out_grads(two_w_resid, rho.rho_xr)
 
     fit(net, inputs, output_grads, config, rng)
     return reg

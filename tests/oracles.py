@@ -3,7 +3,7 @@ gradient wrappers over the private formulas that training calls.
 
 Nothing under `src` reaches these; the tests check the shipped code against
 them. `SyntheticBandit.exact_value` gives V by exact enumeration, and
-`rho_gradients`, `theta_gradients` and `batch_nll` compose
+`rho_gradients`, `theta_gradients` and `batch_nll` compose `_clip_ratios`,
 `_gaussian_params`, `_nll_rho_grads`, `_theta_out_grads`, `_forward_trace`
 and `_backprop`, so a finite-difference check of them checks the math that
 trains.
@@ -20,9 +20,9 @@ from robust_ope.estimators import RewardModel
 from robust_ope.nets import (FeedForwardNet, TrainingFault, _backprop,
                              _forward_trace, action_inputs, forward_batch)
 from robust_ope.policies import Policy, sample_actions
-from robust_ope.robust_regression import (RobustRegressor, _gaussian_params,
-                                          _nll_rho_grads, _theta_out_grads,
-                                          features)
+from robust_ope.robust_regression import (RobustRegressor, _clip_ratios,
+                                          _gaussian_params, _nll_rho_grads,
+                                          _theta_out_grads, features)
 
 
 @dataclass
@@ -142,8 +142,9 @@ def rho_gradients(reg: RobustRegressor, contexts: np.ndarray,
     if rewards.shape[0] == 0:
         raise ValueError("empty minibatch")
     feats = features(reg, contexts, actions)
-    mu, sigma_sq, ratios = _gaussian_params(reg, feats, ratios)
-    grad_r, grad_xr = _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats)
+    ratios = _clip_ratios(reg, ratios)
+    mu, sigma_sq = _gaussian_params(reg, feats, ratios)
+    grad_r, grad_xr, _ = _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats)
     if not (np.isfinite(grad_r) and np.all(np.isfinite(grad_xr))):
         raise TrainingFault("non-finite rho gradient")
     return grad_r, grad_xr
@@ -154,8 +155,10 @@ def theta_gradients(reg: RobustRegressor, contexts, actions, rewards, ratios):
     rewards = np.asarray(rewards, dtype=float)
     inputs = action_inputs(contexts, actions, reg.n_actions)
     feats = forward_batch(reg.net, inputs)
-    mu, _, ratios = _gaussian_params(reg, feats, ratios)
-    out_grads = _theta_out_grads(ratios, rewards, mu, reg.rho.rho_xr)
+    ratios = _clip_ratios(reg, ratios)
+    mu, sigma_sq = _gaussian_params(reg, feats, ratios)
+    *_, two_w_resid = _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats)
+    out_grads = _theta_out_grads(two_w_resid, reg.rho.rho_xr)
     return backward(reg.net, inputs, out_grads)
 
 
@@ -163,6 +166,6 @@ def batch_nll(reg: RobustRegressor, contexts, actions, rewards, ratios) -> float
     """Mean Gaussian negative log-likelihood of a batch; the training objective."""
     rewards = np.asarray(rewards, dtype=float)
     feats = features(reg, contexts, actions)
-    mu, sigma_sq, _ = _gaussian_params(reg, feats, ratios)
+    mu, sigma_sq = _gaussian_params(reg, feats, _clip_ratios(reg, ratios))
     return float(np.mean(0.5 * np.log(2.0 * np.pi * sigma_sq)
                          + (rewards - mu) ** 2 / (2.0 * sigma_sq)))

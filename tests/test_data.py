@@ -16,6 +16,13 @@ class TestLoggedDataset:
         with pytest.raises(ValueError, match="reward"):
             logged(rewards=(0.0, float("nan")))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_context_rejected(self, value):
+        contexts = np.zeros((2, 1))
+        contexts[1, 0] = value
+        with pytest.raises(ValueError, match="contexts"):
+            LoggedDataset(contexts, np.array([0, 1]), np.array([0.0, 1.0]), 2)
+
     def test_nan_propensity_rejected(self):
         with pytest.raises(ValueError, match="propensities"):
             logged(propensities=np.array([0.5, float("nan")]))

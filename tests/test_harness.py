@@ -221,6 +221,7 @@ class TestOutOfRangeValues:
         ("training", "learning_rate = nan", "learning_rate must not be NaN"),
         ("robust", "ratio_max = nan", "ratio_max must not be NaN"),
         ("robust", "mu0 = nan", "mu0 must not be NaN"),
+        ("robust", "mu0 = inf", "mu0 must be finite"),
         ("estimator_params", "tau = nan", "tau must not be NaN"),
     ]
 

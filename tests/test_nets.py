@@ -1,6 +1,7 @@
 """Neural kernel: forward/backward correctness, Adam steps, spectral norm."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -241,6 +242,34 @@ class TestAdam:
         step(net, [(np.array([[3.0]]), np.zeros(1))], config, state)
         assert np.allclose(net.layers[0].weight, [[1.0 - 0.01]], atol=1e-6)
 
+    def test_folded_step_matches_textbook_adam(self):
+        # 200 steps on random gradients against Kingma & Ba's algorithm
+        # written out on unscaled moments: equal to within rounding
+        rng = np.random.default_rng(19)
+        net = init_net([5, 7, 3], rng)
+        ref = copy.deepcopy(net)
+        config = SgdConfig(learning_rate=0.01)
+        state = AdamState.for_net(net)
+        lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
+        moments = [[np.zeros_like(a) for a in (l.weight, l.bias) * 2]
+                   for l in ref.layers]
+        for t in range(1, 201):
+            grads = [(rng.standard_normal(l.weight.shape),
+                      rng.standard_normal(l.bias.shape)) for l in net.layers]
+            step(net, grads, config, state)
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for layer, (dw, db), (mw, mb, vw, vb) in zip(
+                    ref.layers, grads, moments):
+                mw[:] = b1 * mw + (1 - b1) * dw
+                vw[:] = b2 * vw + (1 - b2) * dw ** 2
+                mb[:] = b1 * mb + (1 - b1) * db
+                vb[:] = b2 * vb + (1 - b2) * db ** 2
+                layer.weight -= lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
+                layer.bias -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+        for a, b in zip(net.layers, ref.layers):
+            assert np.allclose(a.weight, b.weight, rtol=1e-13, atol=1e-15)
+            assert np.allclose(a.bias, b.bias, rtol=1e-13, atol=1e-15)
+
 
 def spectral_normalize_one(weights, power_vec=None):
     """`spectral_normalize_net` over a one-layer net holding a copy of
@@ -288,6 +317,61 @@ class TestSpectralNormalize:
         normed, _ = spectral_normalize_one(w, power_vec=u)
         sigma = np.linalg.svd(normed, compute_uv=False)[0]
         assert abs(sigma - 1.0) <= 1e-2
+
+    @staticmethod
+    def burn_in_reference(w):
+        """The first-call burn-in written out: w^T u formed afresh each
+        iteration and the estimate read as u @ w @ v."""
+        u = np.random.default_rng(0).standard_normal(w.shape[0])
+        u /= math.sqrt(u @ u)
+        sigma_prev = None
+        for _ in range(2000):
+            v = w.T @ u
+            v /= math.sqrt(v @ v)
+            u = w @ v
+            u /= math.sqrt(u @ u)
+            sigma = float(u @ w @ v)
+            if sigma_prev is not None and abs(sigma - sigma_prev) \
+                    <= 1e-12 * abs(sigma):
+                break
+            sigma_prev = sigma
+        return w / sigma, u
+
+    @pytest.mark.parametrize("shape", [(64, 22), (64, 64), (64, 74),
+                                       (1, 64), (10, 64)])
+    def test_burn_in_matches_written_out_loop(self, shape):
+        # the shapes of the benchmark nets' layers, bit for bit
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            bound = 1.0 / np.sqrt(shape[1])
+            w = rng.uniform(-bound, bound, size=shape)
+            normed, u = spectral_normalize_one(w)
+            ref_normed, ref_u = self.burn_in_reference(w)
+            assert np.array_equal(normed, ref_normed)
+            assert np.array_equal(u, ref_u)
+
+    def test_power_step_matches_written_out_step(self):
+        # one per-step call: v = w^T u / |w^T u|, u = w v, sigma = |u|,
+        # u /= sigma, w /= sigma, bit for bit; sigma equals the
+        # u^T w v of the normalized u to rounding
+        rng = np.random.default_rng(14)
+        net = init_net([22, 64, 64, 1], rng)
+        power_vecs = [None] * len(net.layers)
+        spectral_normalize_net(net, power_vecs)
+        for layer in net.layers:
+            layer.weight += 0.01 * rng.standard_normal(layer.weight.shape)
+        before = [(l.weight.copy(), u.copy())
+                  for l, u in zip(net.layers, power_vecs)]
+        spectral_normalize_net(net, power_vecs)
+        for (w, u), layer, new_u in zip(before, net.layers, power_vecs):
+            v = w.T @ u
+            v /= math.sqrt(v @ v)
+            u = w @ v
+            sigma = math.sqrt(u @ u)
+            u /= sigma
+            assert np.array_equal(new_u, u)
+            assert np.array_equal(layer.weight, w / sigma)
+            assert sigma == pytest.approx(float(u @ w @ v), rel=1e-14)
 
     def test_net_normalization_in_place(self):
         rng = np.random.default_rng(12)
@@ -351,14 +435,17 @@ class TestFit:
                 grads = backward(ref, inputs[idx], g)
                 steps += 1
                 c1, c2 = 1.0 - b1 ** steps, 1.0 - b2 ** steps
+                # moments scaled by 1 / (1 - beta), corrections folded in
+                lr_t = lr * math.sqrt(c2) / c1 * (1 - b1) / math.sqrt(1 - b2)
+                eps_t = eps * math.sqrt(c2 / (1 - b2))
                 for layer, (dw, db), (mw, mb, vw, vb) in zip(
                         ref.layers, grads, moments):
-                    mw[:] = b1 * mw + (1 - b1) * dw
-                    vw[:] = b2 * vw + (1 - b2) * dw ** 2
-                    mb[:] = b1 * mb + (1 - b1) * db
-                    vb[:] = b2 * vb + (1 - b2) * db ** 2
-                    layer.weight -= lr * (mw / c1) / (np.sqrt(vw / c2) + eps)
-                    layer.bias -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+                    mw[:] = b1 * mw + dw
+                    vw[:] = b2 * vw + dw ** 2
+                    mb[:] = b1 * mb + db
+                    vb[:] = b2 * vb + db ** 2
+                    layer.weight -= lr_t * mw / (np.sqrt(vw) + eps_t)
+                    layer.bias -= lr_t * mb / (np.sqrt(vb) + eps_t)
         for a, b in zip(net.layers, ref.layers):
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
@@ -486,10 +573,11 @@ class TestFit:
             logged, UniformPolicy(2), UniformPolicy(2), [4], config),
     ], ids=["classifier", "direct", "robust"])
     def test_fault_names_epoch(self, trainer):
-        contexts = np.zeros((8, 2))
-        contexts[3] = np.inf
-        logged = LoggedDataset(contexts, np.arange(8) % 2, np.full(8, 0.5), 2,
+        logged = LoggedDataset(np.zeros((8, 2)), np.arange(8) % 2,
+                               np.full(8, 0.5), 2,
                                propensities=np.full(8, 0.5))
+        # written after construction, which rejects non-finite contexts
+        logged.contexts[3] = np.inf
         with np.errstate(all="ignore"), \
                 pytest.raises(TrainingFault, match="at epoch 0$"):
             trainer(logged, SgdConfig(epochs=2, batch_size=4))

@@ -1,18 +1,27 @@
 """Robust regression: Gaussian predictions, gradients, training, serialization."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_ope.data import LoggedDataset
-from robust_ope.nets import FeedForwardNet, Layer, SgdConfig, init_net
+from robust_ope import robust_regression
+from robust_ope.nets import (FeedForwardNet, Layer, SgdConfig, action_inputs,
+                             forward_batch, init_net)
 from robust_ope.policies import UniformPolicy, density_ratio
 from robust_ope.robust_regression import (
     BaseGaussian,
     RhoParams,
     RobustRegressor,
     RobustTrainSettings,
+    _clip_ratios,
+    _gaussian_params,
+    _nll_rho_grads,
+    _theta_out_grads,
+    _train,
     features,
     load_regressor,
     mean_matrix,
@@ -271,6 +280,52 @@ class TestTraining:
             nlls.append(batch_nll(reg, contexts, actions, rewards, ratios))
         assert nlls[1] < nlls[0]
 
+    def test_output_grads_is_the_gradient_composition(self, monkeypatch):
+        # each training step's closure, bit for bit, against clip ->
+        # _gaussian_params -> _nll_rho_grads -> rho step -> _theta_out_grads
+        # with the rho step's clip written out; ratios above ratio_max and
+        # a small rho_max make both clips bite
+        captured = []
+
+        def keep_closure(net, inputs, output_grads, config, rng):
+            captured.append((inputs, output_grads))
+            return net
+
+        monkeypatch.setattr(robust_regression, "fit", keep_closure)
+        rng = np.random.default_rng(26)
+        n, k = 12, 3
+        logged = LoggedDataset(rng.standard_normal((n, 2)),
+                               rng.integers(0, k, size=n), rng.random(n), k)
+        ratios = rng.uniform(0.0, 6.0, size=n)
+        settings = RobustTrainSettings(rho_learning_rate=0.5, rho_max=0.02,
+                                       ratio_max=4.0)
+        eta = 1e-3
+        reg = _train(logged, ratios, [5, 4], SgdConfig(), eta, None, settings)
+        (inputs, output_grads), = captured
+        assert np.array_equal(inputs, action_inputs(
+            logged.contexts, logged.actions, k))
+        rho_r_clipped = False
+        for step in range(6):
+            idx = rng.permutation(n)[:5]
+            feats = forward_batch(reg.net, inputs[idx])
+            ref = copy.deepcopy(reg)
+            w = _clip_ratios(ref, ratios[idx])
+            mu, sigma_sq = _gaussian_params(ref, feats, w)
+            grad_r, grad_xr, two_w_resid = _nll_rho_grads(
+                logged.rewards[idx], mu, sigma_sq, w, feats)
+            rho = ref.rho
+            step_r = rho.rho_r - 0.5 * (grad_r + eta * rho.rho_r)
+            rho.rho_r = float(np.clip(step_r, 0.0, 0.02))
+            rho_r_clipped |= rho.rho_r != step_r
+            rho.rho_xr = rho.rho_xr - 0.5 * (grad_xr + eta * rho.rho_xr)
+            expected = _theta_out_grads(two_w_resid, rho.rho_xr)
+
+            out = output_grads(feats, idx)
+            assert np.array_equal(out, expected)
+            assert reg.rho.rho_r == rho.rho_r
+            assert np.array_equal(reg.rho.rho_xr, rho.rho_xr)
+        assert np.any(ratios > 4.0) and rho_r_clipped
+
     def test_empty_dataset_rejected(self):
         logged = LoggedDataset(np.zeros((0, 2)), np.zeros(0, dtype=int),
                                np.zeros(0), 2)
@@ -385,3 +440,23 @@ class TestValidation:
             BaseGaussian(0.5, 0.0)
         with pytest.raises(ValueError):
             BaseGaussian(0.5, float("nan"))
+
+    @pytest.mark.parametrize("mu0", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_non_finite_base_mean_rejected(self, mu0):
+        with pytest.raises(ValueError, match="mu0"):
+            BaseGaussian(mu0, 1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rho_learning_rate", 0.0), ("rho_learning_rate", -1.0),
+        ("rho_learning_rate", float("nan")),
+        ("rho_max", -1.0), ("rho_max", float("nan")),
+        ("ratio_max", 0.0), ("ratio_max", -1.0), ("ratio_max", float("nan")),
+    ])
+    def test_out_of_range_train_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RobustTrainSettings(**{field: value})
+
+    def test_boundary_train_settings_accepted(self):
+        settings = RobustTrainSettings(rho_max=0.0, ratio_max=float("inf"))
+        assert settings.rho_max == 0.0
