@@ -53,7 +53,8 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     """Parse a comma-separated file with a header row and numeric features.
 
     Label values are re-indexed densely in sorted order (so e.g. character
-    labels map to 0..K-1); K is the number of distinct labels.
+    labels map to 0..K-1); K is the number of distinct labels. A file with
+    no feature column or fewer than 2 classes is rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -63,6 +64,8 @@ def load_csv(path, label_column: str) -> LabeledDataset:
             raise ParseError(f"{path}: empty file") from None
         if label_column not in header:
             raise ParseError(f"{path}: no column named {label_column!r}")
+        if len(header) < 2:
+            raise ParseError(f"{path}: no feature columns")
         label_idx = header.index(label_column)
         rows, raw_labels = [], []
         for lineno, row in enumerate(reader, start=2):
@@ -83,6 +86,9 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     if bad.size:  # float() also parses nan, inf and -Infinity
         raise ParseError(f"{path}:{bad[0] + 2}: non-finite feature value")
     classes = sorted(set(raw_labels))
+    if len(classes) < 2:
+        raise ParseError(f"{path}: need at least 2 label classes, "
+                         f"found {len(classes)}")
     index = {c: i for i, c in enumerate(classes)}
     labels = np.array([index[c] for c in raw_labels])
     return LabeledDataset(contexts=contexts, labels=labels,

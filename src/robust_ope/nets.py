@@ -80,6 +80,9 @@ def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:
     """
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
+    if min(layer_dims) < 1:
+        raise ValueError(f"every entry of layer_dims must be >= 1, "
+                         f"got {list(layer_dims)}")
     layers = []
     for i in range(len(layer_dims) - 1):
         fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
@@ -92,9 +95,11 @@ def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:
 def _forward_from(z: np.ndarray, layers: list[Layer]) -> np.ndarray:
     """Finish a forward pass from `z`, a fresh output of the layer before
     `layers`. Relu writes into each hidden output, which is freed once the
-    next layer has read it."""
+    next layer has read it, and the bias is added in place to each fresh
+    product."""
     for layer in layers:
-        z = np.maximum(z, 0.0, out=z) @ layer.weight.T + layer.bias
+        z = np.maximum(z, 0.0, out=z) @ layer.weight.T
+        z += layer.bias
     return z
 
 
@@ -105,7 +110,9 @@ def forward_batch(net: FeedForwardNet, inputs: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"expected (n, {net.in_dim}) input, got {inputs.shape}")
     first = net.layers[0]
-    return _forward_from(inputs @ first.weight.T + first.bias, net.layers[1:])
+    z = inputs @ first.weight.T
+    z += first.bias
+    return _forward_from(z, net.layers[1:])
 
 
 def action_inputs(contexts: np.ndarray, actions: np.ndarray,
@@ -126,8 +133,13 @@ def forward_actions(net: FeedForwardNet, contexts: np.ndarray, n_actions: int):
         raise DimensionError(f"expected (n, {d}) contexts, got {contexts.shape}")
     first, rest = net.layers[0], net.layers[1:]
     shared = contexts @ first.weight[:, :d].T
-    return (_forward_from(shared + first.weight[:, d + a] + first.bias, rest)
-            for a in range(n_actions))
+
+    def at(a):
+        z = shared + first.weight[:, d + a]
+        z += first.bias
+        return _forward_from(z, rest)
+
+    return (at(a) for a in range(n_actions))
 
 
 def _forward_trace(net: FeedForwardNet, inputs: np.ndarray) -> list:

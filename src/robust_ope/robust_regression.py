@@ -10,6 +10,16 @@ f(x, a) is the top hidden layer of a feedforward net on (context, one-hot
 action). Training alternates exact negative-log-likelihood gradient steps on
 (rho_r, rho_xr) with backprop SGD steps on the feature net. Setting every
 ratio to 1 gives the iid ablation trained by `train_iid`.
+
+The features enter the Gaussian only through <rho_xr, f>, and f's top layer
+is linear, f = W h + b, so
+
+    <rho_xr, f(x, a)> = (rho_xr^T W) h + rho_xr^T b.
+
+The read path (`predict_batch`, `mean_matrix`) folds rho_xr into that layer
+and runs a net with one output, never forming the (n, k) feature matrix.
+Training still forms f: the gradient of the NLL in rho_xr is a mean of
+2 w (r - mu) f, and backprop needs d(NLL)/df at every feature.
 """
 
 from __future__ import annotations
@@ -83,23 +93,34 @@ def _clip_ratios(reg: RobustRegressor, ratios) -> np.ndarray:
     return np.clip(np.asarray(ratios, dtype=float), 0.0, reg.ratio_max)
 
 
-def _gaussian_params(reg: RobustRegressor, feats: np.ndarray,
+def _gaussian_params(reg: RobustRegressor, proj: np.ndarray,
                      ratios: np.ndarray):
-    """Gaussian (mu, sigma_sq) at features `feats` and density ratios
-    `ratios` already clipped by `_clip_ratios`."""
+    """Gaussian (mu, sigma_sq) at readouts `proj` = <rho_xr, f> and density
+    ratios `ratios` already clipped by `_clip_ratios`; elementwise, so any
+    matching shapes."""
     inv_s0 = 1.0 / reg.base.sigma0_sq
     two_w = 2.0 * ratios
     sigma_sq = 1.0 / (two_w * reg.rho.rho_r + inv_s0)
-    mu = sigma_sq * (reg.base.mu0 * inv_s0 - two_w * (feats @ reg.rho.rho_xr))
+    mu = sigma_sq * (reg.base.mu0 * inv_s0 - two_w * proj)
     return mu, sigma_sq
+
+
+def _readout_net(reg: RobustRegressor) -> FeedForwardNet:
+    """The fitted net with its linear top layer (W, b) replaced by the one
+    row (rho_xr^T W, rho_xr^T b): its one output is <rho_xr, f>."""
+    *trunk, last = reg.net.layers
+    rho_xr = reg.rho.rho_xr
+    return FeedForwardNet(trunk + [Layer((rho_xr @ last.weight)[None, :],
+                                         np.array([last.bias @ rho_xr]))])
 
 
 def predict_batch(reg: RobustRegressor, contexts: np.ndarray,
                   actions: np.ndarray, ratios: np.ndarray):
     """Conditional Gaussian (mu, sigma_sq) per (context, action, ratio) row;
     each (n,), unclipped."""
-    return _gaussian_params(reg, features(reg, contexts, actions),
-                            _clip_ratios(reg, ratios))
+    proj = forward_batch(_readout_net(reg), action_inputs(
+        contexts, actions, reg.n_actions))[:, 0]
+    return _gaussian_params(reg, proj, _clip_ratios(reg, ratios))
 
 
 def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
@@ -114,9 +135,10 @@ def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
     n = len(contexts)
     if ratios.shape != (n, reg.n_actions):
         raise ValueError(f"ratios must have shape {(n, reg.n_actions)}")
-    feats = forward_actions(reg.net, contexts, reg.n_actions)
-    mu = [_gaussian_params(reg, f, r)[0] for f, r in zip(feats, ratios.T)]
-    return np.clip(np.column_stack(mu), reg.r_min, reg.r_max)
+    proj = np.hstack([*forward_actions(_readout_net(reg), contexts,
+                                       reg.n_actions)])
+    mu = _gaussian_params(reg, proj, ratios)[0]
+    return np.clip(mu, reg.r_min, reg.r_max, out=mu)
 
 
 def _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats):
@@ -174,7 +196,7 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
     def output_grads(feats, idx):
         # exact-NLL step on rho, then the feature gradients under the new rho
         w = ratios[idx]
-        mu, sigma_sq = _gaussian_params(reg, feats, w)
+        mu, sigma_sq = _gaussian_params(reg, feats @ rho.rho_xr, w)
         if not np.isfinite(mu).all():
             raise TrainingFault("diverged")
         grad_r, grad_xr, two_w_resid = _nll_rho_grads(rewards[idx], mu,

@@ -143,7 +143,7 @@ def rho_gradients(reg: RobustRegressor, contexts: np.ndarray,
         raise ValueError("empty minibatch")
     feats = features(reg, contexts, actions)
     ratios = _clip_ratios(reg, ratios)
-    mu, sigma_sq = _gaussian_params(reg, feats, ratios)
+    mu, sigma_sq = _gaussian_params(reg, feats @ reg.rho.rho_xr, ratios)
     grad_r, grad_xr, _ = _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats)
     if not (np.isfinite(grad_r) and np.all(np.isfinite(grad_xr))):
         raise TrainingFault("non-finite rho gradient")
@@ -156,7 +156,7 @@ def theta_gradients(reg: RobustRegressor, contexts, actions, rewards, ratios):
     inputs = action_inputs(contexts, actions, reg.n_actions)
     feats = forward_batch(reg.net, inputs)
     ratios = _clip_ratios(reg, ratios)
-    mu, sigma_sq = _gaussian_params(reg, feats, ratios)
+    mu, sigma_sq = _gaussian_params(reg, feats @ reg.rho.rho_xr, ratios)
     *_, two_w_resid = _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats)
     out_grads = _theta_out_grads(two_w_resid, reg.rho.rho_xr)
     return backward(reg.net, inputs, out_grads)
@@ -166,6 +166,7 @@ def batch_nll(reg: RobustRegressor, contexts, actions, rewards, ratios) -> float
     """Mean Gaussian negative log-likelihood of a batch; the training objective."""
     rewards = np.asarray(rewards, dtype=float)
     feats = features(reg, contexts, actions)
-    mu, sigma_sq = _gaussian_params(reg, feats, _clip_ratios(reg, ratios))
+    mu, sigma_sq = _gaussian_params(reg, feats @ reg.rho.rho_xr,
+                                    _clip_ratios(reg, ratios))
     return float(np.mean(0.5 * np.log(2.0 * np.pi * sigma_sq)
                          + (rewards - mu) ** 2 / (2.0 * sigma_sq)))

@@ -59,6 +59,18 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"bad\.csv:2: non-"):
             load_csv(path, "label")
 
+    def test_label_only_file_rejected(self, tmp_path):
+        path = write(tmp_path, "labels.csv", "label\n0\n1\n")
+        with pytest.raises(ParseError,
+                           match=r"labels\.csv: no feature columns"):
+            load_csv(path, "label")
+
+    def test_one_class_file_rejected(self, tmp_path):
+        path = write(tmp_path, "one.csv", "a,label\n1.0,3\n2.0,3\n")
+        with pytest.raises(ParseError, match=r"one\.csv: need at least 2 "
+                                             r"label classes, found 1"):
+            load_csv(path, "label")
+
     def test_character_labels_reindexed_densely(self, tmp_path):
         path = write(tmp_path, "chars.csv",
                      "a,label\n1,z\n2,m\n3,z\n")

@@ -597,3 +597,9 @@ class TestInitNet:
     def test_too_few_dims_rejected(self):
         with pytest.raises(ValueError):
             init_net([3], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dims", [[0, 4], [3, 0], [3, 4, 0, 2], [3, -1]])
+    def test_dim_below_one_rejected(self, dims):
+        # a fan-in of 0 would give an infinite init bound
+        with pytest.raises(ValueError, match="layer_dims"):
+            init_net(dims, np.random.default_rng(0))

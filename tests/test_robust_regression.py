@@ -310,7 +310,7 @@ class TestTraining:
             feats = forward_batch(reg.net, inputs[idx])
             ref = copy.deepcopy(reg)
             w = _clip_ratios(ref, ratios[idx])
-            mu, sigma_sq = _gaussian_params(ref, feats, w)
+            mu, sigma_sq = _gaussian_params(ref, feats @ ref.rho.rho_xr, w)
             grad_r, grad_xr, two_w_resid = _nll_rho_grads(
                 logged.rewards[idx], mu, sigma_sq, w, feats)
             rho = ref.rho
@@ -382,6 +382,66 @@ class TestMeanMatrix:
         reg = constant_feature_regressor([1.0])
         with pytest.raises(ValueError, match="shape"):
             mean_matrix(reg, np.zeros((3, 1)), np.ones((1, 2)))
+
+
+class TestReadoutFold:
+    """The read path folds rho_xr into the net's linear top layer; checked
+    against the unfolded formula, <rho_xr, f> formed from the features."""
+
+    @pytest.mark.parametrize("hidden", [[3], [6, 3], [7, 5, 3]])
+    def test_equals_unfolded_reference(self, hidden):
+        rng = np.random.default_rng(40 + len(hidden))
+        n, d, k = 60, 4, 3
+        net = init_net([d + k, *hidden], rng)
+        for layer in net.layers:  # nonzero biases, so rho_xr^T b counts
+            layer.bias[:] = rng.standard_normal(layer.bias.shape)
+        reg = RobustRegressor(
+            net=net, rho=RhoParams(float(rng.uniform(0.1, 2.0)),
+                                   rng.standard_normal(hidden[-1])),
+            base=BaseGaussian(0.3, 0.7), n_actions=k, r_min=-3.0,
+            r_max=3.0, ratio_max=5.0)
+        contexts = rng.standard_normal((n, d))
+        ratios = rng.uniform(0.0, 10.0, (n, k))
+        assert np.any(ratios > reg.ratio_max)
+        assert np.any(ratios < reg.ratio_max)
+        clipped = _clip_ratios(reg, ratios)
+        ref = np.empty((n, k))
+        for a in range(k):
+            actions = np.full(n, a)
+            proj = features(reg, contexts, actions) @ reg.rho.rho_xr
+            mu, sigma_sq = _gaussian_params(reg, proj, clipped[:, a])
+            got_mu, got_sigma_sq = predict_batch(reg, contexts, actions,
+                                                 ratios[:, a])
+            assert np.allclose(got_mu, mu, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(got_sigma_sq, sigma_sq)
+            ref[:, a] = mu
+        inside = (ref > reg.r_min) & (ref < reg.r_max)
+        assert inside.mean() > 0.5  # the clip hides few differences
+        assert np.allclose(mean_matrix(reg, contexts, ratios),
+                           np.clip(ref, reg.r_min, reg.r_max),
+                           rtol=1e-12, atol=1e-12)
+        assert reg.net.out_dim == hidden[-1]  # the fitted net is untouched
+
+    def test_read_path_forms_no_feature_matrix(self, monkeypatch):
+        # every net the read path runs has one output, <rho_xr, f>
+        out_dims = []
+
+        def spy(forward):
+            def wrapped(net, *args):
+                out_dims.append(net.out_dim)
+                return forward(net, *args)
+            return wrapped
+
+        for name in ("forward_actions", "forward_batch"):
+            monkeypatch.setattr(robust_regression, name,
+                                spy(getattr(robust_regression, name)))
+        rng = np.random.default_rng(41)
+        reg = random_regressor(rng, d=3, n_actions=4, k=6)
+        contexts = rng.standard_normal((9, 3))
+        mean_matrix(reg, contexts, np.ones((9, 4)))
+        assert out_dims == [1]
+        predict_batch(reg, contexts, np.zeros(9, dtype=int), np.ones(9))
+        assert out_dims == [1, 1]
 
 
 class TestSerialization:
