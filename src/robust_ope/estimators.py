@@ -21,7 +21,7 @@ import numpy as np
 from .data import LoggedDataset
 from .nets import (FeedForwardNet, SgdConfig, action_inputs, fit,
                    forward_actions, init_net)
-from .policies import Policy, density_ratio, logged_propensities
+from .policies import Policy, density_ratio
 from .robust_regression import RobustRegressor, mean_matrix
 
 #: safety clip on importance weights pi / p-hat; np.inf disables it
@@ -107,8 +107,9 @@ class _Inputs:
     @cached_property
     def p(self) -> np.ndarray:
         if self.logging is None:
-            raise ValueError("robust kinds need a logging policy: the density "
-                             "ratio is read at every action")
+            raise ValueError("need a logging policy: robust kinds read p-hat "
+                             "at every action, and the weights read it where "
+                             "no propensities are logged")
         return self.logging.probs_matrix(self.logged.contexts)
 
     def w(self, w_max: float) -> np.ndarray:
@@ -116,10 +117,9 @@ class _Inputs:
         [0, w_max]."""
         w = self._w.get(w_max)
         if w is None:
-            # p-hat is evaluated only where no logged propensities stand in
-            probs = (self.p if self.logged.propensities is None
-                     and self.logging is not None else None)
-            p = logged_propensities(self.logged, self.logging, probs)
+            p = self.logged.propensities
+            if p is None:
+                p = self.at_logged(self.p)
             if np.any(p <= 0):
                 raise ValueError("zero propensity encountered")
             w = density_ratio(self.at_logged(self.pi), p, w_max)

@@ -1,22 +1,21 @@
 """Config-driven experiment runner: repeated trials, all estimators, RMSE report.
 
-A trial follows the benchmark protocol end to end: split the labeled data,
-train the evaluation policy on the train split, build the logging policy for
-the configured mode, log bandit feedback, fit the reward models, then score
-every configured estimator against the exact ground-truth value on the test
-contexts. Trials are independent and may run in a process pool; each owns an
-RNG stream derived from (master seed, trial index).
+A trial follows the benchmark protocol, one stage function per step: split
+the labeled data, train the evaluation policy on the train split, build the
+logging policy for the configured mode, log bandit feedback, fit the reward
+models, then score every configured estimator against the exact ground-truth
+value on the test contexts. Trials are independent and may run in a process
+pool; each owns an RNG stream derived from (master seed, trial index).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import configparser
-import io
 import math
 import time
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from . import bandit_sim, diagnostics, estimators, policies, robust_regression
 from .bandit_sim import LabeledDataset, SplitConfig
 from .data import LoggedDataset
 from .nets import SgdConfig
+from .policies import Policy
 from .robust_regression import BaseGaussian, RobustTrainSettings
 
 LOGGING_MODES = ("uniform", "biased_known", "estimated")
@@ -100,8 +100,6 @@ class ExperimentConfig:
         if not self.estimator_names:
             raise ConfigError("estimators must name at least one kind")
         for i, name in enumerate(self.estimator_names):
-            if name not in estimators.ESTIMATOR_KINDS:
-                raise ConfigError(f"unknown estimator {name!r}")
             if name in self.estimator_names[:i]:
                 raise ConfigError(f"estimator {name!r} listed twice")
         # the robust model's features are the last hidden layer
@@ -119,20 +117,15 @@ class ExperimentConfig:
             raise ConfigError("w_max must be positive")
         if self.eta < 0:
             raise ConfigError("eta must be nonnegative")
-        # the checks of the objects run_trial builds, so that a bad value is
-        # a config error here, not a runtime fault mid-run
+        # build what a trial builds, through the same helpers (EstimatorSpec
+        # rejects an unknown kind), so a bad value fails here, not mid-run
         try:
             _estimator_specs(self)
             SplitConfig(self.train_fraction)
             for epochs in (self.reward_epochs, self.classifier_epochs):
-                SgdConfig(self.learning_rate, epochs, self.batch_size)
-            BaseGaussian(self.mu0, self.sigma0_sq)
-            RobustTrainSettings(self.rho_learning_rate, self.rho_max,
-                                self.ratio_max)
-            diagnostics.BoundInputs(w_max=1.0, rho_cap=self.rho_max,
-                                    eta1=self.eta1, eta2=self.eta2,
-                                    delta=self.delta, epsilon=self.epsilon,
-                                    bigo_constant=self.bigo_constant)
+                _sgd(self, epochs, seed=0)
+            _reward_fit_settings(self)
+            diagnostics.BoundInputs(w_max=1.0, **_bound_settings(self))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -149,8 +142,7 @@ def parse_config(path) -> ExperimentConfig:
         schema.setdefault(f.metadata["section"], {})[
             f.metadata["key"] or f.name] = (f.name, hints[f.name])
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path}")
     # configparser would copy these keys into every section
     if parser.defaults():
@@ -228,98 +220,107 @@ def _estimator_specs(config: ExperimentConfig) -> list[estimators.EstimatorSpec]
             for name in config.estimator_names]
 
 
-def run_trial(config: ExperimentConfig, dataset: LabeledDataset,
-              seed: int) -> TrialResult:
-    """One full protocol pass; fully reproducible given (config, seed)."""
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    k = dataset.n_classes
+def _sgd(config: ExperimentConfig, epochs: int, seed: int) -> SgdConfig:
+    return SgdConfig(learning_rate=config.learning_rate, epochs=epochs,
+                     batch_size=config.batch_size, seed=seed)
 
-    train, test = bandit_sim.split(dataset, SplitConfig(config.train_fraction,
-                                                        seed=seed))
-    train, test = bandit_sim.standardize(train, test)
 
-    sgd = lambda epochs, s: SgdConfig(learning_rate=config.learning_rate,
-                                      epochs=epochs,
-                                      batch_size=config.batch_size, seed=s)
+def _reward_fit_settings(config: ExperimentConfig) -> dict:
+    return dict(eta=config.eta, base=BaseGaussian(config.mu0, config.sigma0_sq),
+                settings=RobustTrainSettings(config.rho_learning_rate,
+                                             config.rho_max, config.ratio_max))
 
-    target = policies.train_classifier_policy(
-        train.contexts, train.labels, k, config.hidden_dims,
-        sgd(config.classifier_epochs, seed + 1),
-        temperature=config.eval_temperature)
 
-    known_propensities = True
+def _bound_settings(config: ExperimentConfig) -> dict:
+    return dict(rho_cap=config.rho_max, sigma0_sq=config.sigma0_sq,
+                eta1=config.eta1, eta2=config.eta2, delta=config.delta,
+                epsilon=config.epsilon, bigo_constant=config.bigo_constant)
+
+
+def _split_data(config: ExperimentConfig, dataset: LabeledDataset, seed: int):
+    split = SplitConfig(config.train_fraction, seed=seed)
+    return bandit_sim.standardize(*bandit_sim.split(dataset, split))
+
+
+def _make_policies(config: ExperimentConfig, train: LabeledDataset, seed: int):
+    def classifier(data, offset, temperature):
+        return policies.train_classifier_policy(
+            data.contexts, data.labels, train.n_classes, config.hidden_dims,
+            _sgd(config, config.classifier_epochs, seed + offset),
+            temperature=temperature)
+
+    target = classifier(train, 1, config.eval_temperature)
     if config.logging_mode == "uniform":
-        logging_policy = policies.UniformPolicy(k)
-    else:
-        sub = _biased_subsample(train, config.beta, rng)
-        sample_model = policies.train_classifier_policy(
-            sub.contexts, sub.labels, k, config.hidden_dims,
-            sgd(config.classifier_epochs, seed + 2),
-            temperature=config.temperature)
-        logging_policy = sample_model
-        known_propensities = config.logging_mode == "biased_known"
+        return target, policies.UniformPolicy(train.n_classes)
+    sub = _biased_subsample(train, config.beta, np.random.default_rng(seed))
+    return target, classifier(sub, 2, config.temperature)
 
+
+def _log_feedback(config: ExperimentConfig, train: LabeledDataset,
+                  test: LabeledDataset, logging_policy: Policy, seed: int):
     train_log = bandit_sim.log_bandit_feedback(train, logging_policy,
                                                seed=seed + 3)
     test_log = bandit_sim.log_bandit_feedback(test, logging_policy,
                                               seed=seed + 4)
+    if config.logging_mode != "estimated":
+        return train_log, test_log, logging_policy
+    # logged propensities would take precedence over p-hat in every reader
+    train_log = replace(train_log, propensities=None)
+    test_log = replace(test_log, propensities=None)
+    return train_log, test_log, policies.estimate_logging_policy(
+        train_log, config.hidden_dims,
+        _sgd(config, config.classifier_epochs, seed + 5))
 
-    if known_propensities:
-        p_hat = logging_policy
-    else:
-        # drop the true propensities and estimate the logging policy instead
-        train_log = LoggedDataset(train_log.contexts, train_log.actions,
-                                  train_log.rewards, k)
-        test_log = LoggedDataset(test_log.contexts, test_log.actions,
-                                 test_log.rewards, k)
-        p_hat = policies.estimate_logging_policy(
-            train_log, config.hidden_dims, sgd(config.classifier_epochs,
-                                               seed + 5))
 
-    truth = bandit_sim.true_value(test, target)
-
-    base = BaseGaussian(config.mu0, config.sigma0_sq)
-    settings = RobustTrainSettings(
-        rho_learning_rate=config.rho_learning_rate, rho_max=config.rho_max,
-        ratio_max=config.ratio_max)
+def _fit_reward_models(config: ExperimentConfig, log: LoggedDataset,
+                       target: Policy, p_hat: Policy, seed: int) -> dict:
+    dims, settings = config.hidden_dims, _reward_fit_settings(config)
+    sgd = lambda offset: _sgd(config, config.reward_epochs, seed + offset)
+    fits = {
+        "direct": lambda: estimators.train_direct_model(log, dims, sgd(6)),
+        "robust": lambda: robust_regression.train_robust(
+            log, target, p_hat, dims, sgd(7), **settings),
+        "iid": lambda: robust_regression.train_iid(
+            log, dims, sgd(8), **settings),
+    }
     reads = {estimators.MODEL_READ[name] for name in config.estimator_names}
-    model = robust = robust_iid = None
-    if "direct" in reads:
-        model = estimators.train_direct_model(
-            train_log, config.hidden_dims, sgd(config.reward_epochs, seed + 6))
-    if "robust" in reads:
-        robust = robust_regression.train_robust(
-            train_log, target, p_hat, config.hidden_dims,
-            sgd(config.reward_epochs, seed + 7), eta=config.eta, base=base,
-            settings=settings)
-    if "iid" in reads:
-        robust_iid = robust_regression.train_iid(
-            train_log, config.hidden_dims, sgd(config.reward_epochs, seed + 8),
-            eta=config.eta, base=base, settings=settings)
+    return {read: fit() for read, fit in fits.items() if read in reads}
 
-    errors = {}
-    for spec in _estimator_specs(config):
-        est = estimators.evaluate_estimator(
-            spec, test_log, target, logging=p_hat, model=model, robust=robust,
-            robust_iid=robust_iid, w_max=config.w_max)
-        errors[spec.kind] = abs(est - truth)
 
+def _bound_diagnostics(config: ExperimentConfig, test_log: LoggedDataset,
+                       target: Policy, p_hat: Policy, models: dict) -> dict:
     feats = None
-    if robust is not None:
-        feats = robust_regression.features(robust, test_log.contexts,
+    if "robust" in models:
+        feats = robust_regression.features(models["robust"], test_log.contexts,
                                            test_log.actions)
     bounds = diagnostics.measure_bound_inputs(
-        test_log, target, p_hat, rho_cap=config.rho_max,
-        sigma0_sq=config.sigma0_sq, feats=feats, eta1=config.eta1,
-        eta2=config.eta2, delta=config.delta, epsilon=config.epsilon,
-        bigo_constant=config.bigo_constant)
-    diag = {
+        test_log, target, p_hat, feats=feats, **_bound_settings(config))
+    return {
         "w_max_observed": bounds.w_max,
         "bias_bound": diagnostics.bias_bound(bounds),
         "variance_bound": diagnostics.variance_bound(bounds),
         "minimax_lower_bound": diagnostics.minimax_lower_bound(bounds),
     }
+
+
+def run_trial(config: ExperimentConfig, dataset: LabeledDataset,
+              seed: int) -> TrialResult:
+    """One full protocol pass; fully reproducible given (config, seed)."""
+    start = time.perf_counter()
+    train, test = _split_data(config, dataset, seed)
+    target, logging_policy = _make_policies(config, train, seed)
+    train_log, test_log, p_hat = _log_feedback(config, train, test,
+                                               logging_policy, seed)
+    truth = bandit_sim.true_value(test, target)
+    models = _fit_reward_models(config, train_log, target, p_hat, seed)
+    errors = {}
+    for spec in _estimator_specs(config):
+        est = estimators.evaluate_estimator(
+            spec, test_log, target, logging=p_hat, model=models.get("direct"),
+            robust=models.get("robust"), robust_iid=models.get("iid"),
+            w_max=config.w_max)
+        errors[spec.kind] = abs(est - truth)
+    diag = _bound_diagnostics(config, test_log, target, p_hat, models)
     return TrialResult(errors=errors, true_value=truth,
                        wall_clock=time.perf_counter() - start,
                        diagnostics=diag)
@@ -365,18 +366,17 @@ def emit_report(report: ExperimentReport, fmt: str = "csv") -> str:
     diag = report.diagnostics
     diag_keys = sorted(diag)
     if fmt == "csv":
-        buf = io.StringIO()
         header = ["estimator", "rmse_mean", "rmse_std", "n_trials"] + diag_keys
-        buf.write(",".join(header) + "\n")
+        lines = [",".join(header)]
         for i, name in enumerate(report.estimator_names):
             row = [name, f"{rmse[i]:.12g}", f"{std[i]:.12g}",
                    str(report.errors.shape[0])]
             row += [f"{diag[k]:.12g}" for k in diag_keys]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
-    if fmt == "markdown":
+            lines.append(",".join(row))
+    elif fmt == "markdown":
         lines = ["| estimator | rmse (std) |", "|---|---|"]
         for i, name in enumerate(report.estimator_names):
             lines.append(f"| {name} | {rmse[i]:.3g} ({std[i]:.3g}) |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return "\n".join(lines) + "\n"

@@ -73,17 +73,13 @@ def density_ratio(num: np.ndarray, den: np.ndarray, cap: float) -> np.ndarray:
     return np.clip(ratio, 0.0, cap)
 
 
-def logged_propensities(logged, logging: Policy | None,
-                        probs: np.ndarray | None = None) -> np.ndarray:
-    """p-hat(a|x) at the logged actions; logged propensities take precedence.
-
-    `probs` is `logging.probs_matrix(logged.contexts)` if already computed."""
+def logged_propensities(logged, logging: Policy | None) -> np.ndarray:
+    """p-hat(a|x) at the logged actions; logged propensities take precedence."""
     if logged.propensities is not None:
         return logged.propensities
     if logging is None:
         raise ValueError("need logged propensities or a logging policy")
-    if probs is None:
-        probs = logging.probs_matrix(logged.contexts)
+    probs = logging.probs_matrix(logged.contexts)
     return probs[np.arange(len(logged)), logged.actions]
 
 

@@ -7,6 +7,12 @@ import sys
 
 import pytest
 
+# OpenBLAS reads this once, when numpy first loads, so it must be set before
+# any test module imports numpy. On a small host the default of one thread
+# per core competes with the process pools that some tests start; the
+# results do not depend on the BLAS thread count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "data"
 

@@ -728,7 +728,7 @@ class TestImportanceWeights:
     def test_missing_propensity_source_rejected(self):
         contexts = np.array([[0.0]])
         logged = LoggedDataset(contexts, np.array([0]), np.zeros(1), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="logging policy"):
             importance_weights(logged, UniformPolicy(2), None)
 
 

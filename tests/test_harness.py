@@ -10,11 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from robust_ope import bandit_sim, estimators, robust_regression
+from robust_ope import bandit_sim, diagnostics, estimators, \
+    robust_regression
 from robust_ope.bandit_sim import LabeledDataset
 from robust_ope.estimators import ESTIMATOR_KINDS, EstimatorSpec, \
     evaluate_estimator
 from robust_ope.harness import (
+    LOGGING_MODES,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
@@ -287,7 +289,8 @@ class TestRunTrial:
         config = ExperimentConfig(**SMALL)
         dataset = _load_dataset(config)
         score, truth = estimators.evaluate_estimator, bandit_sim.true_value
-        scored, truths = [], []
+        measure = diagnostics.measure_bound_inputs
+        scored, truths, measured = [], [], []
 
         def record_score(*args, **kwargs):
             value = score(*args, **kwargs)
@@ -298,9 +301,24 @@ class TestRunTrial:
             truths.append((args, kwargs))
             return truth(*args, **kwargs)
 
+        def record_measure(*args, **kwargs):
+            measured.append((args, kwargs))
+            return measure(*args, **kwargs)
+
         monkeypatch.setattr(estimators, "evaluate_estimator", record_score)
         monkeypatch.setattr(bandit_sim, "true_value", record_truth)
+        monkeypatch.setattr(diagnostics, "measure_bound_inputs",
+                            record_measure)
         result = run_trial(config, dataset, seed=0)
+
+        # the keywords bench/workloads.py passes when it replays the call
+        ((logged, pi, logging), measure_kwargs), = measured
+        assert set(measure_kwargs) == {"rho_cap", "sigma0_sq", "feats",
+                                       "eta1", "eta2", "delta", "epsilon",
+                                       "bigo_constant"}
+        (_, score_logged, score_pi), score_kwargs, _ = scored[0]
+        assert logged is score_logged and pi is score_pi
+        assert logging is score_kwargs["logging"]
 
         ((test, target), truth_kwargs), = truths
         assert truth_kwargs == {}
@@ -316,6 +334,59 @@ class TestRunTrial:
             assert set(kwargs) == {"logging", "model", "robust",
                                    "robust_iid", "w_max"}
             assert result.errors[spec.kind] == abs(value - result.true_value)
+
+
+class TestTrialGolden:
+    """One small synthetic trial per logging mode, all 13 kinds, pinned."""
+
+    CONFIG = dict(dataset="synthetic", synthetic_n=200, synthetic_d=4,
+                  synthetic_k=3, trials=1, classifier_epochs=2,
+                  reward_epochs=2, hidden_width=8, hidden_layers=2)
+    TRUTH = 0.39823526502245465
+    #: mode -> (errors in ESTIMATOR_KINDS order, diagnostics)
+    GOLDEN = {
+        "uniform": (
+            [0.23957458678923052, 0.03588678997931721, 0.008143559692869284,
+             0.034247406519179124, 0.01852652002829247, 0.2415244985315787,
+             0.1815173635711318, 0.02834937753192107, 0.04109582833400777,
+             0.002082041309722227, 0.004412024513781643,
+             0.018944984488261096, 0.013892533544216101],
+            {"w_max_observed": 2.5502182693319524,
+             "bias_bound": 0.3345282975696503,
+             "variance_bound": 1.3911451392787775,
+             "minimax_lower_bound": 3.7383524959733385e-06}),
+        "biased_known": (
+            [0.2392358746582598, 0.027748278657285574, 0.008063968474027572,
+             0.03160457872381456, 0.020572939332041018, 0.24131255251218955,
+             0.18110532448914896, 0.031382867782217994, 0.04295221917013897,
+             0.002940720802927954, 0.0047643642483865545,
+             0.02416534933290626, 0.010814577069984677],
+            {"w_max_observed": 2.763161850619859,
+             "bias_bound": 0.3493009582977593,
+             "variance_bound": 1.6329355723867556,
+             "minimax_lower_bound": 4.38872322121924e-06}),
+        "estimated": (
+            [0.2392358746582598, 0.021606784747093766, 0.039288091082971544,
+             0.02125204505150119, 0.032222281852964774, 0.2551052712282281,
+             0.17855525295355792, 0.022486102933847896, 0.04295221917013897,
+             0.03982237354107754, 0.0405524764726356,
+             0.0025407652066500863, 0.01276523729366602],
+            {"w_max_observed": 4.396057709010963,
+             "bias_bound": 0.4496915833505685,
+             "variance_bound": 4.13057198332717,
+             "minimax_lower_bound": 1.1108420571629734e-05}),
+    }
+
+    @pytest.mark.parametrize("mode", LOGGING_MODES)
+    def test_matches_golden_trial(self, mode):
+        config = ExperimentConfig(**self.CONFIG, logging_mode=mode)
+        result = run_trial(config, _load_dataset(config), seed=0)
+        errors, diag = self.GOLDEN[mode]
+        assert result.true_value == pytest.approx(self.TRUTH, rel=1e-12)
+        assert list(result.errors) == list(ESTIMATOR_KINDS)
+        assert list(result.errors.values()) == pytest.approx(errors,
+                                                             rel=1e-12)
+        assert result.diagnostics == pytest.approx(diag, rel=1e-12)
 
 
 class TestModelsFromEstimatorTable:
