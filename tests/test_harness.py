@@ -3,18 +3,23 @@
 import concurrent.futures
 import csv
 import dataclasses
+import multiprocessing
+import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from robust_ope import bandit_sim, diagnostics, estimators, \
+from robust_ope import bandit_sim, diagnostics, estimators, harness, \
     robust_regression
 from robust_ope.bandit_sim import LabeledDataset
 from robust_ope.estimators import ESTIMATOR_KINDS, EstimatorSpec, \
-    evaluate_estimator
+    NetRewardModel, evaluate_estimator
+from robust_ope.nets import TrainingFault
+from robust_ope.robust_regression import RobustRegressor
 from robust_ope.harness import (
     LOGGING_MODES,
     ConfigError,
@@ -225,6 +230,8 @@ class TestOutOfRangeValues:
         ("robust", "mu0 = nan", "mu0 must not be NaN"),
         ("robust", "mu0 = inf", "mu0 must be finite"),
         ("estimator_params", "tau = nan", "tau must not be NaN"),
+        ("logging_policy", "beta = -0.5", "beta must be in"),
+        ("logging_policy", "beta = 7", "beta must be in"),
     ]
 
     @pytest.mark.parametrize("section, line, message", CASES,
@@ -389,6 +396,114 @@ class TestTrialGolden:
         assert result.diagnostics == pytest.approx(diag, rel=1e-12)
 
 
+def hexed(result):
+    """A trial's truth, errors and diagnostics, each as `float.hex`."""
+    return (result.true_value.hex(),
+            {k: v.hex() for k, v in result.errors.items()},
+            {k: v.hex() for k, v in result.diagnostics.items()})
+
+
+def helper_on(monkeypatch, on=True):
+    """Turn the fit helper on for fits of any length, or off."""
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2 if on else 1)
+    monkeypatch.setattr(harness, "_MIN_OVERLAP_STEPS", 0)
+
+
+class TestFitSideBySide:
+    """A stage's fits in two processes: same results, no process left."""
+
+    STEPS = harness._MIN_OVERLAP_STEPS
+
+    @pytest.fixture(autouse=True)
+    def no_children_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def pids(n):
+        return [lambda i=i: (i, os.getpid()) for i in range(n)]
+
+    def test_first_call_here_rest_in_one_helper(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        results = harness._fit_side_by_side(self.pids(3), self.STEPS)
+        assert [i for i, _ in results] == [0, 1, 2]
+        here, *helper = [pid for _, pid in results]
+        assert here == os.getpid()
+        assert len(set(helper)) == 1 and helper[0] != here
+
+    @pytest.mark.parametrize("case", ["one_cpu", "pool_worker", "short",
+                                      "one_call"])
+    def test_calls_run_here_in_turn(self, case, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus",
+                            lambda: 1 if case == "one_cpu" else 2)
+        if case == "pool_worker":
+            # any process object: the pool's parent, as a worker sees it
+            monkeypatch.setattr(multiprocessing, "parent_process",
+                                multiprocessing.current_process)
+        n = 1 if case == "one_call" else 3
+        steps = self.STEPS - 1 if case == "short" else self.STEPS
+        results = harness._fit_side_by_side(self.pids(n), steps)
+        assert results == [(i, os.getpid()) for i in range(n)]
+
+    @pytest.mark.parametrize("mode", LOGGING_MODES)
+    def test_run_trial_same_bits_helper_on_and_off(self, mode, monkeypatch):
+        config = ExperimentConfig(**TestTrialGolden.CONFIG, logging_mode=mode)
+        dataset = _load_dataset(config)
+        results = {}
+        for on in (False, True):
+            helper_on(monkeypatch, on)
+            results[on] = hexed(run_trial(config, dataset, seed=5))
+        assert results[True] == results[False]
+
+    def test_helper_fault_reaches_caller(self, monkeypatch, capfd):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+        def diverge():
+            raise TrainingFault("diverged at epoch 3")
+
+        with pytest.raises(TrainingFault) as info:
+            harness._fit_side_by_side([lambda: 1, lambda: 2, diverge],
+                                      self.STEPS)
+        assert str(info.value) == "diverged at epoch 3"
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_caller_fault_stops_and_joins_helper(self, monkeypatch, capfd):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+        def fault():
+            raise ValueError("bad fit")
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="bad fit"):
+            harness._fit_side_by_side([fault, lambda: time.sleep(60)],
+                                      self.STEPS)
+        assert time.perf_counter() - start < 30
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_helper_exit_without_result_is_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            harness._fit_side_by_side([lambda: 1, lambda: os._exit(3)],
+                                      self.STEPS)
+
+    def test_helper_training_fault_exits_two(self, tmp_path):
+        # DM is fitted here and the robust model that TR reads in the helper,
+        # each in 4 epochs of 19 steps; mu0 / sigma0_sq overflows, so only
+        # the robust fit diverges
+        body = TestCli.TINY.replace("synthetic_n = 120", "synthetic_n = 1000") \
+            .replace("estimators = DM, IPS", "estimators = DM, TR") \
+            .replace("reward_epochs = 1", "reward_epochs = 4")
+        path = write_config(tmp_path, body + "[robust]\nmu0 = 1e308\n"
+                                             "sigma0_sq = 1e-300\n")
+        out = tmp_path / "report.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "robust_ope.cli", "run", "--config",
+             str(path), "--out", str(out)], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "training fault: diverged at epoch 0\n"
+        assert not out.exists()
+
+
 class TestModelsFromEstimatorTable:
     """run_trial fits exactly the reward models its estimators read."""
 
@@ -398,6 +513,8 @@ class TestModelsFromEstimatorTable:
         (["DR_SWITCH", "TR_SHRINK"], {"direct", "robust"}),
     ])
     def test_fits_only_models_read(self, names, fitted, monkeypatch):
+        # the recording trainers must run in this process to be seen
+        helper_on(monkeypatch, False)
         seen = set()
 
         def recording(fit, reads):
@@ -416,6 +533,26 @@ class TestModelsFromEstimatorTable:
         result = run_trial(config, _load_dataset(config), seed=0)
         assert seen == fitted
         assert sorted(result.errors) == sorted(names)
+
+    @pytest.mark.parametrize("names, fitted", [
+        (["IPS", "SnIPS"], {}),
+        (["DM_I"], {"iid": RobustRegressor}),
+        (["DR_SWITCH", "TR_SHRINK"], {"direct": NetRewardModel,
+                                      "robust": RobustRegressor}),
+        (list(ESTIMATOR_KINDS), {"direct": NetRewardModel,
+                                 "robust": RobustRegressor,
+                                 "iid": RobustRegressor}),
+    ])
+    def test_side_by_side_fits_only_models_read(self, names, fitted,
+                                                monkeypatch):
+        helper_on(monkeypatch)
+        config = ExperimentConfig(**{**SMALL, "estimator_names": names})
+        train, _ = harness._split_data(config, _load_dataset(config), 0)
+        target, logging = harness._make_policies(config, train, 0)
+        log = bandit_sim.log_bandit_feedback(train, logging, seed=3)
+        models = harness._fit_reward_models(config, log, target, logging, 0)
+        assert {read: type(m) for read, m in models.items()} == fitted
+        assert multiprocessing.active_children() == []
 
     def test_every_spec_gets_tau_and_cap(self):
         config = ExperimentConfig(tau=0.7, shrink_cap=0.3)
