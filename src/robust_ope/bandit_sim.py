@@ -30,8 +30,15 @@ class LabeledDataset:
     def __post_init__(self):
         self.contexts = np.asarray(self.contexts, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
+        if self.contexts.ndim != 2:
+            raise ValueError(f"contexts must be 2-D, got shape "
+                             f"{self.contexts.shape}")
         if self.contexts.shape[0] < 1:
             raise ValueError("dataset must be nonempty")
+        if self.labels.shape != self.contexts.shape[:1]:
+            raise ValueError(f"labels must have shape "
+                             f"{self.contexts.shape[:1]}, got "
+                             f"{self.labels.shape}")
         if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
             raise ValueError("labels out of range")
 
@@ -127,6 +134,12 @@ def standardize(train: LabeledDataset,
     return out
 
 
+def _check_actions(policy: Policy, dataset: LabeledDataset) -> None:
+    """A policy acts on a labeled set when its actions are the classes."""
+    if policy.n_actions != dataset.n_classes:
+        raise ValueError("policy action count != number of classes")
+
+
 def log_bandit_feedback(dataset: LabeledDataset, logging: Policy,
                         seed: int) -> LoggedDataset:
     """Sample one action per row from the logging policy; reward 1{a == label}.
@@ -134,8 +147,7 @@ def log_bandit_feedback(dataset: LabeledDataset, logging: Policy,
     The logged propensity is the logging policy's exact probability of the
     sampled action.
     """
-    if logging.n_actions != dataset.n_classes:
-        raise ValueError("policy action count != number of classes")
+    _check_actions(logging, dataset)
     rng = np.random.default_rng(seed)
     probs = logging.probs_matrix(dataset.contexts)
     actions = sample_actions(probs, rng)
@@ -148,6 +160,7 @@ def log_bandit_feedback(dataset: LabeledDataset, logging: Policy,
 
 def true_value(dataset: LabeledDataset, target: Policy) -> float:
     """Exact V under the target policy: mean of pi(label | x) over rows."""
+    _check_actions(target, dataset)
     probs = target.probs_matrix(dataset.contexts)
     return float(np.mean(probs[np.arange(len(dataset)), dataset.labels]))
 

@@ -32,18 +32,20 @@ class LoggedDataset:
         n = self.contexts.shape[0]
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("misaligned record arrays")
+        if n == 0:
+            raise ValueError("empty logged dataset")
         if not np.isfinite(self.contexts).all():
             raise ValueError("contexts must be finite")
-        if n and (self.actions.min() < 0 or self.actions.max() >= self.n_actions):
+        if self.actions.min() < 0 or self.actions.max() >= self.n_actions:
             raise ValueError("action index out of range")
-        if n and not (self.rewards.min() >= self.r_min - 1e-12
-                      and self.rewards.max() <= self.r_max + 1e-12):
+        if not (self.rewards.min() >= self.r_min - 1e-12
+                and self.rewards.max() <= self.r_max + 1e-12):
             raise ValueError("reward outside [r_min, r_max]")
         if self.propensities is not None:
             if self.propensities.shape != (n,):
                 raise ValueError("misaligned propensities")
-            if n and not (self.propensities.min() > 0
-                          and self.propensities.max() <= 1):
+            if not (self.propensities.min() > 0
+                    and self.propensities.max() <= 1):
                 raise ValueError("propensities must lie in (0, 1]")
 
     def __len__(self) -> int:

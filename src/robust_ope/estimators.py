@@ -49,15 +49,13 @@ class NetRewardModel(RewardModel):
     r_min: float = 0.0
     r_max: float = 1.0
     def predict_matrix(self, contexts: np.ndarray) -> np.ndarray:
-        preds = forward_actions(self.net, contexts, self.n_actions)
-        return np.clip(np.hstack(list(preds)), self.r_min, self.r_max)
+        return np.clip(forward_actions(self.net, contexts, self.n_actions),
+                       self.r_min, self.r_max)
 
 
 def train_direct_model(logged: LoggedDataset, hidden_dims: list[int],
                        config: SgdConfig) -> NetRewardModel:
     """Fit the plain direct-method model by minibatch squared-loss SGD."""
-    if len(logged) == 0:
-        raise ValueError("empty logged dataset")
     rng = np.random.default_rng(config.seed)
     in_dim = logged.contexts.shape[1] + logged.n_actions
     net = init_net([in_dim, *hidden_dims, 1], rng)
@@ -81,8 +79,6 @@ class _Inputs:
 
     def __init__(self, logged: LoggedDataset, target: Policy,
                  logging: Policy | None):
-        if len(logged) == 0:
-            raise ValueError("empty logged dataset")
         self.logged, self.target, self.logging = logged, target, logging
         self.fields = tuple(vars(logged).values())
         self._w: dict[float, np.ndarray] = {}
@@ -169,6 +165,8 @@ class _Estimate:
 
     def __init__(self, inputs: _Inputs, w_max: float,
                  reads: str | None = None, model=None):
+        if not w_max > 0:  # negated, so that NaN fails it
+            raise ValueError(f"w_max must be positive, got {w_max}")
         self.inputs, self.logged = inputs, inputs.logged
         self.w_max, self.reads, self.model = w_max, reads, model
 
@@ -269,7 +267,7 @@ def importance_weights(logged: LoggedDataset, target: Policy,
 
     Shares pi and p-hat with `evaluate_estimator` calls on the same objects;
     the returned array is read-only."""
-    return _inputs(logged, target, logging).w(w_max)
+    return _Estimate(_inputs(logged, target, logging), w_max).w
 
 
 def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,

@@ -120,8 +120,6 @@ class ExperimentConfig:
                               "positive")
         if self.w_max <= 0:
             raise ConfigError("w_max must be positive")
-        if self.eta < 0:
-            raise ConfigError("eta must be nonnegative")
         if not 0 <= self.beta <= 1:
             raise ConfigError("beta must be in [0, 1]")
         # build what a trial builds, through the same helpers (EstimatorSpec
@@ -232,10 +230,10 @@ def _sgd(config: ExperimentConfig, epochs: int, seed: int) -> SgdConfig:
                      batch_size=config.batch_size, seed=seed)
 
 
-def _reward_fit_settings(config: ExperimentConfig) -> dict:
-    return dict(eta=config.eta, base=BaseGaussian(config.mu0, config.sigma0_sq),
-                settings=RobustTrainSettings(config.rho_learning_rate,
-                                             config.rho_max, config.ratio_max))
+def _reward_fit_settings(config: ExperimentConfig) -> RobustTrainSettings:
+    return RobustTrainSettings(config.rho_learning_rate, config.rho_max,
+                               config.ratio_max, config.eta,
+                               BaseGaussian(config.mu0, config.sigma0_sq))
 
 
 def _bound_settings(config: ExperimentConfig) -> dict:
@@ -358,9 +356,9 @@ def _fit_reward_models(config: ExperimentConfig, log: LoggedDataset,
     fits = {
         "direct": lambda: estimators.train_direct_model(log, dims, sgd(6)),
         "robust": lambda: robust_regression.train_robust(
-            log, target, p_hat, dims, sgd(7), **settings),
+            log, target, p_hat, dims, sgd(7), settings=settings),
         "iid": lambda: robust_regression.train_iid(
-            log, dims, sgd(8), **settings),
+            log, dims, sgd(8), settings=settings),
     }
     reads = {estimators.MODEL_READ[name] for name in config.estimator_names}
     fitted = [read for read in fits if read in reads]
@@ -414,17 +412,19 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Run `config.trials` trials, in a pool of `jobs` processes when
-    jobs > 1. Pool workers fit each stage's models in turn, with no helper
-    process of their own (`_fit_side_by_side`)."""
+    """Run `config.trials` trials, in a pool of min(jobs, trials) processes
+    when that is above 1. Pool workers fit each stage's models in turn, with
+    no helper process of their own (`_fit_side_by_side`), so one trial runs
+    here, where its fits may overlap."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     dataset = _load_dataset(config)
     seeds = trial_seeds(config.seed, config.trials)
-    if jobs > 1:
+    workers = min(jobs, len(seeds))
+    if workers > 1:
         # a fork-context pool starts all its workers at once
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(seeds))) as pool:
+                max_workers=workers) as pool:
             results = list(pool.map(run_trial, [config] * len(seeds),
                                     [dataset] * len(seeds), seeds))
     else:

@@ -124,9 +124,10 @@ def action_inputs(contexts: np.ndarray, actions: np.ndarray,
 
 
 def forward_actions(net: FeedForwardNet, contexts: np.ndarray, n_actions: int):
-    """Yield the (n, out_dim) outputs on `action_inputs` at each action in
-    turn, multiplying the context half of the first layer once. Equal to
-    `forward_batch` bit for bit where BLAS sums each product in column order."""
+    """The (n, n_actions * out_dim) outputs on `action_inputs`, action a in
+    columns a * out_dim onward, multiplying the context half of the first
+    layer once. Equal to `forward_batch` bit for bit where BLAS sums each
+    product in column order."""
     contexts = np.asarray(contexts, dtype=float)
     d = net.in_dim - n_actions
     if contexts.ndim != 2 or contexts.shape[1] != d:
@@ -139,7 +140,7 @@ def forward_actions(net: FeedForwardNet, contexts: np.ndarray, n_actions: int):
         z += first.bias
         return _forward_from(z, rest)
 
-    return (at(a) for a in range(n_actions))
+    return np.hstack([at(a) for a in range(n_actions)])
 
 
 def _forward_trace(net: FeedForwardNet, inputs: np.ndarray) -> list:

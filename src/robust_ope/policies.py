@@ -42,6 +42,13 @@ class UniformPolicy(Policy):
         return np.full((n, self.n_actions), 1.0 / self.n_actions)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (n, K) logits, each row shifted by its max."""
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 @dataclass
 class SoftmaxClassifierPolicy(Policy):
     net: FeedForwardNet
@@ -56,10 +63,7 @@ class SoftmaxClassifierPolicy(Policy):
         return self.net.out_dim
 
     def probs_matrix(self, contexts: np.ndarray) -> np.ndarray:
-        logits = forward_batch(self.net, contexts) / self.temperature
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
+        p = _softmax(forward_batch(self.net, contexts) / self.temperature)
         p = np.maximum(p, PROB_FLOOR)
         p /= p.sum(axis=1, keepdims=True)
         return p
@@ -91,10 +95,8 @@ def _train_softmax_net(contexts: np.ndarray, labels: np.ndarray, n_classes: int,
     net = init_net([contexts.shape[1], *hidden_dims, n_classes], rng)
 
     def output_grads(logits, idx):
-        p = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
         # d(mean log-loss)/d(logits)
-        return (p - targets[idx]) / idx.shape[0]
+        return (_softmax(logits) - targets[idx]) / idx.shape[0]
 
     return fit(net, contexts, output_grads, config, rng)
 
@@ -117,8 +119,6 @@ def train_classifier_policy(contexts: np.ndarray, labels: np.ndarray,
 def estimate_logging_policy(logged, hidden_dims: list[int],
                             config: SgdConfig) -> SoftmaxClassifierPolicy:
     """Fit p-hat(a|x) by log-loss on the logged (context, action) pairs."""
-    if len(logged) == 0:
-        raise ValueError("empty logged dataset")
     net = _train_softmax_net(logged.contexts, logged.actions, logged.n_actions,
                              hidden_dims, config)
     return SoftmaxClassifierPolicy(net=net)

@@ -25,7 +25,7 @@ Training still forms f: the gradient of the NLL in rho_xr is a mean of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,8 +135,7 @@ def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
     n = len(contexts)
     if ratios.shape != (n, reg.n_actions):
         raise ValueError(f"ratios must have shape {(n, reg.n_actions)}")
-    proj = np.hstack([*forward_actions(_readout_net(reg), contexts,
-                                       reg.n_actions)])
+    proj = forward_actions(_readout_net(reg), contexts, reg.n_actions)
     mu = _gaussian_params(reg, proj, ratios)[0]
     return np.clip(mu, reg.r_min, reg.r_max, out=mu)
 
@@ -158,9 +157,13 @@ def _theta_out_grads(two_w_resid, rho_xr):
 
 @dataclass
 class RobustTrainSettings:
+    """What a robust or iid fit reads besides the data and the SGD schedule."""
+
     rho_learning_rate: float = 0.01
     rho_max: float = 1e3
     ratio_max: float = 100.0
+    eta: float = 1e-3
+    base: BaseGaussian = field(default_factory=BaseGaussian)
 
     def __post_init__(self):
         # negated in-range tests, so that NaN fails them
@@ -170,27 +173,27 @@ class RobustTrainSettings:
             raise ValueError("rho_max must be nonnegative")
         if not self.ratio_max > 0:
             raise ValueError("ratio_max must be positive")
+        if not self.eta >= 0:
+            raise ValueError("eta must be nonnegative")
 
 
 def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
-           config: SgdConfig, eta: float, base: BaseGaussian | None,
+           config: SgdConfig,
            settings: RobustTrainSettings | None) -> RobustRegressor:
-    if len(logged) == 0:
-        raise ValueError("empty logged dataset")
-    base = base or BaseGaussian()
     settings = settings or RobustTrainSettings()
     rng = np.random.default_rng(config.seed)
     in_dim = logged.contexts.shape[1] + logged.n_actions
     net = init_net([in_dim, *hidden_dims], rng)
     k = hidden_dims[-1]
     reg = RobustRegressor(
-        net=net, rho=RhoParams(0.0, np.zeros(k)), base=base,
+        net=net, rho=RhoParams(0.0, np.zeros(k)), base=settings.base,
         n_actions=logged.n_actions, r_min=logged.r_min, r_max=logged.r_max,
         ratio_max=settings.ratio_max)
     inputs = action_inputs(logged.contexts, logged.actions, logged.n_actions)
     rewards = logged.rewards
     ratios = _clip_ratios(reg, ratios)
-    lr_rho, rho_max = settings.rho_learning_rate, settings.rho_max
+    lr_rho, rho_max, eta = (settings.rho_learning_rate, settings.rho_max,
+                            settings.eta)
     rho = reg.rho
 
     def output_grads(feats, idx):
@@ -221,23 +224,20 @@ def training_ratios(logged: LoggedDataset, target: Policy,
 
 def train_robust(logged: LoggedDataset, target: Policy, logging: Policy,
                  hidden_dims: list[int], config: SgdConfig,
-                 eta: float = 1e-3, base: BaseGaussian | None = None,
                  settings: RobustTrainSettings | None = None) -> RobustRegressor:
     """Fit the covariate-shift-aware conditional Gaussian reward model."""
     ratios = training_ratios(logged, target, logging)
-    return _train(logged, ratios, hidden_dims, config, eta, base, settings)
+    return _train(logged, ratios, hidden_dims, config, settings)
 
 
 def train_iid(logged: LoggedDataset, hidden_dims: list[int],
-              config: SgdConfig, eta: float = 1e-3,
-              base: BaseGaussian | None = None,
+              config: SgdConfig,
               settings: RobustTrainSettings | None = None) -> RobustRegressor:
     """Ablation that ignores the shift: every density ratio is fixed to 1.
 
     Query its `mean_matrix` at ratio 1 as well.
     """
-    return _train(logged, np.ones(len(logged)), hidden_dims, config, eta, base,
-                  settings)
+    return _train(logged, np.ones(len(logged)), hidden_dims, config, settings)
 
 
 def save_regressor(reg: RobustRegressor, path) -> None:
@@ -261,14 +261,17 @@ def save_regressor(reg: RobustRegressor, path) -> None:
 
 
 def load_regressor(path) -> RobustRegressor:
-    """Inverse of `save_regressor`."""
+    """Inverse of `save_regressor`. A file that no saved regressor could
+    have written is rejected with a ValueError naming the first field at
+    fault: a ratio cap that is not positive, layers that do not chain, an
+    input with no context half, or a rho_xr of the wrong length."""
     with np.load(path, allow_pickle=False) as blob:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
             raise ValueError(f"unsupported format tag {tag!r}")
         layers = [Layer(weight=blob[f"w{i}"], bias=blob[f"b{i}"])
                   for i in range(int(blob["n_layers"]))]
-        return RobustRegressor(
+        reg = RobustRegressor(
             net=FeedForwardNet(layers),
             rho=RhoParams(float(blob["rho_r"]), blob["rho_xr"]),
             base=BaseGaussian(float(blob["mu0"]), float(blob["sigma0_sq"])),
@@ -277,3 +280,27 @@ def load_regressor(path) -> RobustRegressor:
             r_max=float(blob["r_max"]),
             ratio_max=float(blob["ratio_max"]),
         )
+    if not reg.ratio_max > 0:
+        raise ValueError(f"ratio_max must be positive, got {reg.ratio_max}")
+    if not layers:
+        raise ValueError("n_layers must be >= 1")
+    rows = None  # of the layer before
+    for i, layer in enumerate(layers):
+        w, b = layer.weight, layer.bias
+        if w.ndim != 2:
+            raise ValueError(f"w{i} must be a matrix, got shape {w.shape}")
+        if b.shape != w.shape[:1]:
+            raise ValueError(f"b{i} must have one entry per row of w{i}, "
+                             f"got shape {b.shape} for w{i} {w.shape}")
+        if rows is not None and w.shape[1] != rows:
+            raise ValueError(f"w{i} must have one column per row of "
+                             f"w{i - 1} ({rows}), got {w.shape[1]}")
+        rows = w.shape[0]
+    if not reg.net.in_dim > reg.n_actions:
+        raise ValueError(f"w0 must have more columns than n_actions "
+                         f"({reg.n_actions}), got {reg.net.in_dim}")
+    if reg.rho.rho_xr.shape != (rows,):
+        raise ValueError(f"rho_xr must have one entry per row of "
+                         f"w{len(layers) - 1} ({rows}), got shape "
+                         f"{reg.rho.rho_xr.shape}")
+    return reg

@@ -178,7 +178,28 @@ class TestLogBanditFeedback:
             log_bandit_feedback(ds, UniformPolicy(4), seed=0)
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("n_labels", [2, 5])
+    def test_label_count_must_match_rows(self, n_labels):
+        with pytest.raises(ValueError, match="labels must have shape"):
+            LabeledDataset(np.zeros((3, 2)), np.zeros(n_labels, dtype=int), 2)
+
+    def test_labels_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="labels must have shape"):
+            LabeledDataset(np.zeros((3, 2)), np.zeros((3, 1), dtype=int), 2)
+
+    def test_contexts_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="contexts must be 2-D"):
+            LabeledDataset(np.zeros(3), np.zeros(3, dtype=int), 2)
+
+
 class TestTrueValue:
+    def test_action_count_mismatch_rejected(self):
+        # a 3-action policy on a 2-class set would read 1/3
+        ds = LabeledDataset(np.zeros((2, 1)), np.array([0, 1]), 2)
+        with pytest.raises(ValueError, match="number of classes"):
+            true_value(ds, UniformPolicy(3))
+
     def test_perfect_deterministic_classifier(self):
         ds = LabeledDataset(np.arange(2, dtype=float)[:, None],
                             np.array([0, 1]), 2)

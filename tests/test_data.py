@@ -26,3 +26,8 @@ class TestLoggedDataset:
     def test_nan_propensity_rejected(self):
         with pytest.raises(ValueError, match="propensities"):
             logged(propensities=np.array([0.5, float("nan")]))
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ValueError, match="empty logged dataset"):
+            LoggedDataset(np.zeros((0, 1)), np.zeros(0, dtype=int),
+                          np.zeros(0), 2, propensities=np.zeros(0))

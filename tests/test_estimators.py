@@ -126,9 +126,9 @@ class TestVDm:
                                   model=model) == pytest.approx(expected)
 
     def test_empty_dataset_rejected(self):
-        logged = LoggedDataset(np.zeros((0, 1)), np.zeros(0, dtype=int),
-                               np.zeros(0), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
+            logged = LoggedDataset(np.zeros((0, 1)), np.zeros(0, dtype=int),
+                                   np.zeros(0), 2)
             evaluate_estimator(EstimatorSpec("DM"), logged, UniformPolicy(2),
                                model=TableRewardModel(np.zeros((1, 2))))
 
@@ -730,6 +730,18 @@ class TestImportanceWeights:
         logged = LoggedDataset(contexts, np.array([0]), np.zeros(1), 2)
         with pytest.raises(ValueError, match="logging policy"):
             importance_weights(logged, UniformPolicy(2), None)
+
+    @pytest.mark.parametrize("w_max", [-1.0, 0.0, float("nan")])
+    def test_nonpositive_w_max_rejected(self, w_max):
+        # a clip at -1 would turn every weight into -1 and flip IPS's sign
+        logged, target = hand_logged([1.0] * 40, [0.45] * 40)
+        with pytest.raises(ValueError, match="w_max"):
+            importance_weights(logged, target, None, w_max=w_max)
+        for kind in ("IPS", "DM"):
+            with pytest.raises(ValueError, match="w_max"):
+                evaluate_estimator(EstimatorSpec(kind), logged, target,
+                                   model=TableRewardModel(np.zeros((40, 2))),
+                                   w_max=w_max)
 
 
 class TestTrainDirectModel:

@@ -617,6 +617,20 @@ class TestRunExperiment:
         assert sizes == [SMALL["trials"]]
         assert len(report.errors) == SMALL["trials"]
 
+    def test_one_trial_runs_without_a_pool(self, monkeypatch):
+        # a one-worker pool would only fit that trial's models in turn
+        one = ExperimentConfig(**{**SMALL, "trials": 1})
+        serial = run_experiment(one, jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for one trial")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        pooled = run_experiment(one, jobs=2)
+        assert np.array_equal(pooled.errors, serial.errors)
+        assert emit_report(pooled) == emit_report(serial)
+
     def test_trial_seeds_distinct_and_reproducible(self):
         a = trial_seeds(0, 10)
         b = trial_seeds(0, 10)

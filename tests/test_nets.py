@@ -113,21 +113,20 @@ class TestForwardActions:
         net = random_action_net(rng, d, k, dims)
         contexts = rng.standard_normal((n, d))
         outs = forward_actions(net, contexts, k)
-        assert iter(outs) is outs  # yielded one action at a time
-        outs = list(outs)
-        assert len(outs) == k
-        for a, out in enumerate(outs):
+        m = dims[-1]
+        assert outs.shape == (n, k * m)
+        for a in range(k):
             ref = forward_batch(net, action_inputs(contexts, np.full(n, a), k))
-            assert out.shape == (n, dims[-1])
-            assert np.array_equal(out, ref)
+            assert np.array_equal(outs[:, a * m:(a + 1) * m], ref)
 
     def test_small_batch_equals_forward_batch_to_rounding(self):
         rng = np.random.default_rng(4)
         net = random_action_net(rng, 20, 5, [32, 1])
         contexts = rng.standard_normal((2, 20))
-        for a, out in enumerate(forward_actions(net, contexts, 5)):
+        outs = forward_actions(net, contexts, 5)
+        for a in range(5):
             ref = forward_batch(net, action_inputs(contexts, [a, a], 5))
-            assert np.allclose(out, ref, rtol=1e-13, atol=1e-13)
+            assert np.allclose(outs[:, a:a + 1], ref, rtol=1e-13, atol=1e-13)
 
     def test_wrong_context_width_raises(self):
         net = random_action_net(np.random.default_rng(5), 3, 2, [4, 1])

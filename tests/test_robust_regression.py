@@ -297,10 +297,10 @@ class TestTraining:
         logged = LoggedDataset(rng.standard_normal((n, 2)),
                                rng.integers(0, k, size=n), rng.random(n), k)
         ratios = rng.uniform(0.0, 6.0, size=n)
-        settings = RobustTrainSettings(rho_learning_rate=0.5, rho_max=0.02,
-                                       ratio_max=4.0)
         eta = 1e-3
-        reg = _train(logged, ratios, [5, 4], SgdConfig(), eta, None, settings)
+        settings = RobustTrainSettings(rho_learning_rate=0.5, rho_max=0.02,
+                                       ratio_max=4.0, eta=eta)
+        reg = _train(logged, ratios, [5, 4], SgdConfig(), settings)
         (inputs, output_grads), = captured
         assert np.array_equal(inputs, action_inputs(
             logged.contexts, logged.actions, k))
@@ -327,10 +327,19 @@ class TestTraining:
         assert np.any(ratios > 4.0) and rho_r_clipped
 
     def test_empty_dataset_rejected(self):
-        logged = LoggedDataset(np.zeros((0, 2)), np.zeros(0, dtype=int),
-                               np.zeros(0), 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
+            logged = LoggedDataset(np.zeros((0, 2)), np.zeros(0, dtype=int),
+                                   np.zeros(0), 2)
             train_iid(logged, [4], SgdConfig(epochs=1))
+
+    def test_settings_carry_base_and_ratio_cap(self):
+        rng = np.random.default_rng(28)
+        logged = LoggedDataset(rng.standard_normal((20, 2)),
+                               rng.integers(0, 2, size=20), rng.random(20), 2)
+        base = BaseGaussian(0.3, 2.0)
+        reg = train_iid(logged, [4], SgdConfig(epochs=1),
+                        settings=RobustTrainSettings(ratio_max=7.0, base=base))
+        assert reg.base is base and reg.ratio_max == 7.0
 
     def test_training_ratios_logging_over_target(self):
         contexts = np.array([[0.0], [1.0]])
@@ -479,6 +488,26 @@ class TestSerialization:
         assert np.array_equal(mean_matrix(back, contexts, ratios),
                               mean_matrix(reg, contexts, ratios))
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("ratio_max", -5.0, "ratio_max"),
+        ("ratio_max", float("nan"), "ratio_max"),
+        ("rho_xr", np.zeros(4), "rho_xr"),
+        ("b0", np.zeros(3), "b0"),
+        ("w0", np.zeros(16), "w0"),
+        ("w1", np.zeros((3, 5)), "w1"),
+        ("w0", np.zeros((4, 2)), "n_actions"),
+    ])
+    def test_inconsistent_file_rejected(self, tmp_path, field, value, match):
+        # random_regressor's net is 4 -> 4 -> 3 on 2 contexts + 2 actions
+        path = tmp_path / "reg.npz"
+        save_regressor(random_regressor(np.random.default_rng(28)), path)
+        with np.load(path) as blob:
+            payload = dict(blob)
+        payload[field] = np.asarray(value)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=match):
+            load_regressor(path)
+
     def test_bad_format_tag_rejected(self, tmp_path):
         # v4 stored a per-layer activation tag; v5 sets it by layer position
         path = tmp_path / "bad.npz"
@@ -512,11 +541,13 @@ class TestValidation:
         ("rho_learning_rate", float("nan")),
         ("rho_max", -1.0), ("rho_max", float("nan")),
         ("ratio_max", 0.0), ("ratio_max", -1.0), ("ratio_max", float("nan")),
+        ("eta", -1.0), ("eta", float("nan")),
     ])
     def test_out_of_range_train_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             RobustTrainSettings(**{field: value})
 
     def test_boundary_train_settings_accepted(self):
-        settings = RobustTrainSettings(rho_max=0.0, ratio_max=float("inf"))
-        assert settings.rho_max == 0.0
+        settings = RobustTrainSettings(rho_max=0.0, ratio_max=float("inf"),
+                                       eta=0.0)
+        assert settings.rho_max == 0.0 and settings.eta == 0.0
