@@ -29,6 +29,9 @@ class LoggedDataset:
         self.rewards = np.asarray(self.rewards, dtype=float)
         if self.propensities is not None:
             self.propensities = np.asarray(self.propensities, dtype=float)
+        if self.contexts.ndim != 2:
+            raise ValueError(f"contexts must be 2-D, got shape "
+                             f"{self.contexts.shape}")
         n = self.contexts.shape[0]
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("misaligned record arrays")

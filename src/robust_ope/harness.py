@@ -1,13 +1,12 @@
 """Config-driven experiment runner: repeated trials, all estimators, RMSE report.
 
 A trial follows the benchmark protocol, one stage function per step: split
-the labeled data, train the evaluation policy on the train split, build the
-logging policy for the configured mode, log bandit feedback, fit the reward
-models, then score every configured estimator against the exact ground-truth
-value on the test contexts. Trials are independent and may run in a process
-pool; each owns an RNG stream derived from (master seed, trial index).
-Within a trial, a stage's independent fits may run in two processes
-(`_fit_side_by_side`).
+the labeled data, build the logging policy for the configured mode and log
+bandit feedback, fit the evaluation policy, p-hat and the reward models,
+then score every configured estimator against the exact ground-truth value
+on the test contexts. Trials are independent and may run in a process pool;
+each owns an RNG stream derived from (master seed, trial index). Within a
+trial, the fits run in two processes, split by what they read (`_fit_models`).
 """
 
 from __future__ import annotations
@@ -268,18 +267,19 @@ def _run_in_helper(calls, send) -> None:
 
 
 def _fit_side_by_side(calls: list, steps: int) -> list:
-    """The results of the zero-argument fit `calls`, in call order.
+    """The results of the zero-argument `calls`, in call order.
 
     The first call runs in this process and the rest, in turn, in one helper
-    process forked for them, so a stage's independent fits share the host's
-    CPUs. Every fit is seeded, so where it runs moves no bit of its result.
-    All calls run here, in turn, when there is one call, when the shortest
-    call takes fewer than `_MIN_OVERLAP_STEPS` minibatch steps (`steps`), so
-    the two processes would overlap too briefly, when fewer than two CPUs
-    are usable (off Linux, or under `taskset -c 0`) and inside a
-    process-pool worker, so helpers never nest. A fault in the helper is
-    re-raised here with its type and message, and the helper has exited
-    before this returns or raises.
+    process forked for them, so independent fits share the host's CPUs; a
+    trial forks it once, with the policy lane here and the log lane there
+    (`_fit_models`). Every fit is seeded, so where it runs moves no bit of
+    its result. All calls run here, in turn, when there is one call, when
+    the shortest single fit among them takes fewer than `_MIN_OVERLAP_STEPS`
+    minibatch steps (`steps`), so the two processes would overlap too
+    briefly, when fewer than two CPUs are usable (off Linux, or under
+    `taskset -c 0`) and inside a process-pool worker, so helpers never nest.
+    A fault in the helper is re-raised here with its type and message, and
+    the helper has exited before this returns or raises.
     """
     if (len(calls) < 2 or steps < _MIN_OVERLAP_STEPS
             or _usable_cpus() < 2
@@ -317,54 +317,80 @@ def _split_data(config: ExperimentConfig, dataset: LabeledDataset, seed: int):
     return bandit_sim.standardize(*bandit_sim.split(dataset, split))
 
 
-def _make_policies(config: ExperimentConfig, train: LabeledDataset, seed: int):
-    def classifier(data, offset, temperature):
-        return policies.train_classifier_policy(
-            data.contexts, data.labels, train.n_classes, config.hidden_dims,
-            _sgd(config, config.classifier_epochs, seed + offset),
-            temperature=temperature)
-
-    target = lambda: classifier(train, 1, config.eval_temperature)
-    if config.logging_mode == "uniform":
-        return target(), policies.UniformPolicy(train.n_classes)
-    sub = _biased_subsample(train, config.beta, np.random.default_rng(seed))
-    return tuple(_fit_side_by_side(
-        [target, lambda: classifier(sub, 2, config.temperature)],
-        _steps(config, config.classifier_epochs, len(sub))))
+def _classifier(config: ExperimentConfig, data: LabeledDataset, seed: int,
+                temperature: float) -> Policy:
+    return policies.train_classifier_policy(
+        data.contexts, data.labels, data.n_classes, config.hidden_dims,
+        _sgd(config, config.classifier_epochs, seed), temperature=temperature)
 
 
 def _log_feedback(config: ExperimentConfig, train: LabeledDataset,
-                  test: LabeledDataset, logging_policy: Policy, seed: int):
+                  test: LabeledDataset, seed: int):
+    """The train and test logs of the configured mode's logging policy, and
+    that policy: uniform, or a classifier fitted on a class-skewed subsample
+    of the train split."""
+    if config.logging_mode == "uniform":
+        logging_policy = policies.UniformPolicy(train.n_classes)
+    else:
+        sub = _biased_subsample(train, config.beta,
+                                np.random.default_rng(seed))
+        logging_policy = _classifier(config, sub, seed + 2, config.temperature)
     train_log = bandit_sim.log_bandit_feedback(train, logging_policy,
                                                seed=seed + 3)
     test_log = bandit_sim.log_bandit_feedback(test, logging_policy,
                                               seed=seed + 4)
-    if config.logging_mode != "estimated":
-        return train_log, test_log, logging_policy
-    # logged propensities would take precedence over p-hat in every reader
-    train_log = replace(train_log, propensities=None)
-    test_log = replace(test_log, propensities=None)
-    return train_log, test_log, policies.estimate_logging_policy(
-        train_log, config.hidden_dims,
-        _sgd(config, config.classifier_epochs, seed + 5))
+    if config.logging_mode == "estimated":
+        # logged propensities would take precedence over p-hat in every reader
+        train_log = replace(train_log, propensities=None)
+        test_log = replace(test_log, propensities=None)
+    return train_log, test_log, logging_policy
 
 
-def _fit_reward_models(config: ExperimentConfig, log: LoggedDataset,
-                       target: Policy, p_hat: Policy, seed: int) -> dict:
+def _fit_models(config: ExperimentConfig, train: LabeledDataset,
+                log: LoggedDataset, logging_policy: Policy, seed: int):
+    """The target policy, the logging policy as the estimators read it (p-hat
+    in `estimated` mode) and a dict of the reward models the configured kinds
+    read, keyed by `MODEL_READ` value.
+
+    The fits run in two lanes, split by what they read. The policy lane, in
+    this process, fits the target, then p-hat, then the robust model, which
+    reads both through the density ratio. The log lane, in the fit helper
+    (`_fit_side_by_side`), fits the DM and iid models, which read only the
+    log.
+    """
     dims, settings = config.hidden_dims, _reward_fit_settings(config)
-    sgd = lambda offset: _sgd(config, config.reward_epochs, seed + offset)
-    fits = {
-        "direct": lambda: estimators.train_direct_model(log, dims, sgd(6)),
-        "robust": lambda: robust_regression.train_robust(
-            log, target, p_hat, dims, sgd(7), settings=settings),
-        "iid": lambda: robust_regression.train_iid(
-            log, dims, sgd(8), settings=settings),
-    }
     reads = {estimators.MODEL_READ[name] for name in config.estimator_names}
-    fitted = [read for read in fits if read in reads]
-    return dict(zip(fitted, _fit_side_by_side(
-        [fits[read] for read in fitted],
-        _steps(config, config.reward_epochs, len(log)))))
+    sgd = lambda offset: _sgd(config, config.reward_epochs, seed + offset)
+
+    def policy_lane():
+        target = _classifier(config, train, seed + 1, config.eval_temperature)
+        p_hat = logging_policy
+        if config.logging_mode == "estimated":
+            p_hat = policies.estimate_logging_policy(
+                log, dims, _sgd(config, config.classifier_epochs, seed + 5))
+        models = {}
+        if "robust" in reads:
+            models["robust"] = robust_regression.train_robust(
+                log, target, p_hat, dims, sgd(7), settings=settings)
+        return target, p_hat, models
+
+    def log_lane():
+        models = {}
+        if "direct" in reads:
+            models["direct"] = estimators.train_direct_model(log, dims, sgd(6))
+        if "iid" in reads:
+            models["iid"] = robust_regression.train_iid(log, dims, sgd(8),
+                                                        settings=settings)
+        return models
+
+    lanes = [policy_lane] + ([log_lane] if reads & {"direct", "iid"} else [])
+    # every fit passes over one row per train row each epoch, and with a log
+    # lane the trial's shortest fit is the target's or a reward model's
+    (target, p_hat, models), *log_models = _fit_side_by_side(
+        lanes, _steps(config, min(config.classifier_epochs,
+                                  config.reward_epochs), len(log)))
+    models.update(*log_models)
+    return target, p_hat, models
 
 
 def _bound_diagnostics(config: ExperimentConfig, test_log: LoggedDataset,
@@ -388,11 +414,11 @@ def run_trial(config: ExperimentConfig, dataset: LabeledDataset,
     """One full protocol pass; fully reproducible given (config, seed)."""
     start = time.perf_counter()
     train, test = _split_data(config, dataset, seed)
-    target, logging_policy = _make_policies(config, train, seed)
-    train_log, test_log, p_hat = _log_feedback(config, train, test,
-                                               logging_policy, seed)
+    train_log, test_log, logging_policy = _log_feedback(config, train, test,
+                                                        seed)
+    target, p_hat, models = _fit_models(config, train, train_log,
+                                        logging_policy, seed)
     truth = bandit_sim.true_value(test, target)
-    models = _fit_reward_models(config, train_log, target, p_hat, seed)
     errors = {}
     for spec in _estimator_specs(config):
         est = estimators.evaluate_estimator(
@@ -413,9 +439,10 @@ def trial_seeds(master_seed: int, trials: int) -> list[int]:
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run `config.trials` trials, in a pool of min(jobs, trials) processes
-    when that is above 1. Pool workers fit each stage's models in turn, with
+    when that is above 1. Pool workers fit a trial's models in turn, with
     no helper process of their own (`_fit_side_by_side`), so one trial runs
-    here, where its fits may overlap."""
+    here, where its DM and iid fits may overlap the target, p-hat and robust
+    fits."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     dataset = _load_dataset(config)

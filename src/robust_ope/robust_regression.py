@@ -263,8 +263,9 @@ def save_regressor(reg: RobustRegressor, path) -> None:
 def load_regressor(path) -> RobustRegressor:
     """Inverse of `save_regressor`. A file that no saved regressor could
     have written is rejected with a ValueError naming the first field at
-    fault: a ratio cap that is not positive, layers that do not chain, an
-    input with no context half, or a rho_xr of the wrong length."""
+    fault: a ratio cap that is not positive, a reward range whose r_min
+    exceeds its r_max (or either is NaN), layers that do not chain, an input
+    with no context half, or a rho_xr of the wrong length."""
     with np.load(path, allow_pickle=False) as blob:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
@@ -282,6 +283,10 @@ def load_regressor(path) -> RobustRegressor:
         )
     if not reg.ratio_max > 0:
         raise ValueError(f"ratio_max must be positive, got {reg.ratio_max}")
+    # NaN fails the comparison; clipping to an empty range returns r_max
+    if not reg.r_min <= reg.r_max:
+        raise ValueError(f"r_min must not exceed r_max, got r_min "
+                         f"{reg.r_min} and r_max {reg.r_max}")
     if not layers:
         raise ValueError("n_layers must be >= 1")
     rows = None  # of the layer before

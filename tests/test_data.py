@@ -31,3 +31,9 @@ class TestLoggedDataset:
         with pytest.raises(ValueError, match="empty logged dataset"):
             LoggedDataset(np.zeros((0, 1)), np.zeros(0, dtype=int),
                           np.zeros(0), 2, propensities=np.zeros(0))
+
+    @pytest.mark.parametrize("contexts", [np.zeros(3), np.zeros((3, 1, 1))])
+    def test_contexts_not_2d_rejected(self, contexts):
+        with pytest.raises(ValueError, match="contexts must be 2-D"):
+            LoggedDataset(contexts, [0, 1, 0], [0.0, 1.0, 0.0], 2,
+                          propensities=[0.5, 0.5, 0.5])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from robust_ope import bandit_sim, diagnostics, estimators, harness, \
-    robust_regression
+    policies, robust_regression
 from robust_ope.bandit_sim import LabeledDataset
 from robust_ope.estimators import ESTIMATOR_KINDS, EstimatorSpec, \
     NetRewardModel, evaluate_estimator
@@ -410,9 +410,17 @@ def helper_on(monkeypatch, on=True):
 
 
 class TestFitSideBySide:
-    """A stage's fits in two processes: same results, no process left."""
+    """A trial's fits in two processes: same results, no process left."""
 
     STEPS = harness._MIN_OVERLAP_STEPS
+    #: seed offset from the trial seed -> the fit that uses it
+    FITS = {1: "target", 2: "logging", 5: "p_hat", 6: "direct", 7: "robust",
+            8: "iid"}
+    #: logging mode -> the fits the caller runs, in order; one helper per
+    #: trial runs the DM and iid fits, which read only the log
+    CALLER = {"uniform": ["target", "robust"],
+              "biased_known": ["logging", "target", "robust"],
+              "estimated": ["logging", "target", "p_hat", "robust"]}
 
     @pytest.fixture(autouse=True)
     def no_children_left(self):
@@ -487,11 +495,12 @@ class TestFitSideBySide:
                                       self.STEPS)
 
     def test_helper_training_fault_exits_two(self, tmp_path):
-        # DM is fitted here and the robust model that TR reads in the helper,
-        # each in 4 epochs of 19 steps; mu0 / sigma0_sq overflows, so only
-        # the robust fit diverges
+        # the target is fitted here and the DM and iid models that DM and
+        # DM_I read in the helper, each in 4 epochs of 19 steps, past the
+        # fork gate; mu0 / sigma0_sq overflows, so only the iid fit diverges
         body = TestCli.TINY.replace("synthetic_n = 120", "synthetic_n = 1000") \
-            .replace("estimators = DM, IPS", "estimators = DM, TR") \
+            .replace("estimators = DM, IPS", "estimators = DM, DM_I") \
+            .replace("classifier_epochs = 1", "classifier_epochs = 4") \
             .replace("reward_epochs = 1", "reward_epochs = 4")
         path = write_config(tmp_path, body + "[robust]\nmu0 = 1e308\n"
                                              "sigma0_sq = 1e-300\n")
@@ -502,6 +511,68 @@ class TestFitSideBySide:
         assert proc.returncode == 2
         assert proc.stderr == "training fault: diverged at epoch 0\n"
         assert not out.exists()
+
+    @staticmethod
+    def record(monkeypatch, tmp_path, seed):
+        """Note the pid of each fit and helper start in a file, which the
+        helper's writes reach too; returns a reader of (name, pid) pairs."""
+        path = tmp_path / "schedule.txt"
+        path.touch()
+
+        def note(name):
+            with open(path, "a", encoding="utf-8") as out:
+                out.write(f"{name} {os.getpid()}\n")
+
+        def fit(original):
+            def recording(net, inputs, output_grads, config, rng):
+                note(TestFitSideBySide.FITS[config.seed - seed])
+                return original(net, inputs, output_grads, config, rng)
+            return recording
+
+        def helper(original):
+            def recording(calls, send):
+                note("helper")
+                original(calls, send)
+            return recording
+
+        for owner in (policies, estimators, robust_regression):
+            monkeypatch.setattr(owner, "fit", fit(owner.fit))
+        monkeypatch.setattr(harness, "_run_in_helper",
+                            helper(harness._run_in_helper))
+        return lambda: [(name, int(pid)) for name, pid in
+                        map(str.split, path.read_text().splitlines())]
+
+    @pytest.mark.parametrize("mode", LOGGING_MODES)
+    def test_log_lane_in_one_helper(self, mode, monkeypatch, tmp_path):
+        helper_on(monkeypatch)
+        config = ExperimentConfig(**TestTrialGolden.CONFIG, logging_mode=mode)
+        read = self.record(monkeypatch, tmp_path, seed=5)
+        run_trial(config, _load_dataset(config), seed=5)
+        schedule = read()
+        helper = [pid for name, pid in schedule if name == "helper"]
+        assert len(helper) == 1 and helper[0] != os.getpid()
+        fits = {}
+        for name, pid in schedule:
+            if name != "helper":
+                fits.setdefault(pid, []).append(name)
+        assert fits == {os.getpid(): self.CALLER[mode],
+                        helper[0]: ["direct", "iid"]}
+
+    @pytest.mark.parametrize("name, mode", [("vehicle", "uniform"),
+                                            ("optdigits", "estimated")])
+    def test_bench_warm_up_starts_no_helper(self, name, mode, data_dir,
+                                            monkeypatch, tmp_path):
+        # 1-epoch fits take 18 (vehicle) and 34 (optdigits) steps, under the
+        # gate, although on optdigits the log lane's two fits sum past it
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        config = ExperimentConfig(dataset=str(data_dir / f"{name}.csv"),
+                                  logging_mode=mode, classifier_epochs=1,
+                                  reward_epochs=1)
+        read = self.record(monkeypatch, tmp_path, seed=1)
+        run_trial(config, _load_dataset(config), seed=1)
+        schedule = read()
+        assert {pid for _, pid in schedule} == {os.getpid()}
+        assert "helper" not in {name for name, _ in schedule}
 
 
 class TestModelsFromEstimatorTable:
@@ -547,10 +618,9 @@ class TestModelsFromEstimatorTable:
                                                 monkeypatch):
         helper_on(monkeypatch)
         config = ExperimentConfig(**{**SMALL, "estimator_names": names})
-        train, _ = harness._split_data(config, _load_dataset(config), 0)
-        target, logging = harness._make_policies(config, train, 0)
-        log = bandit_sim.log_bandit_feedback(train, logging, seed=3)
-        models = harness._fit_reward_models(config, log, target, logging, 0)
+        train, test = harness._split_data(config, _load_dataset(config), 0)
+        log, _, logging = harness._log_feedback(config, train, test, 0)
+        _, _, models = harness._fit_models(config, train, log, logging, 0)
         assert {read: type(m) for read, m in models.items()} == fitted
         assert multiprocessing.active_children() == []
 

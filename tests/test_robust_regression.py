@@ -496,6 +496,9 @@ class TestSerialization:
         ("w0", np.zeros(16), "w0"),
         ("w1", np.zeros((3, 5)), "w1"),
         ("w0", np.zeros((4, 2)), "n_actions"),
+        ("r_min", 1.5, "r_min must not exceed r_max"),
+        ("r_min", float("nan"), "r_min must not exceed r_max"),
+        ("r_max", float("nan"), "r_min must not exceed r_max"),
     ])
     def test_inconsistent_file_rejected(self, tmp_path, field, value, match):
         # random_regressor's net is 4 -> 4 -> 3 on 2 contexts + 2 actions
