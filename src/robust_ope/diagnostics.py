@@ -77,26 +77,23 @@ def minimax_lower_bound(inputs: BoundInputs) -> float:
     return min(term1, term2)
 
 
-def measure_bound_inputs(logged, target, logging, rho_cap: float,
-                         sigma0_sq: float, feats: np.ndarray | None = None,
-                         eta1: float = 0.0, eta2: float = 0.0,
-                         delta: float = 0.05, epsilon: float = 0.0,
-                         bigo_constant: float = 1.0) -> BoundInputs:
-    """Measure W, l and E_p[w*r] empirically from a logged dataset.
+def measure_bound_inputs(logged, target, logging,
+                         feats: np.ndarray | None = None,
+                         **unmeasured) -> BoundInputs:
+    """Measure W, n, l and E_p[w*r] empirically from a logged dataset.
 
     `feats` (n, k) supplies the observed features for the lower bound l; when
     absent or when their minimum is not positive, l falls back to 1.0 and the
-    l-dependent terms are nominal only.
+    l-dependent terms are nominal only. The `BoundInputs` fields measured
+    nowhere, `rho_cap` and `sigma0_sq` (both required) and `eta1`, `eta2`,
+    `delta`, `epsilon` and `bigo_constant`, are passed through as keywords.
     """
     w = importance_weights(logged, target, logging, w_max=np.inf)
-    w_max = float(w.max())
-    e_p_wr = float(np.mean(w * logged.rewards))
     feature_lower = 1.0
     if feats is not None:
         lo = float(np.min(feats))
         if lo > 0:
             feature_lower = lo
-    return BoundInputs(w_max=w_max, rho_cap=rho_cap, sigma0_sq=sigma0_sq,
-                       eta1=eta1, eta2=eta2, feature_lower=feature_lower,
-                       n=len(logged), delta=delta, epsilon=epsilon,
-                       e_p_wr=e_p_wr, bigo_constant=bigo_constant)
+    return BoundInputs(w_max=float(w.max()), feature_lower=feature_lower,
+                       n=len(logged),
+                       e_p_wr=float(np.mean(w * logged.rewards)), **unmeasured)

@@ -248,55 +248,47 @@ def _bound_settings(config: ExperimentConfig) -> dict:
 _MIN_OVERLAP_STEPS = 64
 
 
-def _steps(config: ExperimentConfig, epochs: int, rows: int) -> int:
-    """Minibatch steps of one fit of `epochs` epochs over `rows` rows."""
-    return epochs * math.ceil(rows / config.batch_size)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on; counted as 1 off Linux."""
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _run_in_helper(calls, send) -> None:
+def _run_in_helper(call, send) -> None:
     try:
-        outcome = (True, [call() for call in calls])
+        outcome = (True, call())
     except BaseException as exc:  # re-raised by the caller
         outcome = (False, exc)
     send.send(outcome)
 
 
-def _fit_side_by_side(calls: list, steps: int) -> list:
-    """The results of the zero-argument `calls`, in call order.
-
-    The first call runs in this process and the rest, in turn, in one helper
-    process forked for them, so independent fits share the host's CPUs; a
-    trial forks it once, with the policy lane here and the log lane there
-    (`_fit_models`). Every fit is seeded, so where it runs moves no bit of
-    its result. All calls run here, in turn, when there is one call, when
-    the shortest single fit among them takes fewer than `_MIN_OVERLAP_STEPS`
-    minibatch steps (`steps`), so the two processes would overlap too
-    briefly, when fewer than two CPUs are usable (off Linux, or under
-    `taskset -c 0`) and inside a process-pool worker, so helpers never nest.
-    A fault in the helper is re-raised here with its type and message, and
-    the helper has exited before this returns or raises.
+def _fit_side_by_side(here, there, steps: int) -> tuple:
+    """`(here(), there())` of two zero-argument calls, with `there` run in
+    one helper process forked for it, so independent fits share the host's
+    CPUs; `_fit_models` states which fits each call runs. Every fit is
+    seeded, so where it runs moves no bit of its result. Both calls run
+    here, in turn, when the shortest single fit among them takes fewer than
+    `_MIN_OVERLAP_STEPS` minibatch steps (`steps`), so the two processes
+    would overlap too briefly, when fewer than two CPUs are usable (off
+    Linux, or under `taskset -c 0`) and inside a process-pool worker, so
+    helpers never nest. A fault in the helper is re-raised here with its
+    type and message, and the helper has exited before this returns or
+    raises.
     """
-    if (len(calls) < 2 or steps < _MIN_OVERLAP_STEPS
-            or _usable_cpus() < 2
+    if (steps < _MIN_OVERLAP_STEPS or _usable_cpus() < 2
             or multiprocessing.parent_process() is not None):
-        return [call() for call in calls]
+        return here(), there()
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
     # the helper flushes its copy of these buffers when it exits
     sys.stdout.flush()
     sys.stderr.flush()
-    helper = context.Process(target=_run_in_helper, args=(calls[1:], send))
+    helper = context.Process(target=_run_in_helper, args=(there, send))
     helper.start()
     send.close()
     try:
-        first = calls[0]()
+        first = here()
         try:
-            ok, rest = receive.recv()
+            ok, second = receive.recv()
         except EOFError:
             helper.join()
             raise RuntimeError(f"fit helper exited with code "
@@ -308,8 +300,8 @@ def _fit_side_by_side(calls: list, steps: int) -> list:
         helper.join()
         receive.close()
     if not ok:
-        raise rest
-    return [first, *rest]
+        raise second
+    return first, second
 
 
 def _split_data(config: ExperimentConfig, dataset: LabeledDataset, seed: int):
@@ -352,11 +344,12 @@ def _fit_models(config: ExperimentConfig, train: LabeledDataset,
     in `estimated` mode) and a dict of the reward models the configured kinds
     read, keyed by `MODEL_READ` value.
 
-    The fits run in two lanes, split by what they read. The policy lane, in
-    this process, fits the target, then p-hat, then the robust model, which
-    reads both through the density ratio. The log lane, in the fit helper
-    (`_fit_side_by_side`), fits the DM and iid models, which read only the
-    log.
+    The fits run in two lanes, split by what they read, side by side when
+    `_fit_side_by_side` forks its helper. The policy lane, in this process,
+    fits the target, then p-hat, then the robust model, which reads both
+    through the density ratio. The log lane, in the helper, fits the DM and
+    iid models, which read only the log. A lane skips each model no
+    configured kind reads, and a trial with no log-lane fit forks nothing.
     """
     dims, settings = config.hidden_dims, _reward_fit_settings(config)
     reads = {estimators.MODEL_READ[name] for name in config.estimator_names}
@@ -383,14 +376,15 @@ def _fit_models(config: ExperimentConfig, train: LabeledDataset,
                                                         settings=settings)
         return models
 
-    lanes = [policy_lane] + ([log_lane] if reads & {"direct", "iid"} else [])
     # every fit passes over one row per train row each epoch, and with a log
     # lane the trial's shortest fit is the target's or a reward model's
-    (target, p_hat, models), *log_models = _fit_side_by_side(
-        lanes, _steps(config, min(config.classifier_epochs,
-                                  config.reward_epochs), len(log)))
-    models.update(*log_models)
-    return target, p_hat, models
+    steps = 0
+    if reads & {"direct", "iid"}:
+        steps = (min(config.classifier_epochs, config.reward_epochs)
+                 * math.ceil(len(log) / config.batch_size))
+    (target, p_hat, models), log_models = _fit_side_by_side(
+        policy_lane, log_lane, steps)
+    return target, p_hat, models | log_models
 
 
 def _bound_diagnostics(config: ExperimentConfig, test_log: LoggedDataset,
@@ -441,8 +435,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run `config.trials` trials, in a pool of min(jobs, trials) processes
     when that is above 1. Pool workers fit a trial's models in turn, with
     no helper process of their own (`_fit_side_by_side`), so one trial runs
-    here, where its DM and iid fits may overlap the target, p-hat and robust
-    fits."""
+    here, where its two lanes of fits (`_fit_models`) may overlap."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     dataset = _load_dataset(config)

@@ -211,10 +211,9 @@ class AdamState:
                    (np.empty_like(params), np.empty_like(params)))
 
 
-def adam_step(net: FeedForwardNet, config: SgdConfig,
-              state: AdamState) -> FeedForwardNet:
-    """In-place Adam update with bias correction from `state.grad`. Returns
-    the same net.
+def adam_step(config: SgdConfig, state: AdamState) -> None:
+    """In-place Adam update of `state.params` with bias correction from
+    `state.grad`.
 
     The moments are kept scaled by 1 / (1 - beta): `m = b1 * m + g` and
     `v = b2 * v + g ** 2`, and the step folds the bias corrections c1, c2
@@ -243,7 +242,6 @@ def adam_step(net: FeedForwardNet, config: SgdConfig,
     np.sqrt(v, out=a)
     a += eps_t
     state.params -= np.divide(np.multiply(lr_t, m, out=b), a, out=b)
-    return net
 
 
 def _spectral_sigma(w: np.ndarray):
@@ -335,7 +333,7 @@ def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,
                 trace = _forward_trace(net, inputs[idx])
                 _backprop(net, trace, output_grads(trace[-1], idx),
                           state.grads)
-                adam_step(net, config, state)
+                adam_step(config, state)
         except TrainingFault as exc:
             raise TrainingFault(f"{exc} at epoch {epoch}") from exc
     return net

@@ -396,6 +396,48 @@ class TestTrialGolden:
         assert result.diagnostics == pytest.approx(diag, rel=1e-12)
 
 
+class TestBiasedSubsample:
+    """The class-skewed train subsample the logging classifier is fitted on
+    in `biased_known` and `estimated` mode."""
+
+    @staticmethod
+    def labeled(labels, n_classes):
+        labels = np.asarray(labels)
+        return LabeledDataset(np.arange(len(labels), dtype=float)[:, None],
+                              labels, n_classes)
+
+    @pytest.mark.parametrize("n_classes", [4, 5])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_upper_half_of_classes_always_kept(self, n_classes, beta):
+        train = self.labeled(np.arange(60) % n_classes, n_classes)
+        upper = train.labels >= n_classes // 2
+        for seed in range(5):
+            out = harness._biased_subsample(train, beta,
+                                            np.random.default_rng(seed))
+            kept = out.labels >= n_classes // 2
+            assert np.array_equal(out.contexts[kept], train.contexts[upper])
+            assert np.array_equal(out.labels[kept], train.labels[upper])
+            assert out.n_classes == n_classes
+
+    def test_beta_zero_drops_and_one_keeps_lower_half(self):
+        train = self.labeled(np.arange(60) % 4, 4)
+        rng = np.random.default_rng(0)
+        dropped = harness._biased_subsample(train, 0.0, rng)
+        assert np.array_equal(dropped.labels, train.labels[train.labels >= 2])
+        kept = harness._biased_subsample(train, 1.0, rng)
+        assert np.array_equal(kept.contexts, train.contexts)
+        assert np.array_equal(kept.labels, train.labels)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 0, 1], [0, 0, 1, 1]],
+                             ids=["one_row", "one_class"])
+    def test_too_small_subsample_falls_back_to_input(self, labels):
+        # beta = 0 keeps only class 1 of 2: one row, or one class
+        train = self.labeled(labels, 2)
+        out = harness._biased_subsample(train, 0.0,
+                                        np.random.default_rng(0))
+        assert out is train
+
+
 def hexed(result):
     """A trial's truth, errors and diagnostics, each as `float.hex`."""
     return (result.true_value.hex(),
@@ -404,9 +446,9 @@ def hexed(result):
 
 
 def helper_on(monkeypatch, on=True):
-    """Turn the fit helper on for fits of any length, or off."""
+    """Turn the fit helper on for fits of one step or more, or off."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2 if on else 1)
-    monkeypatch.setattr(harness, "_MIN_OVERLAP_STEPS", 0)
+    monkeypatch.setattr(harness, "_MIN_OVERLAP_STEPS", 1)
 
 
 class TestFitSideBySide:
@@ -428,19 +470,17 @@ class TestFitSideBySide:
         assert multiprocessing.active_children() == []
 
     @staticmethod
-    def pids(n):
-        return [lambda i=i: (i, os.getpid()) for i in range(n)]
+    def pid(i):
+        return lambda: (i, os.getpid())
 
     def test_first_call_here_rest_in_one_helper(self, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-        results = harness._fit_side_by_side(self.pids(3), self.STEPS)
-        assert [i for i, _ in results] == [0, 1, 2]
-        here, *helper = [pid for _, pid in results]
-        assert here == os.getpid()
-        assert len(set(helper)) == 1 and helper[0] != here
+        here, there = harness._fit_side_by_side(self.pid(0), self.pid(1),
+                                                self.STEPS)
+        assert here == (0, os.getpid())
+        assert there[0] == 1 and there[1] != os.getpid()
 
-    @pytest.mark.parametrize("case", ["one_cpu", "pool_worker", "short",
-                                      "one_call"])
+    @pytest.mark.parametrize("case", ["one_cpu", "pool_worker", "short"])
     def test_calls_run_here_in_turn(self, case, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus",
                             lambda: 1 if case == "one_cpu" else 2)
@@ -448,10 +488,9 @@ class TestFitSideBySide:
             # any process object: the pool's parent, as a worker sees it
             monkeypatch.setattr(multiprocessing, "parent_process",
                                 multiprocessing.current_process)
-        n = 1 if case == "one_call" else 3
         steps = self.STEPS - 1 if case == "short" else self.STEPS
-        results = harness._fit_side_by_side(self.pids(n), steps)
-        assert results == [(i, os.getpid()) for i in range(n)]
+        results = harness._fit_side_by_side(self.pid(0), self.pid(1), steps)
+        assert results == ((0, os.getpid()), (1, os.getpid()))
 
     @pytest.mark.parametrize("mode", LOGGING_MODES)
     def test_run_trial_same_bits_helper_on_and_off(self, mode, monkeypatch):
@@ -470,8 +509,7 @@ class TestFitSideBySide:
             raise TrainingFault("diverged at epoch 3")
 
         with pytest.raises(TrainingFault) as info:
-            harness._fit_side_by_side([lambda: 1, lambda: 2, diverge],
-                                      self.STEPS)
+            harness._fit_side_by_side(lambda: 1, diverge, self.STEPS)
         assert str(info.value) == "diverged at epoch 3"
         assert "Traceback" not in capfd.readouterr().err
 
@@ -483,7 +521,7 @@ class TestFitSideBySide:
 
         start = time.perf_counter()
         with pytest.raises(ValueError, match="bad fit"):
-            harness._fit_side_by_side([fault, lambda: time.sleep(60)],
+            harness._fit_side_by_side(fault, lambda: time.sleep(60),
                                       self.STEPS)
         assert time.perf_counter() - start < 30
         assert "Traceback" not in capfd.readouterr().err
@@ -491,7 +529,7 @@ class TestFitSideBySide:
     def test_helper_exit_without_result_is_runtime_error(self, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="exited with code 3"):
-            harness._fit_side_by_side([lambda: 1, lambda: os._exit(3)],
+            harness._fit_side_by_side(lambda: 1, lambda: os._exit(3),
                                       self.STEPS)
 
     def test_helper_training_fault_exits_two(self, tmp_path):
@@ -530,9 +568,9 @@ class TestFitSideBySide:
             return recording
 
         def helper(original):
-            def recording(calls, send):
+            def recording(call, send):
                 note("helper")
-                original(calls, send)
+                original(call, send)
             return recording
 
         for owner in (policies, estimators, robust_regression):
@@ -557,6 +595,17 @@ class TestFitSideBySide:
                 fits.setdefault(pid, []).append(name)
         assert fits == {os.getpid(): self.CALLER[mode],
                         helper[0]: ["direct", "iid"]}
+
+    def test_no_log_lane_starts_no_helper(self, monkeypatch, tmp_path):
+        # these kinds read the robust model only, fitted in the policy lane
+        helper_on(monkeypatch)
+        config = ExperimentConfig(**TestTrialGolden.CONFIG,
+                                  estimator_names=["IPS", "SnIPS", "DM_R",
+                                                   "TR"])
+        read = self.record(monkeypatch, tmp_path, seed=5)
+        run_trial(config, _load_dataset(config), seed=5)
+        assert read() == [(name, os.getpid())
+                          for name in self.CALLER["uniform"]]
 
     @pytest.mark.parametrize("name, mode", [("vehicle", "uniform"),
                                             ("optdigits", "estimated")])

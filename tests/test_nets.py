@@ -36,13 +36,13 @@ def identity_layer(dim):
     return Layer(weight=np.eye(dim), bias=np.zeros(dim))
 
 
-def step(net, grads, config, state):
+def step(grads, config, state):
     """One `adam_step` on the (dW, db) pairs `grads`, written into the
     gradient buffer the way backprop writes it."""
     for pair, views in zip(grads, state.grads):
         for grad, view in zip(pair, views):
             view[...] = grad
-    return adam_step(net, config, state)
+    adam_step(config, state)
 
 
 class TestForward:
@@ -198,7 +198,7 @@ class TestSgdStep:
         before = [(l.weight.copy(), l.bias.copy()) for l in net.layers]
         zeros = [(np.zeros_like(l.weight), np.zeros_like(l.bias))
                  for l in net.layers]
-        step(net, zeros, SgdConfig(), AdamState.for_net(net))
+        step(zeros, SgdConfig(), AdamState.for_net(net))
         for (bw, bb), l in zip(before, net.layers):
             assert np.array_equal(bw, l.weight)
             assert np.array_equal(bb, l.bias)
@@ -214,13 +214,13 @@ class TestSgdStep:
             pred = forward_batch(net, [x])[0, 0]
             losses.append(0.5 * (pred - y) ** 2)
             grads = backward(net, [x], [[pred - y]])
-            step(net, grads, config, state)
+            step(grads, config, state)
         assert losses[0] > losses[1] > losses[2]
 
     def test_non_finite_gradient_is_training_fault(self):
         net = FeedForwardNet([identity_layer(1)])
         with pytest.raises(TrainingFault):
-            step(net, [(np.array([[np.nan]]), np.zeros(1))], SgdConfig(),
+            step([(np.array([[np.nan]]), np.zeros(1))], SgdConfig(),
                  AdamState.for_net(net))
 
     def test_config_validation(self):
@@ -238,7 +238,7 @@ class TestAdam:
         net = FeedForwardNet([Layer(np.array([[1.0]]), np.zeros(1))])
         config = SgdConfig(learning_rate=0.01)
         state = AdamState.for_net(net)
-        step(net, [(np.array([[3.0]]), np.zeros(1))], config, state)
+        step([(np.array([[3.0]]), np.zeros(1))], config, state)
         assert np.allclose(net.layers[0].weight, [[1.0 - 0.01]], atol=1e-6)
 
     def test_folded_step_matches_textbook_adam(self):
@@ -255,7 +255,7 @@ class TestAdam:
         for t in range(1, 201):
             grads = [(rng.standard_normal(l.weight.shape),
                       rng.standard_normal(l.bias.shape)) for l in net.layers]
-            step(net, grads, config, state)
+            step(grads, config, state)
             c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
             for layer, (dw, db), (mw, mb, vw, vb) in zip(
                     ref.layers, grads, moments):
@@ -400,7 +400,7 @@ class TestFit:
         spectral_normalize_net(ref, [None] * len(ref.layers))
         g = forward_batch(ref, inputs[order]) - targets[order]
         grads = backward(ref, inputs[order], g)
-        step(ref, grads, config, AdamState.for_net(ref))
+        step(grads, config, AdamState.for_net(ref))
         for a, b in zip(net.layers, ref.layers):
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
@@ -489,9 +489,9 @@ class TestFit:
         # a fitted net nor its copy or pickle holds a view of them
         states = []
 
-        def recording(net, config, state):
+        def recording(config, state):
             states.append(state)
-            return adam_step(net, config, state)
+            adam_step(config, state)
 
         monkeypatch.setattr(nets, "adam_step", recording)
         rng = np.random.default_rng(18)
@@ -537,7 +537,7 @@ class TestFit:
             layer.bias += 1.0
         grads = [(np.ones_like(l.weight), np.ones_like(l.bias))
                  for l in twin.layers]
-        step(twin, grads, SgdConfig(), AdamState.for_net(twin))
+        step(grads, SgdConfig(), AdamState.for_net(twin))
         for (w, b), layer in zip(before, net.layers):
             assert np.array_equal(w, layer.weight)
             assert np.array_equal(b, layer.bias)
