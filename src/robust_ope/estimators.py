@@ -2,13 +2,14 @@
 
 All estimators are pure functions of a LoggedDataset, the target policy, a
 propensity source (logged propensities or a logging Policy), and where needed
-a reward model. Each kind is one row of `_TABLE`: a formula over shared
-arrays and the one reward model it reads. TR is the DR formula on the robust
-model's means at the density ratio p-hat / pi. Consecutive calls on the same
-input objects reuse pi, p-hat, the weights and each model's mean matrix, so
-inputs are read-only once scored. Estimates on [0, 1]-reward data stay in
-[0, 1] for DM, DM-R, DM-I and SnIPS; IPS/DR-family estimates may leave the
-interval and are not clipped.
+a reward model. Each kind is one row of `_TABLE`: one of five formulas (DM,
+DR, SnDR, switch, shrink) and the one reward model it reads. IPS and SnIPS
+are DR and SnDR with no model; TR is DR on the robust model's means at the
+density ratio p-hat / pi. Consecutive calls on the same input objects reuse
+pi, p-hat, the weights and each model's pi-mean and residual, so inputs are
+read-only once scored. Estimates on [0, 1]-reward data stay in [0, 1] for
+DM, DM-R, DM-I and SnIPS; IPS/DR-family estimates may leave the interval and
+are not clipped.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .data import LoggedDataset
 from .nets import (FeedForwardNet, SgdConfig, action_inputs, fit,
                    forward_actions, init_net)
-from .policies import Policy, density_ratio
+from .policies import Policy, density_ratio, probs_on
 from .robust_regression import RobustRegressor, mean_matrix
 
 #: safety clip on importance weights pi / p-hat; np.inf disables it
@@ -72,8 +73,8 @@ def train_direct_model(logged: LoggedDataset, hidden_dims: list[int],
 class _Inputs:
     """One input set (logged data, target pi, p-hat source) and the arrays
     every estimate on it shares, each built once on first use: pi and p-hat
-    over all actions, the weights w per clip `w_max`, and one mean matrix per
-    model read, kept against the identity of the model that built it.
+    over all actions, the weights w per clip `w_max`, and the pi-mean and
+    residual of each model read, kept against the identity of that model.
 
     It refers to no estimate, so dropping it frees its arrays at once."""
 
@@ -82,7 +83,7 @@ class _Inputs:
         self.logged, self.target, self.logging = logged, target, logging
         self.fields = tuple(vars(logged).values())
         self._w: dict[float, np.ndarray] = {}
-        self._mats: dict[str, tuple[object, np.ndarray]] = {}
+        self._means: dict[str | None, tuple[object, tuple]] = {}
 
     def matches(self, logged: LoggedDataset, target: Policy,
                 logging: Policy | None) -> bool:
@@ -98,7 +99,7 @@ class _Inputs:
 
     @cached_property
     def pi(self) -> np.ndarray:
-        return self.target.probs_matrix(self.logged.contexts)
+        return probs_on(self.logged, self.target, "target")
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -106,7 +107,7 @@ class _Inputs:
             raise ValueError("need a logging policy: robust kinds read p-hat "
                              "at every action, and the weights read it where "
                              "no propensities are logged")
-        return self.logging.probs_matrix(self.logged.contexts)
+        return probs_on(self.logged, self.logging, "logging")
 
     def w(self, w_max: float) -> np.ndarray:
         """Read-only weights pi / p-hat at the logged actions, clipped to
@@ -123,26 +124,34 @@ class _Inputs:
             self._w[w_max] = w
         return w
 
-    def mat(self, reads: str, model) -> np.ndarray:
-        """Means of `model` at every action: "direct", "robust" (at the
-        density ratio p-hat / pi) or "iid" (at 1)."""
-        kept = self._mats.get(reads)
+    def means(self, reads: str | None,
+              model) -> tuple[np.ndarray, np.ndarray]:
+        """The pi-mean E_{a~pi}[model(x, a)] per record and the residual
+        r - model(x, a) at the logged action, for the means of `model` read
+        as "direct", "robust" (at the density ratio p-hat / pi) or "iid" (at
+        1); zeros and the rewards when `reads` is None."""
+        kept = self._means.get(reads)
         if kept is not None and kept[0] is model:
             return kept[1]
-        if model is None:
+        logged = self.logged
+        if reads is None:
+            pair = np.zeros(len(logged)), logged.rewards
+        elif model is None:
             raise ValueError(f"no {reads} reward model given")
-        contexts = self.logged.contexts
-        shape = (len(self.logged), self.logged.n_actions)
-        if reads == "direct":
-            mat = model.predict_matrix(contexts)
         else:
-            ratios = (density_ratio(self.p, self.pi, np.inf)
-                      if reads == "robust" else np.ones(shape))
-            mat = mean_matrix(model, contexts, ratios)
-        if mat.shape != shape:
-            raise ValueError("reward model output shape mismatch")
-        self._mats[reads] = (model, mat)
-        return mat
+            shape = (len(logged), logged.n_actions)
+            if reads == "direct":
+                mat = model.predict_matrix(logged.contexts)
+            else:
+                ratios = (density_ratio(self.p, self.pi, np.inf)
+                          if reads == "robust" else np.ones(shape))
+                mat = mean_matrix(model, logged.contexts, ratios)
+            if mat.shape != shape:
+                raise ValueError("reward model output shape mismatch")
+            pair = (np.sum(self.pi * mat, axis=1),
+                    logged.rewards - self.at_logged(mat))
+        self._means[reads] = (model, pair)
+        return pair
 
 
 #: the input set scored last; a call that names other objects replaces it
@@ -159,82 +168,50 @@ def _inputs(logged: LoggedDataset, target: Policy,
     return last
 
 
-class _Estimate:
-    """One estimate over a shared input set: its weights, the means of the
-    one model it reads, and the formulas over them."""
+# The five formulas, over the pi-mean v and residual resid of the model a
+# kind reads (see `_Inputs.means`) and the weights w, which DM never reads.
 
-    def __init__(self, inputs: _Inputs, w_max: float,
-                 reads: str | None = None, model=None):
-        if not w_max > 0:  # negated, so that NaN fails it
-            raise ValueError(f"w_max must be positive, got {w_max}")
-        self.inputs, self.logged = inputs, inputs.logged
-        self.w_max, self.reads, self.model = w_max, reads, model
+def _dm(v, resid, w, spec) -> float:
+    return float(np.mean(v))
 
-    @cached_property
-    def w(self) -> np.ndarray:
-        return self.inputs.w(self.w_max)
 
-    @cached_property
-    def w_sum(self) -> float:
-        denom = self.w.sum()
-        if denom <= 0:
-            raise UndefinedEstimate("sum of importance weights is zero")
-        return denom
+def _dr(v, resid, w, spec) -> float:
+    return float(np.mean(v)) + float(np.mean(w * resid))
 
-    @cached_property
-    def mat(self) -> np.ndarray:
-        return self.inputs.mat(self.reads, self.model)
 
-    @cached_property
-    def r_pi(self) -> np.ndarray:
-        """E_{a~pi}[model(x, a)] per context."""
-        return np.sum(self.inputs.pi * self.mat, axis=1)
+def _sndr(v, resid, w, spec) -> float:
+    w_sum = w.sum()
+    if w_sum <= 0:
+        raise UndefinedEstimate("sum of importance weights is zero")
+    return float(np.mean(v)) + float((w * resid).sum() / w_sum)
 
-    @cached_property
-    def resid(self) -> np.ndarray:
-        return self.logged.rewards - self.inputs.at_logged(self.mat)
 
-    def dm(self, spec) -> float:
-        return float(np.mean(self.r_pi))
+def _switch(v, resid, w, spec) -> float:
+    """DR below the weight threshold tau, DM above it, per record."""
+    return float(np.mean(np.where(w <= spec.tau, w * resid + v, v)))
 
-    def ips(self, spec) -> float:
-        return float(np.mean(self.w * self.logged.rewards))
 
-    def snips(self, spec) -> float:
-        return float((self.w * self.logged.rewards).sum() / self.w_sum)
-
-    def dr(self, spec) -> float:
-        return self.dm(spec) + float(np.mean(self.w * self.resid))
-
-    def sndr(self, spec) -> float:
-        return self.dm(spec) + float((self.w * self.resid).sum() / self.w_sum)
-
-    def switch(self, spec) -> float:
-        """DR below the weight threshold tau, DM above it, per record."""
-        dr_terms = self.w * self.resid + self.r_pi
-        return float(np.mean(np.where(self.w <= spec.tau, dr_terms, self.r_pi)))
-
-    def shrink(self, spec) -> float:
-        """DR with the importance weight hard-capped at shrink_cap."""
-        return self.dm(spec) + float(
-            np.mean(np.minimum(self.w, spec.shrink_cap) * self.resid))
+def _shrink(v, resid, w, spec) -> float:
+    """DR with the importance weight hard-capped at shrink_cap."""
+    return float(np.mean(v)) + float(
+        np.mean(np.minimum(w, spec.shrink_cap) * resid))
 
 
 #: kind -> (formula, the reward model it reads)
 _TABLE = {
-    "DM": (_Estimate.dm, "direct"),
-    "IPS": (_Estimate.ips, None),
-    "SnIPS": (_Estimate.snips, None),
-    "DR": (_Estimate.dr, "direct"),
-    "SnDR": (_Estimate.sndr, "direct"),
-    "DR_SWITCH": (_Estimate.switch, "direct"),
-    "DR_SHRINK": (_Estimate.shrink, "direct"),
-    "DM_R": (_Estimate.dm, "robust"),
-    "DM_I": (_Estimate.dm, "iid"),
-    "TR": (_Estimate.dr, "robust"),
-    "SnTR": (_Estimate.sndr, "robust"),
-    "TR_SWITCH": (_Estimate.switch, "robust"),
-    "TR_SHRINK": (_Estimate.shrink, "robust"),
+    "DM": (_dm, "direct"),
+    "IPS": (_dr, None),
+    "SnIPS": (_sndr, None),
+    "DR": (_dr, "direct"),
+    "SnDR": (_sndr, "direct"),
+    "DR_SWITCH": (_switch, "direct"),
+    "DR_SHRINK": (_shrink, "direct"),
+    "DM_R": (_dm, "robust"),
+    "DM_I": (_dm, "iid"),
+    "TR": (_dr, "robust"),
+    "SnTR": (_sndr, "robust"),
+    "TR_SWITCH": (_switch, "robust"),
+    "TR_SHRINK": (_shrink, "robust"),
 }
 ESTIMATOR_KINDS = tuple(_TABLE)
 #: the reward model each kind reads ("direct", "robust", "iid" or None)
@@ -251,11 +228,11 @@ class EstimatorSpec:
         if self.kind not in _TABLE:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         formula = _TABLE[self.kind][0]
-        if formula is _Estimate.switch and (self.tau is None
-                                            or not self.tau >= 0):
+        if formula is _switch and (self.tau is None
+                                   or not self.tau >= 0):
             raise ValueError(f"{self.kind} requires a nonnegative tau")
-        if formula is _Estimate.shrink and (self.shrink_cap is None
-                                            or not self.shrink_cap >= 0):
+        if formula is _shrink and (self.shrink_cap is None
+                                   or not self.shrink_cap >= 0):
             raise ValueError(f"{self.kind} requires a nonnegative shrink_cap")
 
 
@@ -267,7 +244,9 @@ def importance_weights(logged: LoggedDataset, target: Policy,
 
     Shares pi and p-hat with `evaluate_estimator` calls on the same objects;
     the returned array is read-only."""
-    return _Estimate(_inputs(logged, target, logging), w_max).w
+    if not w_max > 0:  # negated, so that NaN fails it
+        raise ValueError(f"w_max must be positive, got {w_max}")
+    return _inputs(logged, target, logging).w(w_max)
 
 
 def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
@@ -280,14 +259,18 @@ def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
 
     Consecutive calls that name the same `logged` (with the same field
     values), `target` and `logging` objects share pi, p-hat, the weights at
-    each `w_max` and the mean matrix of each reward model, so scoring every
-    kind of one trial evaluates each policy and each model once. Inputs are
-    therefore treated as read-only once scored: an array, policy or model
-    changed in place is not seen by the next call on the same objects; pass
-    new objects, or rebind the changed field, instead.
+    each `w_max` and each reward model's pi-mean and residual, so scoring
+    every kind of one trial evaluates each policy and each model once.
+    Inputs are therefore treated as read-only once scored: an array, policy
+    or model changed in place is not seen by the next call on the same
+    objects; pass new objects, or rebind the changed field, instead.
     """
+    if not w_max > 0:  # negated, so that NaN fails it
+        raise ValueError(f"w_max must be positive, got {w_max}")
     formula, reads = _TABLE[spec.kind]
-    chosen = {"direct": model, "robust": robust, "iid": robust_iid}.get(reads)
-    return formula(_Estimate(_inputs(logged, target, logging), w_max, reads,
-                             chosen), spec)
+    inputs = _inputs(logged, target, logging)
+    v, resid = inputs.means(reads, {"direct": model, "robust": robust,
+                                    "iid": robust_iid}.get(reads))
+    w = None if formula is _dm else inputs.w(w_max)
+    return formula(v, resid, w, spec)
 

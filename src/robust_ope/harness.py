@@ -146,17 +146,24 @@ def parse_config(path) -> ExperimentConfig:
         schema.setdefault(f.metadata["section"], {})[
             f.metadata["key"] or f.name] = (f.name, hints[f.name])
     parser = configparser.ConfigParser()
-    if not parser.read(path):
+    try:
+        read = parser.read(path, encoding="utf-8")
+        # items() interpolates, so a stray '%' fails here too
+        sections = {section: parser.items(section)
+                    for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    if not read:
         raise ConfigError(f"cannot read config file {path}")
     # configparser would copy these keys into every section
     if parser.defaults():
         raise ConfigError("keys under [DEFAULT] are not supported; "
                           "put each key in its own section")
     kwargs = {}
-    for section in parser.sections():
+    for section, pairs in sections.items():
         if section not in schema:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in pairs:
             if key not in schema[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             attr, typ = schema[section][key]

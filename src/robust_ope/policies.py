@@ -77,13 +77,24 @@ def density_ratio(num: np.ndarray, den: np.ndarray, cap: float) -> np.ndarray:
     return np.clip(ratio, 0.0, cap)
 
 
+def probs_on(logged, policy: Policy, role: str) -> np.ndarray:
+    """`policy`'s (n, K) probabilities at the logged contexts, rejecting a
+    policy over another action count than the log's; `role` names it."""
+    probs = policy.probs_matrix(logged.contexts)
+    if probs.shape != (len(logged), logged.n_actions):
+        raise ValueError(f"{role} policy gives probabilities of shape "
+                         f"{probs.shape} on a log of {len(logged)} records "
+                         f"and {logged.n_actions} actions")
+    return probs
+
+
 def logged_propensities(logged, logging: Policy | None) -> np.ndarray:
     """p-hat(a|x) at the logged actions; logged propensities take precedence."""
     if logged.propensities is not None:
         return logged.propensities
     if logging is None:
         raise ValueError("need logged propensities or a logging policy")
-    probs = logging.probs_matrix(logged.contexts)
+    probs = probs_on(logged, logging, "logging")
     return probs[np.arange(len(logged)), logged.actions]
 
 

@@ -41,7 +41,7 @@ from .nets import (
     forward_batch,
     init_net,
 )
-from .policies import Policy, density_ratio, logged_propensities
+from .policies import Policy, density_ratio, logged_propensities, probs_on
 
 SERIAL_FORMAT_TAG = "robust-regressor-v5"
 
@@ -217,8 +217,8 @@ def training_ratios(logged: LoggedDataset, target: Policy,
                     logging: Policy) -> np.ndarray:
     """Density ratio p(a|x) / pi(a|x) at the logged records, unclipped."""
     p = logged_propensities(logged, logging)
-    pi = target.probs_matrix(logged.contexts)[np.arange(len(logged)),
-                                              logged.actions]
+    pi = probs_on(logged, target, "target")[np.arange(len(logged)),
+                                            logged.actions]
     return density_ratio(p, pi, np.inf)
 
 
@@ -264,8 +264,9 @@ def load_regressor(path) -> RobustRegressor:
     """Inverse of `save_regressor`. A file that no saved regressor could
     have written is rejected with a ValueError naming the first field at
     fault: a ratio cap that is not positive, a reward range whose r_min
-    exceeds its r_max (or either is NaN), layers that do not chain, an input
-    with no context half, or a rho_xr of the wrong length."""
+    exceeds its r_max (or either is NaN), an action count below 1, layers
+    that do not chain, an input with no context half, or a rho_xr of the
+    wrong length."""
     with np.load(path, allow_pickle=False) as blob:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
@@ -287,6 +288,8 @@ def load_regressor(path) -> RobustRegressor:
     if not reg.r_min <= reg.r_max:
         raise ValueError(f"r_min must not exceed r_max, got r_min "
                          f"{reg.r_min} and r_max {reg.r_max}")
+    if reg.n_actions < 1:
+        raise ValueError(f"n_actions must be >= 1, got {reg.n_actions}")
     if not layers:
         raise ValueError("n_layers must be >= 1")
     rows = None  # of the layer before

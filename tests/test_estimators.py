@@ -789,6 +789,48 @@ class TestImportanceWeights:
                                    w_max=w_max)
 
 
+def four_action_log(propensities):
+    """20 records over 4 actions, with or without uniform propensities."""
+    rng = np.random.default_rng(41)
+    n = 20
+    return LoggedDataset(rng.standard_normal((n, 2)), rng.integers(0, 4, n),
+                         rng.random(n), 4,
+                         propensities=np.full(n, 0.25) if propensities
+                         else None)
+
+
+class TestPolicyActionCount:
+    """A policy over another number of actions than the log's is rejected:
+    its columns are not the log's actions, so reading them would score it
+    silently (IPS read 0.4 for a 5-action uniform target on 4 actions)."""
+
+    @pytest.mark.parametrize("kind", ["IPS", "TR"])
+    def test_target_with_other_count_rejected(self, kind):
+        robust = constant_feature_regressor([0.5], d=2, n_actions=4)
+        with pytest.raises(ValueError, match=r"target policy .*\(20, 5\).* "
+                                             r"20 records and 4 actions"):
+            evaluate_estimator(EstimatorSpec(kind), four_action_log(True),
+                               UniformPolicy(5), UniformPolicy(4),
+                               robust=robust)
+
+    @pytest.mark.parametrize("kind", ["IPS", "TR"])
+    def test_logging_with_other_count_rejected(self, kind):
+        # without logged propensities IPS reads p-hat, which read 0.75 here
+        robust = constant_feature_regressor([0.5], d=2, n_actions=4)
+        with pytest.raises(ValueError, match=r"logging policy .*\(20, 6\).* "
+                                             r"20 records and 4 actions"):
+            evaluate_estimator(EstimatorSpec(kind), four_action_log(False),
+                               UniformPolicy(4), UniformPolicy(6),
+                               robust=robust)
+
+    def test_importance_weights_reject_other_counts(self):
+        with pytest.raises(ValueError, match="target policy"):
+            importance_weights(four_action_log(True), UniformPolicy(5), None)
+        with pytest.raises(ValueError, match="logging policy"):
+            importance_weights(four_action_log(False), UniformPolicy(4),
+                               UniformPolicy(3))
+
+
 class TestTrainDirectModel:
     def test_learns_action_dependent_rewards(self):
         rng = np.random.default_rng(31)

@@ -98,6 +98,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
 
+    #: name -> a file configparser cannot parse
+    MALFORMED = {
+        "repeated_key": b"[experiment]\ntrials = 2\ntrials = 3\n",
+        "repeated_section": b"[experiment]\ntrials = 2\n[experiment]\n",
+        "key_before_section": b"trials = 2\n[experiment]\n",
+        "line_without_equals": b"[experiment]\ntrials\n",
+        "invalid_utf8": b"[experiment]\ndataset = caf\xe9\n",
+        "stray_percent": b"[experiment]\ndataset = data%s\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_file_is_config_error(self, tmp_path, name):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(self.MALFORMED[name])
+        with pytest.raises(ConfigError, match="cannot parse config file "
+                                              ".*bad.ini"):
+            parse_config(path)
+
     @pytest.mark.parametrize("body", [
         "[DEFAULT]\ntau = 0.7\n",
         "[DEFAULT]\ntau = 0.7\n[experiment]\ntrials = 2\n",
@@ -822,6 +840,15 @@ class TestCli:
         proc = self.run_cli("run", "--config", str(path))
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_malformed_file_exit_code_one(self, tmp_path, command):
+        path = write_config(tmp_path, "[experiment]\ntrials = 2\n"
+                                      "trials = 3\n")
+        proc = self.run_cli(command, "--config", str(path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error:")
+        assert "Traceback" not in proc.stderr
 
     def test_negative_seed_flag_is_config_error(self, tmp_path):
         path = write_config(tmp_path, "[experiment]\ntrials = 1\n")

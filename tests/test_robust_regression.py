@@ -246,6 +246,25 @@ class TestTraining:
         for la, lb in zip(a.net.layers, b.net.layers):
             assert np.allclose(la.weight, lb.weight)
 
+    @pytest.mark.parametrize("propensities", [True, False])
+    def test_policy_with_other_action_count_rejected(self, propensities):
+        # the ratios read 1.25 per record for a 5-action uniform target
+        rng = np.random.default_rng(29)
+        n = 30
+        logged = LoggedDataset(rng.standard_normal((n, 2)),
+                               rng.integers(0, 4, n), rng.random(n), 4,
+                               propensities=np.full(n, 0.25) if propensities
+                               else None)
+        config = SgdConfig(epochs=1, seed=0)
+        with pytest.raises(ValueError, match=r"target policy .*\(30, 5\)"):
+            train_robust(logged, UniformPolicy(5), UniformPolicy(4), [4],
+                         config)
+        if not propensities:  # logged propensities take precedence
+            with pytest.raises(ValueError,
+                               match=r"logging policy .*\(30, 3\)"):
+                train_robust(logged, UniformPolicy(4), UniformPolicy(3), [4],
+                             config)
+
     def test_constant_reward_oracle_small(self):
         rng = np.random.default_rng(24)
         n, k = 800, 2
@@ -499,6 +518,8 @@ class TestSerialization:
         ("r_min", 1.5, "r_min must not exceed r_max"),
         ("r_min", float("nan"), "r_min must not exceed r_max"),
         ("r_max", float("nan"), "r_min must not exceed r_max"),
+        ("n_actions", 0, "n_actions must be >= 1, got 0"),
+        ("n_actions", -2, "n_actions must be >= 1, got -2"),
     ])
     def test_inconsistent_file_rejected(self, tmp_path, field, value, match):
         # random_regressor's net is 4 -> 4 -> 3 on 2 contexts + 2 actions
