@@ -8,12 +8,13 @@ true label.
 
 from __future__ import annotations
 
+import array
 import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LoggedDataset
+from .data import LoggedDataset, as_indices
 from .policies import Policy, sample_actions
 
 
@@ -29,7 +30,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.contexts = np.asarray(self.contexts, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = as_indices(self.labels, "labels")
         if self.contexts.ndim != 2:
             raise ValueError(f"contexts must be 2-D, got shape "
                              f"{self.contexts.shape}")
@@ -59,9 +60,11 @@ class SplitConfig:
 def load_csv(path, label_column: str) -> LabeledDataset:
     """Parse a comma-separated file with a header row and numeric features.
 
-    Label values are re-indexed densely in sorted order (so e.g. character
-    labels map to 0..K-1); K is the number of distinct labels. A file with
-    no feature column or fewer than 2 classes is rejected.
+    Each row's features go through `float()` straight into one flat float64
+    buffer, which becomes the (n, d) contexts without a copy. Label values
+    are re-indexed densely in sorted order (so e.g. character labels map to
+    0..K-1); K is the number of distinct labels. A file with no feature
+    column, a label column named twice, or fewer than 2 classes is rejected.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -71,24 +74,26 @@ def load_csv(path, label_column: str) -> LabeledDataset:
             raise ParseError(f"{path}: empty file") from None
         if label_column not in header:
             raise ParseError(f"{path}: no column named {label_column!r}")
+        if header.count(label_column) > 1:
+            raise ParseError(f"{path}: more than one column named "
+                             f"{label_column!r}")
         if len(header) < 2:
             raise ParseError(f"{path}: no feature columns")
         label_idx = header.index(label_column)
-        rows, raw_labels = [], []
+        values, raw_labels = array.array("d"), []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{lineno}: expected {len(header)} "
                                  f"fields, got {len(row)}")
-            raw_labels.append(row[label_idx].strip())
-            feats = [v for i, v in enumerate(row) if i != label_idx]
+            raw_labels.append(row.pop(label_idx).strip())
             try:
-                rows.append([float(v) for v in feats])
+                values.extend(map(float, row))
             except ValueError:
                 raise ParseError(
                     f"{path}:{lineno}: non-numeric feature value") from None
-    if not rows:
+    if not raw_labels:
         raise ParseError(f"{path}: no data rows")
-    contexts = np.array(rows)
+    contexts = np.frombuffer(values).reshape(len(raw_labels), -1)
     bad = np.flatnonzero(~np.isfinite(contexts).all(axis=1))
     if bad.size:  # float() also parses nan, inf and -Infinity
         raise ParseError(f"{path}:{bad[0] + 2}: non-finite feature value")

@@ -7,6 +7,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def as_indices(values, name: str) -> np.ndarray:
+    """`values` as an int array. A float that the int cast would change (0.7,
+    NaN, inf) is rejected rather than truncated; 1.0 is kept as 1."""
+    raw = np.asarray(values)
+    if raw.dtype.kind == "f":
+        bad = ~np.isfinite(raw) | (raw != np.trunc(raw))
+        if bad.any():
+            raise ValueError(f"{name} must be whole numbers, got "
+                             f"{raw[bad].flat[0]}")
+    return np.asarray(raw, dtype=int)
+
+
 @dataclass
 class LoggedDataset:
     """Records of (context, chosen action, observed reward, optional propensity).
@@ -25,7 +37,7 @@ class LoggedDataset:
 
     def __post_init__(self):
         self.contexts = np.asarray(self.contexts, dtype=float)
-        self.actions = np.asarray(self.actions, dtype=int)
+        self.actions = as_indices(self.actions, "actions")
         self.rewards = np.asarray(self.rewards, dtype=float)
         if self.propensities is not None:
             self.propensities = np.asarray(self.propensities, dtype=float)

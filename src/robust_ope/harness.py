@@ -11,7 +11,6 @@ trial, the fits run in two processes, split by what they read (`_fit_models`).
 
 from __future__ import annotations
 
-import concurrent.futures
 import configparser
 import math
 import multiprocessing
@@ -449,6 +448,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     seeds = trial_seeds(config.seed, config.trials)
     workers = min(jobs, len(seeds))
     if workers > 1:
+        # imported here only: it pulls in logging, which nothing else needs
+        import concurrent.futures
+
         # a fork-context pool starts all its workers at once
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers) as pool:

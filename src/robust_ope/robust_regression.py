@@ -260,24 +260,32 @@ def save_regressor(reg: RobustRegressor, path) -> None:
     np.savez(path, **payload)
 
 
+def _count(blob, field: str) -> int:
+    """A saved count, which `int()` alone would truncate (1.9 -> 1)."""
+    value = blob[field]
+    if value.shape != () or not float(value).is_integer():
+        raise ValueError(f"{field} must be a whole number, got {value}")
+    return int(value)
+
+
 def load_regressor(path) -> RobustRegressor:
     """Inverse of `save_regressor`. A file that no saved regressor could
     have written is rejected with a ValueError naming the first field at
-    fault: a ratio cap that is not positive, a reward range whose r_min
-    exceeds its r_max (or either is NaN), an action count below 1, layers
-    that do not chain, an input with no context half, or a rho_xr of the
-    wrong length."""
+    fault: a layer or action count that is not a whole number, a ratio cap
+    that is not positive, a reward range whose r_min exceeds its r_max (or
+    either is NaN), an action count below 1, layers that do not chain, an
+    input with no context half, or a rho_xr of the wrong length."""
     with np.load(path, allow_pickle=False) as blob:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
             raise ValueError(f"unsupported format tag {tag!r}")
         layers = [Layer(weight=blob[f"w{i}"], bias=blob[f"b{i}"])
-                  for i in range(int(blob["n_layers"]))]
+                  for i in range(_count(blob, "n_layers"))]
         reg = RobustRegressor(
             net=FeedForwardNet(layers),
             rho=RhoParams(float(blob["rho_r"]), blob["rho_xr"]),
             base=BaseGaussian(float(blob["mu0"]), float(blob["sigma0_sq"])),
-            n_actions=int(blob["n_actions"]),
+            n_actions=_count(blob, "n_actions"),
             r_min=float(blob["r_min"]),
             r_max=float(blob["r_max"]),
             ratio_max=float(blob["ratio_max"]),

@@ -1,16 +1,19 @@
-"""Test oracles: enumerable bandits, table policies and reward models, and
-gradient wrappers over the private formulas that training calls.
+"""Test oracles: enumerable bandits, table policies and reward models,
+gradient wrappers over the private formulas that training calls, and a
+list-of-floats CSV parse.
 
 Nothing under `src` reaches these; the tests check the shipped code against
 them. `SyntheticBandit.exact_value` gives V by exact enumeration, and
 `rho_gradients`, `theta_gradients` and `batch_nll` compose `_clip_ratios`,
 `_gaussian_params`, `_nll_rho_grads`, `_theta_out_grads`, `_forward_trace`
 and `_backprop`, so a finite-difference check of them checks the math that
-trains.
+trains. `list_parse_csv` parses a CSV into one Python float per cell, the
+way `load_csv` once did, so the flat-buffer loader is checked bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,3 +173,18 @@ def batch_nll(reg: RobustRegressor, contexts, actions, rewards, ratios) -> float
                                     _clip_ratios(reg, ratios))
     return float(np.mean(0.5 * np.log(2.0 * np.pi * sigma_sq)
                          + (rewards - mu) ** 2 / (2.0 * sigma_sq)))
+
+
+def list_parse_csv(path, label_column: str) -> tuple[np.ndarray, list[int]]:
+    """Contexts from a list of lists of floats, and labels densely re-indexed
+    in sorted order, for a well-formed CSV with a header row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        idx = header.index(label_column)
+        rows, raw = [], []
+        for row in reader:
+            raw.append(row[idx].strip())
+            rows.append([float(v) for i, v in enumerate(row) if i != idx])
+    classes = sorted(set(raw))
+    return np.array(rows), [classes.index(c) for c in raw]

@@ -1,5 +1,7 @@
 """Bandit simulation: CSV parsing, splits, logging, exact ground truth."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from robust_ope.bandit_sim import (
     true_value,
 )
 from robust_ope.policies import UniformPolicy
-from tests.oracles import SyntheticBandit, TabularPolicy, make_synthetic
+from tests.oracles import (SyntheticBandit, TabularPolicy, list_parse_csv,
+                           make_synthetic)
 
 
 def write(tmp_path, name, text):
@@ -82,6 +85,48 @@ class TestLoadCsv:
         ds = load_csv(data_dir / "vehicle.csv", "label")
         assert ds.contexts.shape == (946, 18)
         assert ds.n_classes == 4
+
+    @pytest.mark.parametrize("name", ["vehicle.csv", "optdigits.csv"])
+    def test_shipped_csv_matches_list_parse_bits(self, data_dir, name):
+        ds = load_csv(data_dir / name, "label")
+        contexts, labels = list_parse_csv(data_dir / name, "label")
+        assert ds.contexts.shape == contexts.shape
+        assert ([float.hex(v) for v in ds.contexts.ravel().tolist()]
+                == [float.hex(v) for v in contexts.ravel().tolist()])
+        assert ds.labels.tolist() == labels
+
+    @pytest.mark.parametrize("text", [
+        "label,a,b\n0,1,2\n1,3,4\n",
+        "a,label,b\n1,0,2\n3,1,4\n",
+    ], ids=["first", "middle"])
+    def test_label_column_anywhere(self, tmp_path, text):
+        ds = load_csv(write(tmp_path, "pos.csv", text), "label")
+        assert ds.contexts.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
+    def test_whitespace_padded_cells_parse(self, tmp_path):
+        path = write(tmp_path, "pad.csv",
+                     "a,b,label\n 1.5 ,\t2e3,0\n-0.25 , 7 , 1\n")
+        ds = load_csv(path, "label")
+        assert ds.contexts.tolist() == [[1.5, 2000.0], [-0.25, 7.0]]
+        assert ds.labels.tolist() == [0, 1]
+
+    def test_label_column_named_twice_rejected(self, tmp_path):
+        # the second copy would otherwise be parsed as a feature
+        path = write(tmp_path, "twice.csv", "a,label,label\n1,0,0\n2,1,1\n")
+        with pytest.raises(ParseError, match=r"twice\.csv: more than one "
+                                             r"column named 'label'"):
+            load_csv(path, "label")
+
+    def test_peak_memory_within_three_matrices(self, data_dir):
+        # one Python float per cell would cost over 5x the matrix
+        tracemalloc.start()
+        try:
+            ds = load_csv(data_dir / "optdigits.csv", "label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ds.contexts.nbytes
 
 
 class TestSplit:
@@ -187,6 +232,16 @@ class TestLabeledDataset:
     def test_labels_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="labels must have shape"):
             LabeledDataset(np.zeros((3, 2)), np.zeros((3, 1), dtype=int), 2)
+
+    def test_non_integral_labels_rejected(self):
+        with pytest.raises(ValueError,
+                           match="labels must be whole numbers, got 0.9"):
+            LabeledDataset(np.zeros((2, 1)), np.array([0.9, 1.5]), 2)
+
+    def test_integral_float_labels_accepted(self):
+        ds = LabeledDataset(np.zeros((2, 1)), np.array([1.0, 0.0]), 2)
+        assert ds.labels.dtype.kind == "i"
+        assert ds.labels.tolist() == [1, 0]
 
     def test_contexts_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="contexts must be 2-D"):

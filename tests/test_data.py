@@ -37,3 +37,16 @@ class TestLoggedDataset:
         with pytest.raises(ValueError, match="contexts must be 2-D"):
             LoggedDataset(contexts, [0, 1, 0], [0.0, 1.0, 0.0], 2,
                           propensities=[0.5, 0.5, 0.5])
+
+    @pytest.mark.parametrize("actions", [[0.7, 1.2], [0.0, float("nan")],
+                                         [0.0, float("inf")]])
+    def test_non_integral_actions_rejected(self, actions):
+        with pytest.raises(ValueError, match="actions must be whole numbers"):
+            LoggedDataset(np.zeros((2, 1)), np.array(actions),
+                          np.array([0.0, 1.0]), 2)
+
+    def test_integral_float_actions_accepted(self):
+        ds = LoggedDataset(np.zeros((2, 1)), np.array([1.0, 0.0]),
+                           np.array([0.0, 1.0]), 2)
+        assert ds.actions.dtype.kind == "i"
+        assert ds.actions.tolist() == [1, 0]

@@ -2,6 +2,8 @@
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import robust_ope
 
@@ -46,3 +48,12 @@ def test_bench_spans_stay_lit():
                for owner, attr, _, _ in spans.targets()
                if not hasattr(owner, attr)}
     assert missing <= DARK_SPANS
+
+
+def test_import_leaves_out_concurrent_futures():
+    # only run_experiment's pool needs it, and it pulls in logging
+    code = ("import sys, robust_ope; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

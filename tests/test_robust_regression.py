@@ -520,6 +520,8 @@ class TestSerialization:
         ("r_max", float("nan"), "r_min must not exceed r_max"),
         ("n_actions", 0, "n_actions must be >= 1, got 0"),
         ("n_actions", -2, "n_actions must be >= 1, got -2"),
+        ("n_actions", 1.9, "n_actions must be a whole number, got 1.9"),
+        ("n_layers", 2.7, "n_layers must be a whole number, got 2.7"),
     ])
     def test_inconsistent_file_rejected(self, tmp_path, field, value, match):
         # random_regressor's net is 4 -> 4 -> 3 on 2 contexts + 2 actions
@@ -531,6 +533,19 @@ class TestSerialization:
         np.savez(path, **payload)
         with pytest.raises(ValueError, match=match):
             load_regressor(path)
+
+    def test_integral_float_counts_load(self, tmp_path):
+        path = tmp_path / "reg.npz"
+        reg = random_regressor(np.random.default_rng(28))
+        save_regressor(reg, path)
+        with np.load(path) as blob:
+            payload = dict(blob)
+        payload["n_actions"] = np.asarray(2.0)
+        payload["n_layers"] = np.asarray(2.0)
+        np.savez(path, **payload)
+        back = load_regressor(path)
+        assert back.n_actions == reg.n_actions == 2
+        assert len(back.net.layers) == len(reg.net.layers) == 2
 
     def test_bad_format_tag_rejected(self, tmp_path):
         # v4 stored a per-layer activation tag; v5 sets it by layer position
