@@ -80,23 +80,26 @@ def load_csv(path, label_column: str) -> LabeledDataset:
         if len(header) < 2:
             raise ParseError(f"{path}: no feature columns")
         label_idx = header.index(label_column)
-        values, raw_labels = array.array("d"), []
-        for lineno, row in enumerate(reader, start=2):
+        # each record's last file line, which a quoted cell may push past
+        # its record number
+        values, raw_labels, lines = array.array("d"), [], array.array("q")
+        for row in reader:
+            lines.append(reader.line_num)
             if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} "
-                                 f"fields, got {len(row)}")
+                raise ParseError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(header)} fields, got {len(row)}")
             raw_labels.append(row.pop(label_idx).strip())
             try:
                 values.extend(map(float, row))
             except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: non-numeric feature value") from None
+                raise ParseError(f"{path}:{reader.line_num}: non-numeric "
+                                 f"feature value") from None
     if not raw_labels:
         raise ParseError(f"{path}: no data rows")
     contexts = np.frombuffer(values).reshape(len(raw_labels), -1)
     bad = np.flatnonzero(~np.isfinite(contexts).all(axis=1))
     if bad.size:  # float() also parses nan, inf and -Infinity
-        raise ParseError(f"{path}:{bad[0] + 2}: non-finite feature value")
+        raise ParseError(f"{path}:{lines[bad[0]]}: non-finite feature value")
     classes = sorted(set(raw_labels))
     if len(classes) < 2:
         raise ParseError(f"{path}: need at least 2 label classes, "
@@ -134,8 +137,10 @@ def standardize(train: LabeledDataset,
     std[std == 0] = 1.0
     out = []
     for ds in (train, *others):
-        out.append(LabeledDataset((ds.contexts - mean) / std, ds.labels,
-                                  ds.n_classes))
+        # (x - mean) / std, with one array fewer
+        c = ds.contexts - mean
+        c /= std
+        out.append(LabeledDataset(c, ds.labels, ds.n_classes))
     return out
 
 

@@ -10,7 +10,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import estimators
+from . import estimators, harness
 from .harness import ConfigError, emit_report, parse_config, run_experiment
 from .nets import TrainingFault
 
@@ -65,6 +65,9 @@ def main(argv=None) -> int:
             print(f"{key} = {value}")
         return 0
 
+    # the run is this process's own, so its BLAS may leave the CPUs to the
+    # fit helper and pool workers, which each run one thread too
+    harness._one_blas_thread()
     try:
         report = run_experiment(config, jobs=args.jobs)
         text = emit_report(report, fmt=args.format)

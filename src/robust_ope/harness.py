@@ -11,10 +11,11 @@ trial, the fits run in two processes, split by what they read (`_fit_models`).
 
 from __future__ import annotations
 
-import configparser
+import ctypes
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
 import time
 import typing
@@ -139,6 +140,9 @@ class ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     """Load a sectioned key=value config file; unknown keys are errors."""
+    # imported here only: a trial never reads a config file
+    import configparser
+
     hints = typing.get_type_hints(ExperimentConfig)
     schema: dict[str, dict[str, tuple[str, type]]] = {}
     for f in fields(ExperimentConfig):
@@ -248,9 +252,10 @@ def _bound_settings(config: ExperimentConfig) -> dict:
 
 
 #: fits that overlap for fewer minibatch steps than this do not repay the
-#: helper's fork: on a 2-vCPU host the fork, the copy-on-write faults and the
-#: wake-ups cost 20-30 ms, and two 18-step vehicle fits ran slower side by
-#: side than in turn, two 72-step ones a third faster
+#: helper's fork: on a 2-vCPU host its round trip takes about 7 ms, each page
+#: either process writes while both live costs about 4 us of copy-on-write,
+#: and two 18-step vehicle fits ran slower side by side than in turn, two
+#: 72-step ones a third faster
 _MIN_OVERLAP_STEPS = 64
 
 
@@ -259,12 +264,38 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
+def _one_blas_thread() -> None:
+    """Run this process's BLAS calls on one thread, when numpy links the
+    scipy-openblas build; with any other BLAS, or none, do nothing. Each
+    process a run forks calls this, so that the run's processes, not BLAS
+    threads within each, share the host's CPUs."""
+    try:
+        # dlsym on numpy's core module also searches the libraries it links
+        core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get_threads = core.scipy_openblas_get_num_threads64_
+        set_threads = core.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return
+    # after a fork, setting any count restarts OpenBLAS's thread pool, whose
+    # idle worker then spins for about 0.1 s of CPU; one thread needs no pool
+    if get_threads() > 1:
+        set_threads(1)
+
+
 def _run_in_helper(call, send) -> None:
+    """Write `call`'s outcome to the binary file `send` as one pickled
+    `(ok, value)`: its result, or the exception it raised, or a
+    `RuntimeError` when that outcome cannot be pickled."""
     try:
         outcome = (True, call())
     except BaseException as exc:  # re-raised by the caller
         outcome = (False, exc)
-    send.send(outcome)
+    try:
+        data = pickle.dumps(outcome)
+    except Exception as exc:
+        data = pickle.dumps((False, RuntimeError(
+            f"fit helper result cannot be pickled: {exc}")))
+    send.write(data)
 
 
 def _fit_side_by_side(here, there, steps: int) -> tuple:
@@ -280,31 +311,43 @@ def _fit_side_by_side(here, there, steps: int) -> tuple:
     type and message, and the helper has exited before this returns or
     raises.
     """
+    # every process multiprocessing starts has it loaded; this imports nothing
+    mp = sys.modules.get("multiprocessing")
     if (steps < _MIN_OVERLAP_STEPS or _usable_cpus() < 2
-            or multiprocessing.parent_process() is not None):
+            or (mp is not None and mp.parent_process() is not None)):
         return here(), there()
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    # the helper flushes its copy of these buffers when it exits
+    receive, send = os.pipe()
+    # so that neither process writes what was buffered before the fork
     sys.stdout.flush()
     sys.stderr.flush()
-    helper = context.Process(target=_run_in_helper, args=(there, send))
-    helper.start()
-    send.close()
-    try:
-        first = here()
+    pid = os.fork()
+    if pid == 0:  # the helper leaves only through os._exit
+        code = 1
         try:
-            ok, second = receive.recv()
-        except EOFError:
-            helper.join()
-            raise RuntimeError(f"fit helper exited with code "
-                               f"{helper.exitcode} and no result") from None
-    except BaseException:
-        helper.terminate()
-        raise
-    finally:
-        helper.join()
-        receive.close()
+            os.close(receive)
+            _one_blas_thread()
+            with open(send, "wb") as pipe:
+                _run_in_helper(there, pipe)
+            sys.stdout.flush()  # what the helper printed
+            sys.stderr.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(send)
+    with open(receive, "rb") as pipe:
+        try:
+            first = here()
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGTERM)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0 or not data:
+        killed = f" ({signal.strsignal(-code)})" if code < 0 else ""
+        raise RuntimeError(f"fit helper exited with code {code}{killed} "
+                           f"and no result")
+    ok, second = pickle.loads(data)
     if not ok:
         raise second
     return first, second
@@ -448,12 +491,15 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     seeds = trial_seeds(config.seed, config.trials)
     workers = min(jobs, len(seeds))
     if workers > 1:
-        # imported here only: it pulls in logging, which nothing else needs
+        # imported here only: they pull in logging, which nothing else needs
         import concurrent.futures
+        import multiprocessing
 
         # a fork-context pool starts all its workers at once
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers) as pool:
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_one_blas_thread) as pool:
             results = list(pool.map(run_trial, [config] * len(seeds),
                                     [dataset] * len(seeds), seeds))
     else:

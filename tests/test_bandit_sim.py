@@ -62,6 +62,19 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"bad\.csv:2: non-"):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize("row, error", [
+        ("foo,0", "non-numeric feature value"),
+        ("nan,0", "non-finite feature value"),
+        ("1,0,2", "expected 2 fields, got 3"),
+    ], ids=["non_numeric", "non_finite", "field_count"])
+    def test_error_names_file_line_after_quoted_newline(self, tmp_path, row,
+                                                        error):
+        # the bad row is the third record but the file's fifth line
+        path = write(tmp_path, "quoted.csv",
+                     f'a,label\n"1\n",0\n2,1\n{row}\n')
+        with pytest.raises(ParseError, match=rf"quoted\.csv:5: {error}"):
+            load_csv(path, "label")
+
     def test_label_only_file_rejected(self, tmp_path):
         path = write(tmp_path, "labels.csv", "label\n0\n1\n")
         with pytest.raises(ParseError,
@@ -173,6 +186,17 @@ class TestStandardize:
         expected = (te.contexts - tr.contexts.mean(axis=0)) \
             / tr.contexts.std(axis=0)
         assert np.allclose(ste.contexts, expected)
+
+    @pytest.mark.parametrize("name", ["vehicle.csv", "optdigits.csv"])
+    def test_shipped_csv_bits_match_formula(self, data_dir, name):
+        tr, te = split(load_csv(data_dir / name, "label"), SplitConfig(0.6))
+        mean = tr.contexts.mean(axis=0)
+        std = tr.contexts.std(axis=0)
+        std[std == 0] = 1.0
+        for ds, out in zip((tr, te), standardize(tr, te)):
+            expected = (ds.contexts - mean) / std
+            assert ([float.hex(v) for v in out.contexts.ravel().tolist()]
+                    == [float.hex(v) for v in expected.ravel().tolist()])
 
     def test_constant_feature_left_finite(self):
         tr = LabeledDataset(np.ones((5, 1)), np.zeros(5, dtype=int), 1)

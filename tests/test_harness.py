@@ -2,10 +2,13 @@
 
 import concurrent.futures
 import csv
+import ctypes
 import dataclasses
+import json
 import multiprocessing
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -463,6 +466,12 @@ def hexed(result):
             {k: v.hex() for k, v in result.diagnostics.items()})
 
 
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def helper_on(monkeypatch, on=True):
     """Turn the fit helper on for fits of one step or more, or off."""
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2 if on else 1)
@@ -485,7 +494,7 @@ class TestFitSideBySide:
     @pytest.fixture(autouse=True)
     def no_children_left(self):
         yield
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @staticmethod
     def pid(i):
@@ -548,6 +557,20 @@ class TestFitSideBySide:
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match="exited with code 3"):
             harness._fit_side_by_side(lambda: 1, lambda: os._exit(3),
+                                      self.STEPS)
+
+    def test_helper_killed_is_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match=r"exited with code -9 "
+                                               r"\(Killed\) and no result"):
+            harness._fit_side_by_side(
+                lambda: 1, lambda: os.kill(os.getpid(), signal.SIGKILL),
+                self.STEPS)
+
+    def test_unpicklable_result_is_runtime_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="cannot be pickled"):
+            harness._fit_side_by_side(lambda: 1, lambda: (lambda: 2),
                                       self.STEPS)
 
     def test_helper_training_fault_exits_two(self, tmp_path):
@@ -642,6 +665,52 @@ class TestFitSideBySide:
         assert "helper" not in {name for name, _ in schedule}
 
 
+class TestOneBlasThread:
+    """The fit helper and pool workers run one BLAS thread each, a library
+    call leaves its caller's thread count alone, and a helper forked at one
+    thread starts no OpenBLAS thread pool."""
+
+    CODE = """
+import ctypes, json, os, numpy as np
+from robust_ope import harness
+threads = ctypes.CDLL(
+    np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+out = {"before": threads()}
+harness._usable_cpus = lambda: 2
+steps = harness._MIN_OVERLAP_STEPS
+out["here"], out["helper"] = harness._fit_side_by_side(threads, threads, steps)
+out["after"] = threads()
+def worker_threads(config, dataset, seed):
+    return harness.TrialResult(errors={"IPS": threads()}, true_value=0.0,
+                               wall_clock=0.0, diagnostics={})
+harness.run_trial = worker_threads
+config = harness.ExperimentConfig(trials=4, estimator_names=["IPS"])
+out["workers"] = harness.run_experiment(config, jobs=2).errors[:, 0].tolist()
+harness._one_blas_thread()
+tasks = lambda: len(os.listdir("/proc/self/task"))
+out["helper_tasks"] = harness._fit_side_by_side(tasks, tasks, steps)[1]
+print(json.dumps(out))
+"""
+
+    def test_helper_and_workers_run_one_thread(self):
+        try:
+            ctypes.CDLL(np._core._multiarray_umath.__file__) \
+                .scipy_openblas_get_num_threads64_
+        except (AttributeError, OSError):
+            pytest.skip("numpy does not link scipy-openblas")
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads in")
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", self.CODE], env=env,
+                              capture_output=True, text=True, check=True)
+        out = json.loads(proc.stdout)
+        assert out["here"] == out["after"] == out["before"]
+        assert out["helper"] == 1
+        assert out["workers"] == [1, 1, 1, 1]
+        assert out["helper_tasks"] == 1
+
+
 class TestModelsFromEstimatorTable:
     """run_trial fits exactly the reward models its estimators read."""
 
@@ -689,7 +758,7 @@ class TestModelsFromEstimatorTable:
         log, _, logging = harness._log_feedback(config, train, test, 0)
         _, _, models = harness._fit_models(config, train, log, logging, 0)
         assert {read: type(m) for read, m in models.items()} == fitted
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_every_spec_gets_tau_and_cap(self):
         config = ExperimentConfig(tau=0.7, shrink_cap=0.3)
@@ -736,8 +805,12 @@ class TestRunExperiment:
         class SerialPool:
             """Records the pool size and maps in this process."""
 
-            def __init__(self, max_workers=None):
+            def __init__(self, max_workers=None, mp_context=None,
+                         initializer=None):
                 sizes.append(max_workers)
+                # named, not the platform's default; one BLAS thread each
+                assert mp_context is multiprocessing.get_context("fork")
+                assert initializer is harness._one_blas_thread
 
             def __enter__(self):
                 return self

@@ -57,3 +57,26 @@ def test_import_leaves_out_concurrent_futures():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_trial_leaves_out_multiprocessing_and_configparser():
+    # the fit helper forks without multiprocessing, and a trial reads no
+    # config file; the patched os.fork counts the helpers the trial starts
+    code = """
+import os, sys
+from robust_ope import harness
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+harness._usable_cpus = lambda: 2
+harness._MIN_OVERLAP_STEPS = 1
+config = harness.ExperimentConfig(synthetic_n=200, synthetic_d=4,
+                                  synthetic_k=3, classifier_epochs=1,
+                                  reward_epochs=1, hidden_width=8,
+                                  hidden_layers=1)
+harness.run_trial(config, harness._load_dataset(config), seed=0)
+print(len(forks), [m for m in ("multiprocessing", "configparser")
+                   if m in sys.modules])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "1 []"
