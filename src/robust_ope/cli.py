@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         return 0
 
     # the run is this process's own, so its BLAS may leave the CPUs to the
-    # fit helper and pool workers, which each run one thread too
+    # fit helpers and pool workers it forks, which inherit the one thread
     harness._one_blas_thread()
     try:
         report = run_experiment(config, jobs=args.jobs)

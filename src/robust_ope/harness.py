@@ -266,9 +266,10 @@ def _usable_cpus() -> int:
 
 def _one_blas_thread() -> None:
     """Run this process's BLAS calls on one thread, when numpy links the
-    scipy-openblas build; with any other BLAS, or none, do nothing. Each
-    process a run forks calls this, so that the run's processes, not BLAS
-    threads within each, share the host's CPUs."""
+    scipy-openblas build; with any other BLAS, or none, do nothing.
+    `cli.main` and each pool worker call this, so that the run's processes,
+    not BLAS threads within each, share the host's CPUs; a fit helper keeps
+    the count of the process that forked it."""
     try:
         # dlsym on numpy's core module also searches the libraries it links
         core = ctypes.CDLL(np._core._multiarray_umath.__file__)
@@ -325,7 +326,6 @@ def _fit_side_by_side(here, there, steps: int) -> tuple:
         code = 1
         try:
             os.close(receive)
-            _one_blas_thread()
             with open(send, "wb") as pipe:
                 _run_in_helper(there, pipe)
             sys.stdout.flush()  # what the helper printed

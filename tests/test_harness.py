@@ -666,9 +666,10 @@ class TestFitSideBySide:
 
 
 class TestOneBlasThread:
-    """The fit helper and pool workers run one BLAS thread each, a library
-    call leaves its caller's thread count alone, and a helper forked at one
-    thread starts no OpenBLAS thread pool."""
+    """Pool workers run one BLAS thread each, a fit helper keeps its
+    caller's thread count, a library call leaves that count alone, and a
+    helper or pool worker forked at one thread starts no OpenBLAS thread
+    pool."""
 
     CODE = """
 import ctypes, json, os, numpy as np
@@ -689,6 +690,11 @@ out["workers"] = harness.run_experiment(config, jobs=2).errors[:, 0].tolist()
 harness._one_blas_thread()
 tasks = lambda: len(os.listdir("/proc/self/task"))
 out["helper_tasks"] = harness._fit_side_by_side(tasks, tasks, steps)[1]
+def worker_tasks(config, dataset, seed):
+    return harness.TrialResult(errors={"IPS": tasks()}, true_value=0.0,
+                               wall_clock=0.0, diagnostics={})
+harness.run_trial = worker_tasks
+out["worker_tasks"] = harness.run_experiment(config, jobs=2).errors[:, 0].tolist()
 print(json.dumps(out))
 """
 
@@ -705,10 +711,10 @@ print(json.dumps(out))
         proc = subprocess.run([sys.executable, "-c", self.CODE], env=env,
                               capture_output=True, text=True, check=True)
         out = json.loads(proc.stdout)
-        assert out["here"] == out["after"] == out["before"]
-        assert out["helper"] == 1
+        assert out["here"] == out["helper"] == out["after"] == out["before"]
         assert out["workers"] == [1, 1, 1, 1]
         assert out["helper_tasks"] == 1
+        assert out["worker_tasks"] == [1, 1, 1, 1]
 
 
 class TestModelsFromEstimatorTable:
