@@ -6,14 +6,15 @@ a reward model. Each kind is one row of `_TABLE`: one of five formulas (DM,
 DR, SnDR, switch, shrink) and the one reward model it reads. IPS and SnIPS
 are DR and SnDR with no model; TR is DR on the robust model's means at the
 density ratio p-hat / pi. Consecutive calls on the same input objects reuse
-pi, p-hat, the weights and each model's pi-mean and residual, so inputs are
-read-only once scored. Estimates on [0, 1]-reward data stay in [0, 1] for
-DM, DM-R, DM-I and SnIPS; IPS/DR-family estimates may leave the interval and
-are not clipped.
+pi, p-hat, the weights and each model's pi-mean and residual, held only while
+the caller holds the logged dataset, so inputs are read-only once scored.
+Estimates on [0, 1]-reward data stay in [0, 1] for DM, DM-R, DM-I and SnIPS;
+IPS/DR-family estimates may leave the interval and are not clipped.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,11 +77,13 @@ class _Inputs:
     over all actions, the weights w per clip `w_max`, and the pi-mean and
     residual of each model read, kept against the identity of that model.
 
-    It refers to no estimate, so dropping it frees its arrays at once."""
+    It refers to no estimate and holds `logged` only by weak reference, so
+    dropping it, or the caller's `logged`, frees its arrays at once."""
 
     def __init__(self, logged: LoggedDataset, target: Policy,
                  logging: Policy | None):
-        self.logged, self.target, self.logging = logged, target, logging
+        self._logged = weakref.ref(logged)
+        self.target, self.logging = target, logging
         self.fields = tuple(vars(logged).values())
         self._w: dict[float, np.ndarray] = {}
         self._means: dict[str | None, tuple[object, tuple]] = {}
@@ -93,6 +96,10 @@ class _Inputs:
                 # the arrays by identity, the scalars by value
                 and all(a is b or (not isinstance(a, np.ndarray) and a == b)
                         for a, b in zip(self.fields, vars(logged).values())))
+
+    @property
+    def logged(self) -> LoggedDataset | None:
+        return self._logged()
 
     def at_logged(self, mat: np.ndarray) -> np.ndarray:
         return mat[np.arange(len(self.logged)), self.logged.actions]
@@ -154,8 +161,15 @@ class _Inputs:
         return pair
 
 
-#: the input set scored last; a call that names other objects replaces it
+#: the input set scored last, while its `logged` lives; a call that names
+#: other objects replaces it
 _last: _Inputs | None = None
+
+
+def _forget(entry: _Inputs) -> None:
+    global _last
+    if _last is entry:
+        _last = None
 
 
 def _inputs(logged: LoggedDataset, target: Policy,
@@ -163,7 +177,10 @@ def _inputs(logged: LoggedDataset, target: Policy,
     global _last
     last = _last  # one read, so concurrent callers never mix two entries
     if last is None or not last.matches(logged, target, logging):
+        if last is not None:  # so that finalizers never pile up
+            last.finalizer.detach()
         last = _Inputs(logged, target, logging)
+        last.finalizer = weakref.finalize(logged, _forget, last)
         _last = last
     return last
 
@@ -260,10 +277,12 @@ def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
     Consecutive calls that name the same `logged` (with the same field
     values), `target` and `logging` objects share pi, p-hat, the weights at
     each `w_max` and each reward model's pi-mean and residual, so scoring
-    every kind of one trial evaluates each policy and each model once.
-    Inputs are therefore treated as read-only once scored: an array, policy
-    or model changed in place is not seen by the next call on the same
-    objects; pass new objects, or rebind the changed field, instead.
+    every kind of one trial evaluates each policy and each model once. They
+    are held only while the caller holds the logged dataset: once `logged`
+    is dropped, nothing here refers to it or to the other inputs. Inputs are
+    therefore treated as read-only once scored: an array, policy or model
+    changed in place is not seen by the next call on the same objects; pass
+    new objects, or rebind the changed field, instead.
     """
     if not w_max > 0:  # negated, so that NaN fails it
         raise ValueError(f"w_max must be positive, got {w_max}")

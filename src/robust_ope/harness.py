@@ -222,10 +222,11 @@ def _biased_subsample(train: LabeledDataset, beta: float,
     """Keep fraction beta of rows from the lower half of the classes."""
     skewed = train.labels < train.n_classes // 2
     keep = ~skewed | (rng.random(len(train)) < beta)
-    if keep.sum() < 2 or len(np.unique(train.labels[keep])) < 2:
+    kept = train.labels[keep]
+    # not np.unique: its masked-array check imports numpy.ma
+    if len(kept) < 2 or kept.min() == kept.max():
         return train
-    return LabeledDataset(train.contexts[keep], train.labels[keep],
-                          train.n_classes)
+    return LabeledDataset(train.contexts[keep], kept, train.n_classes)
 
 
 def _estimator_specs(config: ExperimentConfig) -> list[estimators.EstimatorSpec]:

@@ -66,8 +66,8 @@ class BaseGaussian:
     def __post_init__(self):
         if not math.isfinite(self.mu0):
             raise ValueError("mu0 must be finite")
-        if not self.sigma0_sq > 0:
-            raise ValueError("sigma0_sq must be positive")
+        if not 0 < self.sigma0_sq < math.inf:  # negated, so NaN fails
+            raise ValueError("sigma0_sq must be positive and finite")
 
 
 @dataclass
@@ -167,14 +167,14 @@ class RobustTrainSettings:
 
     def __post_init__(self):
         # negated in-range tests, so that NaN fails them
-        if not self.rho_learning_rate > 0:
-            raise ValueError("rho_learning_rate must be positive")
+        if not 0 < self.rho_learning_rate < math.inf:
+            raise ValueError("rho_learning_rate must be positive and finite")
         if not self.rho_max >= 0:
             raise ValueError("rho_max must be nonnegative")
         if not self.ratio_max > 0:
             raise ValueError("ratio_max must be positive")
-        if not self.eta >= 0:
-            raise ValueError("eta must be nonnegative")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be nonnegative and finite")
 
 
 def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
@@ -274,7 +274,8 @@ def load_regressor(path) -> RobustRegressor:
     fault: a layer or action count that is not a whole number, a ratio cap
     that is not positive, a reward range whose r_min exceeds its r_max (or
     either is NaN), an action count below 1, layers that do not chain, an
-    input with no context half, or a rho_xr of the wrong length."""
+    input with no context half, a rho_xr of the wrong length, or a weight,
+    bias, rho_xr or rho_r that is not finite."""
     with np.load(path, allow_pickle=False) as blob:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
@@ -312,6 +313,9 @@ def load_regressor(path) -> RobustRegressor:
             raise ValueError(f"w{i} must have one column per row of "
                              f"w{i - 1} ({rows}), got {w.shape[1]}")
         rows = w.shape[0]
+        for name, value in ((f"w{i}", w), (f"b{i}", b)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite")
     if not reg.net.in_dim > reg.n_actions:
         raise ValueError(f"w0 must have more columns than n_actions "
                          f"({reg.n_actions}), got {reg.net.in_dim}")
@@ -319,4 +323,7 @@ def load_regressor(path) -> RobustRegressor:
         raise ValueError(f"rho_xr must have one entry per row of "
                          f"w{len(layers) - 1} ({rows}), got shape "
                          f"{reg.rho.rho_xr.shape}")
+    for name, value in (("rho_xr", reg.rho.rho_xr), ("rho_r", reg.rho.rho_r)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
     return reg

@@ -645,20 +645,41 @@ class TestSharedInputs:
             w_max=1.0)
 
     def test_memo_holds_one_input_set_and_no_cycle(self):
+        """The entry lives exactly as long as the caller's `logged`, goes
+        with it without a gc pass, and a second input set replaces it."""
         gc.disable()
         try:
             inst = golden_instance()
-            first = weakref.ref(inst["without_propensities"])
+            logged = inst.pop("without_propensities")
             for kind in ESTIMATOR_KINDS:
-                score(kind, inst["without_propensities"], inst["target"],
-                      inst["logging"], inst["model"], inst["robust"],
-                      inst["iid"])
+                score(kind, logged, inst["target"], inst["logging"],
+                      inst["model"], inst["robust"], inst["iid"])
+            entry = weakref.ref(estimators._last)
+            others = [weakref.ref(inst[name]) for name in
+                      ("target", "logging", "model", "robust", "iid")]
             del inst
-            assert first() is not None
-            other = golden_instance()
-            score("DR", other["with_propensities"], other["target"],
-                  other["logging"], other["model"], None, None)
-            assert first() is None
+            assert estimators._last is entry() and entry().logged is logged
+            first = weakref.ref(logged)
+            del logged
+            assert first() is None and entry() is None
+            assert estimators._last is None
+            assert all(ref() is None for ref in others)
+
+            def dr(inst):
+                score("DR", inst["with_propensities"], inst["target"],
+                      inst["logging"], inst["model"], None, None)
+
+            one, two = golden_instance(), golden_instance()
+            dr(one)
+            entry = weakref.ref(estimators._last)
+            finalizer = estimators._last.finalizer
+            dr(two)
+            # replaced while `one` lives, and its finalizer detached
+            assert entry() is None and not finalizer.alive
+            del one
+            assert estimators._last.logged is two["with_propensities"]
+            del two
+            assert estimators._last is None
         finally:
             gc.enable()
 

@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import ctypes
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -253,6 +255,12 @@ class TestOutOfRangeValues:
         ("estimator_params", "tau = nan", "tau must not be NaN"),
         ("logging_policy", "beta = -0.5", "beta must be in"),
         ("logging_policy", "beta = 7", "beta must be in"),
+        ("training", "learning_rate = inf",
+         "learning_rate must be positive and finite"),
+        ("robust", "rho_learning_rate = inf",
+         "rho_learning_rate must be positive and finite"),
+        ("robust", "eta = inf", "eta must be nonnegative and finite"),
+        ("robust", "sigma0_sq = inf", "sigma0_sq must be positive and finite"),
     ]
 
     @pytest.mark.parametrize("section, line, message", CASES,
@@ -273,6 +281,15 @@ class TestOutOfRangeValues:
         assert proc.returncode == 1
         assert "config error" in proc.stderr and message in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key", [
+        ("robust", "rho_max"), ("robust", "ratio_max"),
+        ("estimator_params", "w_max"), ("logging_policy", "temperature")])
+    def test_infinite_cap_accepted(self, tmp_path, section, key):
+        # in range: an infinite cap disables the clip, and an infinite
+        # temperature makes the logging policy uniform
+        path = write_config(tmp_path, f"[{section}]\n{key} = inf\n")
+        assert getattr(parse_config(path), key) == float("inf")
 
 
 class TestRunTrial:
@@ -310,6 +327,35 @@ class TestRunTrial:
                                       np.random.default_rng(2))
         est = evaluate_estimator(EstimatorSpec("IPS"), logged, pol)
         assert abs(est - bandit.exact_value(pol)) < 0.02
+
+    @pytest.mark.parametrize("mode", ["uniform", "estimated"])
+    def test_finished_trial_leaves_nothing_behind(self, mode, monkeypatch):
+        """Once a trial returns, nothing in the package refers to its test
+        log, policies or models, and no gc pass is needed to free them."""
+        config = ExperimentConfig(**{
+            **SMALL, "logging_mode": mode,
+            "estimator_names": list(ESTIMATOR_KINDS)})
+        dataset = _load_dataset(config)
+        score, refs = estimators.evaluate_estimator, {}
+
+        def spy(spec, logged, target, **kwargs):
+            inputs = dict(kwargs, logged=logged, target=target)
+            for name, value in inputs.items():
+                if name != "w_max":
+                    refs.setdefault(name, weakref.ref(value))
+            return score(spec, logged, target, **kwargs)
+
+        monkeypatch.setattr(estimators, "evaluate_estimator", spy)
+        gc.disable()
+        try:
+            run_trial(config, dataset, seed=0)
+            assert sorted(refs) == ["logged", "logging", "model", "robust",
+                                    "robust_iid", "target"]
+            assert [name for name, ref in refs.items()
+                    if ref() is not None] == []
+            assert estimators._last is None
+        finally:
+            gc.enable()
 
     def test_scoring_calls_are_replayable(self, monkeypatch):
         """The benchmark records one trial's scoring and truth calls and

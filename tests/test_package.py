@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import robust_ope
 
 #: every name `robust_ope` exports; a new or removed export updates this list
@@ -59,10 +61,13 @@ def test_import_leaves_out_concurrent_futures():
     assert proc.stdout.strip() == "False"
 
 
-def test_trial_leaves_out_multiprocessing_and_configparser():
-    # the fit helper forks without multiprocessing, and a trial reads no
-    # config file; the patched os.fork counts the helpers the trial starts
-    code = """
+@pytest.mark.parametrize("mode", ["uniform", "estimated"])
+def test_trial_leaves_out_multiprocessing_and_configparser(mode):
+    # the fit helper forks without multiprocessing, a trial reads no config
+    # file, and the class-skewed subsample of estimated logging avoids
+    # np.unique, which imports numpy.ma; the patched os.fork counts the
+    # helpers the trial starts
+    code = f"""
 import os, sys
 from robust_ope import harness
 forks, fork = [], os.fork
@@ -72,9 +77,9 @@ harness._MIN_OVERLAP_STEPS = 1
 config = harness.ExperimentConfig(synthetic_n=200, synthetic_d=4,
                                   synthetic_k=3, classifier_epochs=1,
                                   reward_epochs=1, hidden_width=8,
-                                  hidden_layers=1)
+                                  hidden_layers=1, logging_mode={mode!r})
 harness.run_trial(config, harness._load_dataset(config), seed=0)
-print(len(forks), [m for m in ("multiprocessing", "configparser")
+print(len(forks), [m for m in ("multiprocessing", "configparser", "numpy.ma")
                    if m in sys.modules])
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -522,6 +522,10 @@ class TestSerialization:
         ("n_actions", -2, "n_actions must be >= 1, got -2"),
         ("n_actions", 1.9, "n_actions must be a whole number, got 1.9"),
         ("n_layers", 2.7, "n_layers must be a whole number, got 2.7"),
+        ("w0", np.full((4, 4), np.nan), "w0 must be finite"),
+        ("rho_xr", np.array([0.5, np.nan, 0.5]), "rho_xr must be finite"),
+        ("b1", np.full(3, np.inf), "b1 must be finite"),
+        ("rho_r", np.inf, "rho_r must be finite"),
     ])
     def test_inconsistent_file_rejected(self, tmp_path, field, value, match):
         # random_regressor's net is 4 -> 4 -> 3 on 2 contexts + 2 actions
