@@ -30,7 +30,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.contexts = np.asarray(self.contexts, dtype=float)
-        self.labels = as_indices(self.labels, "labels")
+        self.labels = as_indices(self.labels, "labels", self.n_classes)
         if self.contexts.ndim != 2:
             raise ValueError(f"contexts must be 2-D, got shape "
                              f"{self.contexts.shape}")
@@ -40,8 +40,6 @@ class LabeledDataset:
             raise ValueError(f"labels must have shape "
                              f"{self.contexts.shape[:1]}, got "
                              f"{self.labels.shape}")
-        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
-            raise ValueError("labels out of range")
 
     def __len__(self) -> int:
         return self.contexts.shape[0]

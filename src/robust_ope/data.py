@@ -7,24 +7,29 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def as_indices(values, name: str) -> np.ndarray:
-    """`values` as an int array. A float that the int cast would change (0.7,
-    NaN, inf) is rejected rather than truncated; 1.0 is kept as 1."""
+def as_indices(values, name: str, n: int) -> np.ndarray:
+    """`values` as an int array of indices in [0, n): the one index rule for
+    actions and labels. A float that the int cast would change (0.7, NaN,
+    inf) is rejected rather than truncated; 1.0 is kept as 1."""
     raw = np.asarray(values)
     if raw.dtype.kind == "f":
         bad = ~np.isfinite(raw) | (raw != np.trunc(raw))
         if bad.any():
             raise ValueError(f"{name} must be whole numbers, got "
                              f"{raw[bad].flat[0]}")
-    return np.asarray(raw, dtype=int)
+    idx = np.asarray(raw, dtype=int)
+    if idx.size and not (idx.min() >= 0 and idx.max() < n):
+        raise ValueError(f"{name} must lie in [0, {n})")
+    return idx
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoggedDataset:
     """Records of (context, chosen action, observed reward, optional propensity).
 
     `propensities`, when present, holds the logging policy's probability of
     the logged action and takes precedence over evaluating a logging Policy.
+    Frozen: derive a changed log with `dataclasses.replace`.
     """
 
     contexts: np.ndarray  # (n, d)
@@ -36,11 +41,14 @@ class LoggedDataset:
     r_max: float = 1.0
 
     def __post_init__(self):
-        self.contexts = np.asarray(self.contexts, dtype=float)
-        self.actions = as_indices(self.actions, "actions")
-        self.rewards = np.asarray(self.rewards, dtype=float)
+        normal = {"contexts": np.asarray(self.contexts, dtype=float),
+                  "actions": as_indices(self.actions, "actions",
+                                        self.n_actions),
+                  "rewards": np.asarray(self.rewards, dtype=float)}
         if self.propensities is not None:
-            self.propensities = np.asarray(self.propensities, dtype=float)
+            normal["propensities"] = np.asarray(self.propensities, dtype=float)
+        for name, value in normal.items():
+            object.__setattr__(self, name, value)
         if self.contexts.ndim != 2:
             raise ValueError(f"contexts must be 2-D, got shape "
                              f"{self.contexts.shape}")
@@ -51,8 +59,6 @@ class LoggedDataset:
             raise ValueError("empty logged dataset")
         if not np.isfinite(self.contexts).all():
             raise ValueError("contexts must be finite")
-        if self.actions.min() < 0 or self.actions.max() >= self.n_actions:
-            raise ValueError("action index out of range")
         if not (self.rewards.min() >= self.r_min - 1e-12
                 and self.rewards.max() <= self.r_max + 1e-12):
             raise ValueError("reward outside [r_min, r_max]")

@@ -84,7 +84,6 @@ class _Inputs:
                  logging: Policy | None):
         self._logged = weakref.ref(logged)
         self.target, self.logging = target, logging
-        self.fields = tuple(vars(logged).values())
         self._w: dict[float, np.ndarray] = {}
         self._means: dict[str | None, tuple[object, tuple]] = {}
 
@@ -92,10 +91,7 @@ class _Inputs:
                 logging: Policy | None) -> bool:
         """Whether a call on these objects is a call on this input set."""
         return (logged is self.logged and target is self.target
-                and logging is self.logging
-                # the arrays by identity, the scalars by value
-                and all(a is b or (not isinstance(a, np.ndarray) and a == b)
-                        for a, b in zip(self.fields, vars(logged).values())))
+                and logging is self.logging)
 
     @property
     def logged(self) -> LoggedDataset | None:

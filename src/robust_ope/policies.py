@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_indices
 from .nets import (FeedForwardNet, SgdConfig, action_inputs, fit,
                    forward_batch, init_net)
 
@@ -118,11 +119,9 @@ def train_classifier_policy(contexts: np.ndarray, labels: np.ndarray,
                             temperature: float = 1.0) -> SoftmaxClassifierPolicy:
     """Fit a softmax classifier on fully observed (context, label) pairs."""
     contexts = np.asarray(contexts, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = as_indices(labels, "labels", n_classes)
     if contexts.shape[0] == 0:
         raise ValueError("empty dataset")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError("labels out of range")
     net = _train_softmax_net(contexts, labels, n_classes, hidden_dims, config)
     return SoftmaxClassifierPolicy(net=net, temperature=temperature)
 

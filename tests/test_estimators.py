@@ -1,5 +1,6 @@
 """Estimators: hand-computed values, reduction identities, purity, ranges."""
 
+import dataclasses
 import gc
 import sys
 import threading
@@ -604,10 +605,11 @@ class TestSharedInputs:
                                    logged.rewards, logged.n_actions,
                                    r_min=logged.r_min, r_max=logged.r_max)
         elif change == "rebound_rewards":
-            logged.rewards = logged.rewards[::-1].copy()
-            replace[sample] = LoggedDataset(
-                logged.contexts, logged.actions, logged.rewards,
-                logged.n_actions, r_min=logged.r_min, r_max=logged.r_max)
+            # the log is frozen, so new rewards make a new log
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                logged.rewards = logged.rewards[::-1].copy()
+            logged = replace[sample] = dataclasses.replace(
+                logged, rewards=logged.rewards[::-1].copy())
         elif change == "new_model":
             model = replace["model"] = TableRewardModel(
                 1.0 - model.inner.table)
