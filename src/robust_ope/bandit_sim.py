@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LoggedDataset, as_indices
+from .data import LoggedDataset, as_contexts, as_indices
 from .policies import Policy, sample_actions
 
 
@@ -29,11 +29,8 @@ class LabeledDataset:
     n_classes: int
 
     def __post_init__(self):
-        self.contexts = np.asarray(self.contexts, dtype=float)
+        self.contexts = as_contexts(self.contexts)
         self.labels = as_indices(self.labels, "labels", self.n_classes)
-        if self.contexts.ndim != 2:
-            raise ValueError(f"contexts must be 2-D, got shape "
-                             f"{self.contexts.shape}")
         if self.contexts.shape[0] < 1:
             raise ValueError("dataset must be nonempty")
         if self.labels.shape != self.contexts.shape[:1]:

@@ -23,6 +23,16 @@ def as_indices(values, name: str, n: int) -> np.ndarray:
     return idx
 
 
+def as_contexts(values) -> np.ndarray:
+    """`values` as a 2-D float array of finite contexts."""
+    contexts = np.asarray(values, dtype=float)
+    if contexts.ndim != 2:
+        raise ValueError(f"contexts must be 2-D, got shape {contexts.shape}")
+    if not np.isfinite(contexts).all():
+        raise ValueError("contexts must be finite")
+    return contexts
+
+
 @dataclass(frozen=True)
 class LoggedDataset:
     """Records of (context, chosen action, observed reward, optional propensity).
@@ -41,7 +51,7 @@ class LoggedDataset:
     r_max: float = 1.0
 
     def __post_init__(self):
-        normal = {"contexts": np.asarray(self.contexts, dtype=float),
+        normal = {"contexts": as_contexts(self.contexts),
                   "actions": as_indices(self.actions, "actions",
                                         self.n_actions),
                   "rewards": np.asarray(self.rewards, dtype=float)}
@@ -49,16 +59,11 @@ class LoggedDataset:
             normal["propensities"] = np.asarray(self.propensities, dtype=float)
         for name, value in normal.items():
             object.__setattr__(self, name, value)
-        if self.contexts.ndim != 2:
-            raise ValueError(f"contexts must be 2-D, got shape "
-                             f"{self.contexts.shape}")
         n = self.contexts.shape[0]
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("misaligned record arrays")
         if n == 0:
             raise ValueError("empty logged dataset")
-        if not np.isfinite(self.contexts).all():
-            raise ValueError("contexts must be finite")
         if not (self.rewards.min() >= self.r_min - 1e-12
                 and self.rewards.max() <= self.r_max + 1e-12):
             raise ValueError("reward outside [r_min, r_max]")

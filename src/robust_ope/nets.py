@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_indices
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -119,7 +121,7 @@ def action_inputs(contexts: np.ndarray, actions: np.ndarray,
                   n_actions: int) -> np.ndarray:
     """The input of a net on (context, action) rows: context ⊕ one-hot action."""
     contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-    onehot = np.eye(n_actions)[np.asarray(actions, dtype=int)]
+    onehot = np.eye(n_actions)[as_indices(actions, "actions", n_actions)]
     return np.hstack([contexts, onehot])
 
 

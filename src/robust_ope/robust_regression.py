@@ -118,9 +118,12 @@ def predict_batch(reg: RobustRegressor, contexts: np.ndarray,
                   actions: np.ndarray, ratios: np.ndarray):
     """Conditional Gaussian (mu, sigma_sq) per (context, action, ratio) row;
     each (n,), unclipped."""
-    proj = forward_batch(_readout_net(reg), action_inputs(
-        contexts, actions, reg.n_actions))[:, 0]
-    return _gaussian_params(reg, proj, _clip_ratios(reg, ratios))
+    inputs = action_inputs(contexts, actions, reg.n_actions)
+    ratios = _clip_ratios(reg, ratios)
+    if ratios.shape != (len(inputs),):
+        raise ValueError(f"ratios must have shape {(len(inputs),)}")
+    proj = forward_batch(_readout_net(reg), inputs)[:, 0]
+    return _gaussian_params(reg, proj, ratios)
 
 
 def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,

@@ -271,6 +271,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="contexts must be 2-D"):
             LabeledDataset(np.zeros(3), np.zeros(3, dtype=int), 2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_contexts_rejected(self, value):
+        contexts = np.zeros((2, 1))
+        contexts[1, 0] = value
+        with pytest.raises(ValueError, match="contexts must be finite"):
+            LabeledDataset(contexts, np.array([0, 1]), 2)
+
 
 class TestTrueValue:
     def test_action_count_mismatch_rejected(self):

@@ -1,9 +1,17 @@
-"""LoggedDataset: range checks on the logged records."""
+"""The logged-record contract: LoggedDataset's range checks, its frozen
+fields, and the one index rule every entry point applies."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from robust_ope.bandit_sim import LabeledDataset
 from robust_ope.data import LoggedDataset
+from robust_ope.nets import SgdConfig
+from robust_ope.policies import train_classifier_policy
+from robust_ope.robust_regression import features, predict_batch
+from tests.test_robust_regression import constant_feature_regressor
 
 
 def logged(rewards=(0.0, 1.0), propensities=None):
@@ -50,3 +58,45 @@ class TestLoggedDataset:
                            np.array([0.0, 1.0]), 2)
         assert ds.actions.dtype.kind == "i"
         assert ds.actions.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("name", [f.name for f in
+                                      dataclasses.fields(LoggedDataset)])
+    def test_fields_cannot_be_assigned(self, name):
+        ds = logged(propensities=np.array([0.5, 0.5]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, name, getattr(ds, name))
+
+
+K = 3
+CONTEXTS = np.zeros((3, 1))
+REGRESSOR = constant_feature_regressor([1.0], n_actions=K)
+
+#: entry point -> (call on three indices, the field its message names)
+INDEX_ENTRY_POINTS = {
+    "LoggedDataset": (lambda idx: LoggedDataset(CONTEXTS, idx, np.zeros(3),
+                                                K), "actions"),
+    "LabeledDataset": (lambda idx: LabeledDataset(CONTEXTS, idx, K),
+                       "labels"),
+    "train_classifier_policy": (lambda idx: train_classifier_policy(
+        CONTEXTS, idx, K, [2], SgdConfig(epochs=1, batch_size=3)), "labels"),
+    "features": (lambda idx: features(REGRESSOR, CONTEXTS, idx), "actions"),
+    "predict_batch": (lambda idx: predict_batch(REGRESSOR, CONTEXTS, idx,
+                                                np.ones(3)), "actions"),
+}
+
+
+class TestIndexRule:
+    """An action or label index is a whole number in [0, n), everywhere."""
+
+    @pytest.mark.parametrize("bad", [-1, K, 0.7, float("nan")],
+                             ids=["negative", "n", "fraction", "nan"])
+    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+    def test_bad_index_rejected(self, entry, bad):
+        call, field = INDEX_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=field):
+            call(np.array([0, 1, bad]))
+
+    @pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+    def test_whole_float_index_accepted(self, entry):
+        call, _ = INDEX_ENTRY_POINTS[entry]
+        call(np.array([0, 1, 1.0]))

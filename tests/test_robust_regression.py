@@ -58,6 +58,14 @@ def random_regressor(rng, d=2, n_actions=2, k=3):
 
 
 class TestPredict:
+    @pytest.mark.parametrize("ratios", [np.ones((3, 1)), np.ones(1)],
+                             ids=["column", "length_one"])
+    def test_ratios_not_one_per_row_rejected(self, ratios):
+        reg = constant_feature_regressor([2.0], rho_r=1.3, rho_xr=[0.7])
+        with pytest.raises(ValueError,
+                           match=r"ratios must have shape \(3,\)"):
+            predict_batch(reg, np.zeros((3, 1)), [0, 1, 0], ratios)
+
     def test_ratio_zero_is_exact_base(self):
         reg = constant_feature_regressor([2.0], rho_r=1.3, rho_xr=[0.7])
         (mu,), (s2,) = predict_batch(reg, [[0.3]], [1], [0.0])
