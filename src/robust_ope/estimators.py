@@ -5,9 +5,10 @@ propensity source (logged propensities or a logging Policy), and where needed
 a reward model. Each kind is one row of `_TABLE`: one of five formulas (DM,
 DR, SnDR, switch, shrink) and the one reward model it reads. IPS and SnIPS
 are DR and SnDR with no model; TR is DR on the robust model's means at the
-density ratio p-hat / pi. Consecutive calls on the same input objects reuse
-pi, p-hat, the weights and each model's pi-mean and residual, held only while
-the caller holds the logged dataset, so inputs are read-only once scored.
+density ratio p-hat / pi. Consecutive calls on the same input objects, matched
+by identity (a LoggedDataset is frozen), reuse pi, p-hat, the weights and each
+model's pi-mean and residual, held only while the caller holds the logged
+dataset, so policies and models are read-only once scored.
 Estimates on [0, 1]-reward data stay in [0, 1] for DM, DM-R, DM-I and SnIPS;
 IPS/DR-family estimates may leave the interval and are not clipped.
 """
@@ -76,6 +77,8 @@ class _Inputs:
     every estimate on it shares, each built once on first use: pi and p-hat
     over all actions, the weights w per clip `w_max`, and the pi-mean and
     residual of each model read, kept against the identity of that model.
+    The input set is matched by the identities of `logged`, `target` and
+    `logging` alone: a LoggedDataset's fields cannot be rebound.
 
     It refers to no estimate and holds `logged` only by weak reference, so
     dropping it, or the caller's `logged`, frees its arrays at once."""
@@ -270,15 +273,15 @@ def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
                        w_max: float = DEFAULT_W_MAX) -> float:
     """Score one EstimatorSpec against the prepared components.
 
-    Consecutive calls that name the same `logged` (with the same field
-    values), `target` and `logging` objects share pi, p-hat, the weights at
-    each `w_max` and each reward model's pi-mean and residual, so scoring
-    every kind of one trial evaluates each policy and each model once. They
-    are held only while the caller holds the logged dataset: once `logged`
-    is dropped, nothing here refers to it or to the other inputs. Inputs are
-    therefore treated as read-only once scored: an array, policy or model
-    changed in place is not seen by the next call on the same objects; pass
-    new objects, or rebind the changed field, instead.
+    Consecutive calls that name the same `logged`, `target` and `logging`
+    objects (by identity) share pi, p-hat, the weights at each `w_max` and
+    each reward model's pi-mean and residual, so scoring every kind of one
+    trial evaluates each policy and each model once. They are held only
+    while the caller holds the logged dataset: once `logged` is dropped,
+    nothing here refers to it or to the other inputs. Inputs are therefore
+    treated as read-only once scored: an array, policy or model changed in
+    place is not seen by the next call on the same objects; pass new
+    objects, or a new LoggedDataset (`dataclasses.replace`), instead.
     """
     if not w_max > 0:  # negated, so that NaN fails it
         raise ValueError(f"w_max must be positive, got {w_max}")
