@@ -1,6 +1,6 @@
 """Off-policy evaluation for contextual bandits with robust reward models."""
 
-from .data import LoggedDataset
+from .data import LabeledDataset, LoggedDataset
 from .nets import FeedForwardNet, SgdConfig
 from .policies import (
     SoftmaxClassifierPolicy,
@@ -23,7 +23,6 @@ from .estimators import (
     evaluate_estimator,
 )
 from .bandit_sim import (
-    LabeledDataset,
     SplitConfig,
     load_csv,
     log_bandit_feedback,

@@ -14,32 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LoggedDataset, as_contexts, as_indices
+from .data import LabeledDataset, LoggedDataset
 from .policies import Policy, sample_actions
 
 
 class ParseError(ValueError):
     pass
-
-
-@dataclass
-class LabeledDataset:
-    contexts: np.ndarray  # (n, d)
-    labels: np.ndarray  # (n,) int
-    n_classes: int
-
-    def __post_init__(self):
-        self.contexts = as_contexts(self.contexts)
-        self.labels = as_indices(self.labels, "labels", self.n_classes)
-        if self.contexts.shape[0] < 1:
-            raise ValueError("dataset must be nonempty")
-        if self.labels.shape != self.contexts.shape[:1]:
-            raise ValueError(f"labels must have shape "
-                             f"{self.contexts.shape[:1]}, got "
-                             f"{self.labels.shape}")
-
-    def __len__(self) -> int:
-        return self.contexts.shape[0]
 
 
 @dataclass

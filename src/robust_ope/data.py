@@ -1,4 +1,7 @@
-"""Logged bandit data container shared across modules."""
+"""The record classes shared across modules: labeled and logged data.
+
+Both compare and hash by identity, so a record can key a dict.
+"""
 
 from __future__ import annotations
 
@@ -33,13 +36,36 @@ def as_contexts(values) -> np.ndarray:
     return contexts
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
+class LabeledDataset:
+    """Fully observed (context, label) pairs; compares by identity."""
+
+    contexts: np.ndarray  # (n, d)
+    labels: np.ndarray  # (n,) int
+    n_classes: int
+
+    def __post_init__(self):
+        self.contexts = as_contexts(self.contexts)
+        self.labels = as_indices(self.labels, "labels", self.n_classes)
+        if self.contexts.shape[0] < 1:
+            raise ValueError("dataset must be nonempty")
+        if self.labels.shape != self.contexts.shape[:1]:
+            raise ValueError(f"labels must have shape "
+                             f"{self.contexts.shape[:1]}, got "
+                             f"{self.labels.shape}")
+
+    def __len__(self) -> int:
+        return self.contexts.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
 class LoggedDataset:
     """Records of (context, chosen action, observed reward, optional propensity).
 
     `propensities`, when present, holds the logging policy's probability of
     the logged action and takes precedence over evaluating a logging Policy.
-    Frozen: derive a changed log with `dataclasses.replace`.
+    Frozen: derive a changed log with `dataclasses.replace`. Compares and
+    hashes by identity, so each live log keys its own scoring memo entry.
     """
 
     contexts: np.ndarray  # (n, d)

@@ -5,10 +5,11 @@ propensity source (logged propensities or a logging Policy), and where needed
 a reward model. Each kind is one row of `_TABLE`: one of five formulas (DM,
 DR, SnDR, switch, shrink) and the one reward model it reads. IPS and SnIPS
 are DR and SnDR with no model; TR is DR on the robust model's means at the
-density ratio p-hat / pi. Consecutive calls on the same input objects, matched
-by identity (a LoggedDataset is frozen), reuse pi, p-hat, the weights and each
-model's pi-mean and residual, held only while the caller holds the logged
-dataset, so policies and models are read-only once scored.
+density ratio p-hat / pi. Calls on the same input objects, matched by
+identity (a LoggedDataset is frozen and hashes by identity), reuse pi, p-hat,
+the weights and each model's pi-mean and residual: `_memo` keeps one entry
+per live logged dataset, dropped with it, so policies and models are
+read-only once scored.
 Estimates on [0, 1]-reward data stay in [0, 1] for DM, DM-R, DM-I and SnIPS;
 IPS/DR-family estimates may leave the interval and are not clipped.
 """
@@ -77,11 +78,12 @@ class _Inputs:
     every estimate on it shares, each built once on first use: pi and p-hat
     over all actions, the weights w per clip `w_max`, and the pi-mean and
     residual of each model read, kept against the identity of that model.
-    The input set is matched by the identities of `logged`, `target` and
-    `logging` alone: a LoggedDataset's fields cannot be rebound.
+    `_memo` keys it by `logged` and replaces it when a call names another
+    `target` or `logging`: a LoggedDataset's fields cannot be rebound.
 
-    It refers to no estimate and holds `logged` only by weak reference, so
-    dropping it, or the caller's `logged`, frees its arrays at once."""
+    It refers to no estimate and holds `logged` only by weak reference, as
+    a memo value that held its own key would keep it alive for ever; so
+    dropping the caller's `logged` frees its arrays at once."""
 
     def __init__(self, logged: LoggedDataset, target: Policy,
                  logging: Policy | None):
@@ -89,12 +91,6 @@ class _Inputs:
         self.target, self.logging = target, logging
         self._w: dict[float, np.ndarray] = {}
         self._means: dict[str | None, tuple[object, tuple]] = {}
-
-    def matches(self, logged: LoggedDataset, target: Policy,
-                logging: Policy | None) -> bool:
-        """Whether a call on these objects is a call on this input set."""
-        return (logged is self.logged and target is self.target
-                and logging is self.logging)
 
     @property
     def logged(self) -> LoggedDataset | None:
@@ -160,28 +156,19 @@ class _Inputs:
         return pair
 
 
-#: the input set scored last, while its `logged` lives; a call that names
-#: other objects replaces it
-_last: _Inputs | None = None
-
-
-def _forget(entry: _Inputs) -> None:
-    global _last
-    if _last is entry:
-        _last = None
+#: each live logged dataset -> the input set last scored on it
+_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _inputs(logged: LoggedDataset, target: Policy,
             logging: Policy | None) -> _Inputs:
-    global _last
-    last = _last  # one read, so concurrent callers never mix two entries
-    if last is None or not last.matches(logged, target, logging):
-        if last is not None:  # so that finalizers never pile up
-            last.finalizer.detach()
-        last = _Inputs(logged, target, logging)
-        last.finalizer = weakref.finalize(logged, _forget, last)
-        _last = last
-    return last
+    # no lock: racing callers at worst build an entry twice, and each scores
+    # on the entry it holds
+    entry = _memo.get(logged)
+    if (entry is None or entry.target is not target
+            or entry.logging is not logging):
+        entry = _memo[logged] = _Inputs(logged, target, logging)
+    return entry
 
 
 # The five formulas, over the pi-mean v and residual resid of the model a
@@ -273,12 +260,13 @@ def evaluate_estimator(spec: EstimatorSpec, logged: LoggedDataset,
                        w_max: float = DEFAULT_W_MAX) -> float:
     """Score one EstimatorSpec against the prepared components.
 
-    Consecutive calls that name the same `logged`, `target` and `logging`
-    objects (by identity) share pi, p-hat, the weights at each `w_max` and
-    each reward model's pi-mean and residual, so scoring every kind of one
-    trial evaluates each policy and each model once. They are held only
-    while the caller holds the logged dataset: once `logged` is dropped,
-    nothing here refers to it or to the other inputs. Inputs are therefore
+    Calls that name the same `logged`, `target` and `logging` objects (by
+    identity) share pi, p-hat, the weights at each `w_max` and each reward
+    model's pi-mean and residual, so scoring every kind of one trial
+    evaluates each policy and each model once. Each live `logged` keeps one
+    such entry, for the `target` and `logging` last scored on it, and only
+    while the caller holds it: once `logged` is dropped, nothing here refers
+    to it or to the other inputs. Inputs are therefore
     treated as read-only once scored: an array, policy or model changed in
     place is not seen by the next call on the same objects; pass new
     objects, or a new LoggedDataset (`dataclasses.replace`), instead.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_indices
+from .data import LabeledDataset
 from .nets import (FeedForwardNet, SgdConfig, action_inputs, fit,
                    forward_batch, init_net)
 
@@ -117,12 +117,11 @@ def train_classifier_policy(contexts: np.ndarray, labels: np.ndarray,
                             n_classes: int, hidden_dims: list[int],
                             config: SgdConfig,
                             temperature: float = 1.0) -> SoftmaxClassifierPolicy:
-    """Fit a softmax classifier on fully observed (context, label) pairs."""
-    contexts = np.asarray(contexts, dtype=float)
-    labels = as_indices(labels, "labels", n_classes)
-    if contexts.shape[0] == 0:
-        raise ValueError("empty dataset")
-    net = _train_softmax_net(contexts, labels, n_classes, hidden_dims, config)
+    """Fit a softmax classifier on fully observed (context, label) pairs,
+    checked as a LabeledDataset."""
+    data = LabeledDataset(contexts, labels, n_classes)
+    net = _train_softmax_net(data.contexts, data.labels, n_classes,
+                             hidden_dims, config)
     return SoftmaxClassifierPolicy(net=net, temperature=temperature)
 
 

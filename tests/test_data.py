@@ -1,13 +1,13 @@
-"""The logged-record contract: LoggedDataset's range checks, its frozen
-fields, and the one index rule every entry point applies."""
+"""The record contract: LoggedDataset's range checks, its frozen fields,
+identity equality on both record classes, and the one index rule every entry
+point applies."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from robust_ope.bandit_sim import LabeledDataset
-from robust_ope.data import LoggedDataset
+from robust_ope.data import LabeledDataset, LoggedDataset
 from robust_ope.nets import SgdConfig
 from robust_ope.policies import train_classifier_policy
 from robust_ope.robust_regression import features, predict_batch
@@ -65,6 +65,23 @@ class TestLoggedDataset:
         ds = logged(propensities=np.array([0.5, 0.5]))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ds, name, getattr(ds, name))
+
+
+#: record class -> a fresh record over the same arrays on each call
+RECORDS = {
+    "LoggedDataset": logged,
+    "LabeledDataset": lambda: LabeledDataset(np.zeros((2, 1)),
+                                             np.array([0, 1]), 2),
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_records_compare_and_hash_by_identity(make):
+    a, twin = make(), make()
+    assert a == a and not a != a
+    assert a != twin and not a == twin
+    keyed = {a: "a", twin: "twin"}
+    assert keyed[a] == "a" and keyed[twin] == "twin"
 
 
 K = 3

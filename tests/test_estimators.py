@@ -647,8 +647,9 @@ class TestSharedInputs:
             w_max=1.0)
 
     def test_memo_holds_one_input_set_and_no_cycle(self):
-        """The entry lives exactly as long as the caller's `logged`, goes
-        with it without a gc pass, and a second input set replaces it."""
+        """Each live `logged` keys one entry, which lives exactly as long as
+        it and goes with it without a gc pass; a new target on the same log
+        replaces the entry, and a second log leaves the first one's alone."""
         gc.disable()
         try:
             inst = golden_instance()
@@ -656,49 +657,78 @@ class TestSharedInputs:
             for kind in ESTIMATOR_KINDS:
                 score(kind, logged, inst["target"], inst["logging"],
                       inst["model"], inst["robust"], inst["iid"])
-            entry = weakref.ref(estimators._last)
+            entry = weakref.ref(estimators._memo[logged])
             others = [weakref.ref(inst[name]) for name in
                       ("target", "logging", "model", "robust", "iid")]
             del inst
-            assert estimators._last is entry() and entry().logged is logged
+            assert len(estimators._memo) == 1 and entry().logged is logged
+            assert all(ref() is not None for ref in others)
             first = weakref.ref(logged)
             del logged
             assert first() is None and entry() is None
-            assert estimators._last is None
+            assert len(estimators._memo) == 0
             assert all(ref() is None for ref in others)
 
-            def dr(inst):
-                score("DR", inst["with_propensities"], inst["target"],
+            def dr(inst, target):
+                score("DR", inst["with_propensities"], target,
                       inst["logging"], inst["model"], None, None)
 
             one, two = golden_instance(), golden_instance()
-            dr(one)
-            entry = weakref.ref(estimators._last)
-            finalizer = estimators._last.finalizer
-            dr(two)
-            # replaced while `one` lives, and its finalizer detached
-            assert entry() is None and not finalizer.alive
+            dr(one, one["target"])
+            entry = weakref.ref(estimators._memo[one["with_propensities"]])
+            flipped = TabularPolicy(one["target"].table[:, ::-1])
+            dr(one, flipped)
+            # a new target on the same log replaces its entry
+            assert entry() is None and len(estimators._memo) == 1
+            entry = weakref.ref(estimators._memo[one["with_propensities"]])
+            assert entry().target is flipped
+            dr(two, two["target"])
+            # a second log gets its own entry and leaves the first in place
+            assert len(estimators._memo) == 2 and entry() is not None
+            assert (estimators._memo[two["with_propensities"]].logged
+                    is two["with_propensities"])
             del one
-            assert estimators._last.logged is two["with_propensities"]
+            assert entry() is None and len(estimators._memo) == 1
             del two
-            assert estimators._last is None
+            assert len(estimators._memo) == 0
         finally:
             gc.enable()
 
+    #: the kinds each thread scores
+    THREAD_KINDS = ("DM", "IPS", "SnIPS", "DR", "SnDR")
+
     def test_threads_never_mix_input_sets(self):
-        kinds = ("DM", "IPS", "SnIPS", "DR", "SnDR")
-        cases = []
+        """Threads scoring their own logs, then 8 threads sharing one log
+        and alternating between two targets, so that its entry is replaced
+        under contention, each get the single-threaded estimates."""
+        def expected(logged, target, logging, model):
+            args = (logged, target, logging, model, None, None)
+            return args, [score(k, *args) for k in self.THREAD_KINDS]
+
+        own = []
         for seed in range(4):
             bandit, logged, logging, target = random_instance(seed)
             model = TableRewardModel(bandit.reward_table)
-            args = (logged, target, logging, model, None, None)
-            cases.append((args, [score(k, *args) for k in kinds]))
+            own.append([expected(logged, target, logging, model)])
+        bandit, logged, logging, target = random_instance(4)
+        model = TableRewardModel(bandit.reward_table)
+        shared = [expected(logged, t, logging, model)
+                  for t in (target, TabularPolicy(target.table[:, ::-1]))]
+        assert shared[0][1] != shared[1][1]
+        assert self.failures_in_threads(own * 2, rounds=50) == []
+        assert self.failures_in_threads([shared, shared[::-1]] * 4,
+                                        rounds=200) == []
+
+    def failures_in_threads(self, cases, rounds):
+        """Run one thread per list in `cases`, each scoring its (args,
+        expected) pairs in turn for `rounds` rounds; the mismatches."""
         failures = []
 
-        def worker(args, expected):
+        def worker(pairs):
             try:
-                for _ in range(50):
-                    got = [score(k, *args) for k in kinds]
+                for i in range(rounds):
+                    args, expected = pairs[i % len(pairs)]
+                    got = [score(k, *args) for k in self.THREAD_KINDS]
                     if got != expected:
                         failures.append(got)
             except Exception as exc:  # a thread's error would pass unseen
@@ -707,8 +737,8 @@ class TestSharedInputs:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker, args=case)
-                       for case in cases * 2]
+            threads = [threading.Thread(target=worker, args=(pairs,))
+                       for pairs in cases]
             for t in threads:
                 t.start()
             for t in threads:
@@ -716,7 +746,7 @@ class TestSharedInputs:
             assert not any(t.is_alive() for t in threads)
         finally:
             sys.setswitchinterval(interval)
-        assert failures == []
+        return failures
 
 
 class IidMeansModel(RewardModel):

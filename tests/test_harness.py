@@ -353,7 +353,7 @@ class TestRunTrial:
                                     "robust_iid", "target"]
             assert [name for name, ref in refs.items()
                     if ref() is not None] == []
-            assert estimators._last is None
+            assert len(estimators._memo) == 0
         finally:
             gc.enable()
 

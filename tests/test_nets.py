@@ -27,7 +27,7 @@ from robust_ope.nets import (
     init_net,
     spectral_normalize_net,
 )
-from robust_ope.policies import UniformPolicy, train_classifier_policy
+from robust_ope.policies import UniformPolicy, estimate_logging_policy
 from robust_ope.robust_regression import train_robust
 from tests.oracles import backward
 
@@ -565,8 +565,7 @@ class TestFit:
         assert calls == ["spectral_normalize_net", "adam_step"] * 6
 
     @pytest.mark.parametrize("trainer", [
-        lambda logged, config: train_classifier_policy(
-            logged.contexts, logged.actions, 2, [4], config),
+        lambda logged, config: estimate_logging_policy(logged, [4], config),
         lambda logged, config: train_direct_model(logged, [4], config),
         lambda logged, config: train_robust(
             logged, UniformPolicy(2), UniformPolicy(2), [4], config),

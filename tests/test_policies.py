@@ -83,6 +83,17 @@ class TestTrainClassifierPolicy:
             train_classifier_policy(np.zeros((0, 3)), np.zeros(0, dtype=int),
                                     2, [4], FAST_SGD)
 
+    @pytest.mark.parametrize("contexts, n_labels, field", [
+        (np.array([[0.0], [np.nan]]), 2, "contexts"),
+        (np.array([[0.0], [np.inf]]), 2, "contexts"),
+        (np.zeros(2), 2, "contexts"),
+        (np.zeros((8, 1)), 10, "labels"),
+    ], ids=["nan", "inf", "one_dimensional", "label_count"])
+    def test_bad_input_named(self, contexts, n_labels, field):
+        with pytest.raises(ValueError, match=field):
+            train_classifier_policy(contexts, np.arange(n_labels) % 2, 2,
+                                    [4], FAST_SGD)
+
     def test_labels_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             train_classifier_policy(np.zeros((3, 2)), np.array([0, 1, 2]), 2,
