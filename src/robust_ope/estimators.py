@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import LoggedDataset
 from .nets import (FeedForwardNet, SgdConfig, action_inputs, fit,
-                   forward_actions, init_net)
+                   forward_actions)
 from .policies import Policy, density_ratio, probs_on
 from .robust_regression import RobustRegressor, mean_matrix
 
@@ -60,15 +60,12 @@ class NetRewardModel(RewardModel):
 def train_direct_model(logged: LoggedDataset, hidden_dims: list[int],
                        config: SgdConfig) -> NetRewardModel:
     """Fit the plain direct-method model by minibatch squared-loss SGD."""
-    rng = np.random.default_rng(config.seed)
-    in_dim = logged.contexts.shape[1] + logged.n_actions
-    net = init_net([in_dim, *hidden_dims, 1], rng)
     inputs = action_inputs(logged.contexts, logged.actions, logged.n_actions)
 
     def output_grads(preds, idx):
         return 2.0 * (preds - logged.rewards[idx, None]) / idx.shape[0]
 
-    fit(net, inputs, output_grads, config, rng)
+    net = fit([*hidden_dims, 1], inputs, output_grads, config)
     return NetRewardModel(net=net, n_actions=logged.n_actions,
                           r_min=logged.r_min, r_max=logged.r_max)
 

@@ -94,27 +94,35 @@ def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:
     return FeedForwardNet(layers=layers)
 
 
-def _forward_from(z: np.ndarray, layers: list[Layer]) -> np.ndarray:
+def _forward_from(z: np.ndarray, layers: list[Layer],
+                  trace=None) -> np.ndarray:
     """Finish a forward pass from `z`, a fresh output of the layer before
     `layers`. Relu writes into each hidden output, which is freed once the
-    next layer has read it, and the bias is added in place to each fresh
-    product."""
+    next layer has read it unless appended to the list `trace`, and the bias
+    is added in place to each fresh product."""
     for layer in layers:
-        z = np.maximum(z, 0.0, out=z) @ layer.weight.T
+        np.maximum(z, 0.0, out=z)
+        if trace is not None:
+            trace.append(z)
+        z = z @ layer.weight.T
         z += layer.bias
     return z
 
 
-def forward_batch(net: FeedForwardNet, inputs: np.ndarray) -> np.ndarray:
-    """Forward pass on a (n, in_dim) batch; returns (n, out_dim)."""
+def forward_batch(net: FeedForwardNet, inputs: np.ndarray,
+                  trace=None) -> np.ndarray:
+    """Forward pass on a (n, in_dim) batch; returns (n, out_dim). Given a
+    list `trace`, appends each layer's input to it, for `_backprop`."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != net.in_dim:
         raise DimensionError(
             f"expected (n, {net.in_dim}) input, got {inputs.shape}")
+    if trace is not None:
+        trace.append(inputs)
     first = net.layers[0]
     z = inputs @ first.weight.T
     z += first.bias
-    return _forward_from(z, net.layers[1:])
+    return _forward_from(z, net.layers[1:], trace)
 
 
 def action_inputs(contexts: np.ndarray, actions: np.ndarray,
@@ -145,23 +153,10 @@ def forward_actions(net: FeedForwardNet, contexts: np.ndarray, n_actions: int):
     return np.hstack([at(a) for a in range(n_actions)])
 
 
-def _forward_trace(net: FeedForwardNet, inputs: np.ndarray) -> list:
-    """Forward pass keeping each layer's input, then the output, for backprop.
-    The bias and relu are applied in place on each fresh matmul output."""
-    trace = [inputs]
-    for i, layer in enumerate(net.layers):
-        h = trace[-1] @ layer.weight.T
-        h += layer.bias
-        if i < len(net.layers) - 1:
-            np.maximum(h, 0.0, out=h)
-        trace.append(h)
-    return trace
-
-
 def _backprop(net: FeedForwardNet, trace, g: np.ndarray, out) -> None:
-    """Backpropagate output gradients `g` through a `_forward_trace`,
-    writing each layer's gradients into its (dW, db) pair in `out`. Layer
-    0's input gradient is never formed."""
+    """Backpropagate output gradients `g` through the layer inputs that
+    `forward_batch` appended to `trace`, writing each layer's gradients into
+    its (dW, db) pair in `out`. Layer 0's input gradient is never formed."""
     for i in range(len(net.layers) - 1, -1, -1):
         dw, db = out[i]
         np.matmul(g.T, trace[i], out=dw)
@@ -313,17 +308,22 @@ def spectral_normalize_net(net: FeedForwardNet, power_vecs: list) -> None:
             w /= sigma
 
 
-def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,
-        config: SgdConfig, rng: np.random.Generator) -> FeedForwardNet:
-    """The minibatch training loop shared by every trained net; in place.
+def fit(dims: list[int], inputs: np.ndarray, output_grads,
+        config: SgdConfig) -> FeedForwardNet:
+    """The minibatch training loop shared by every trained net: build a net
+    of layer sizes `[inputs.shape[1], *dims]`, train it and return it.
 
-    Per epoch the rows are permuted by `rng`. Per minibatch of row indices
-    `idx` the net is spectral-normalized and traced forward once;
-    `output_grads(outputs, idx)` returns d(loss)/d(outputs), which is
-    backpropagated through the same trace for one `adam_step`. A
-    TrainingFault raised in an epoch is re-raised naming that epoch.
+    One generator, seeded by `config.seed`, draws the initial weights
+    (`init_net`) and then each epoch's permutation of the rows. Per
+    minibatch of row indices `idx` the net is spectral-normalized and run
+    forward once by `forward_batch`, which keeps each layer's input in a
+    trace; `output_grads(outputs, idx)` returns d(loss)/d(outputs), which is
+    backpropagated through that trace for one `adam_step`. A TrainingFault
+    raised in an epoch is re-raised naming that epoch.
     """
     inputs = np.asarray(inputs, dtype=float)
+    rng = np.random.default_rng(config.seed)
+    net = init_net([inputs.shape[1], *dims], rng)
     state = AdamState.for_net(net)
     power_vecs = [None] * len(net.layers)
     for epoch in range(config.epochs):
@@ -332,9 +332,9 @@ def fit(net: FeedForwardNet, inputs: np.ndarray, output_grads,
             for start in range(0, inputs.shape[0], config.batch_size):
                 idx = order[start:start + config.batch_size]
                 spectral_normalize_net(net, power_vecs)
-                trace = _forward_trace(net, inputs[idx])
-                _backprop(net, trace, output_grads(trace[-1], idx),
-                          state.grads)
+                trace = []
+                outputs = forward_batch(net, inputs[idx], trace)
+                _backprop(net, trace, output_grads(outputs, idx), state.grads)
                 adam_step(config, state)
         except TrainingFault as exc:
             raise TrainingFault(f"{exc} at epoch {epoch}") from exc

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .nets import (FeedForwardNet, SgdConfig, action_inputs, fit,
-                   forward_batch, init_net)
+from .nets import FeedForwardNet, SgdConfig, action_inputs, fit, forward_batch
 
 #: probabilities of softmax classifier policies are clamped to at least this
 #: value and renormalized, so importance weights stay finite
@@ -103,14 +102,12 @@ def _train_softmax_net(contexts: np.ndarray, labels: np.ndarray, n_classes: int,
                        hidden_dims: list[int], config: SgdConfig) -> FeedForwardNet:
     """Minimize multinomial log-loss with minibatch SGD."""
     targets = action_inputs(contexts[:, :0], labels, n_classes)  # one-hot
-    rng = np.random.default_rng(config.seed)
-    net = init_net([contexts.shape[1], *hidden_dims, n_classes], rng)
 
     def output_grads(logits, idx):
         # d(mean log-loss)/d(logits)
         return (_softmax(logits) - targets[idx]) / idx.shape[0]
 
-    return fit(net, contexts, output_grads, config, rng)
+    return fit([*hidden_dims, n_classes], contexts, output_grads, config)
 
 
 def train_classifier_policy(contexts: np.ndarray, labels: np.ndarray,

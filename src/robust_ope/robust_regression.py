@@ -39,7 +39,6 @@ from .nets import (
     fit,
     forward_actions,
     forward_batch,
-    init_net,
 )
 from .policies import Policy, density_ratio, logged_propensities, probs_on
 
@@ -184,12 +183,9 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
            config: SgdConfig,
            settings: RobustTrainSettings | None) -> RobustRegressor:
     settings = settings or RobustTrainSettings()
-    rng = np.random.default_rng(config.seed)
-    in_dim = logged.contexts.shape[1] + logged.n_actions
-    net = init_net([in_dim, *hidden_dims], rng)
-    k = hidden_dims[-1]
-    reg = RobustRegressor(
-        net=net, rho=RhoParams(0.0, np.zeros(k)), base=settings.base,
+    reg = RobustRegressor(  # its net is set from the fit below
+        net=None, rho=RhoParams(0.0, np.zeros(hidden_dims[-1])),
+        base=settings.base,
         n_actions=logged.n_actions, r_min=logged.r_min, r_max=logged.r_max,
         ratio_max=settings.ratio_max)
     inputs = action_inputs(logged.contexts, logged.actions, logged.n_actions)
@@ -212,7 +208,7 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
         rho.rho_xr = rho.rho_xr - lr_rho * (grad_xr + eta * rho.rho_xr)
         return _theta_out_grads(two_w_resid, rho.rho_xr)
 
-    fit(net, inputs, output_grads, config, rng)
+    reg.net = fit(hidden_dims, inputs, output_grads, config)
     return reg
 
 

@@ -5,9 +5,9 @@ list-of-floats CSV parse.
 Nothing under `src` reaches these; the tests check the shipped code against
 them. `SyntheticBandit.exact_value` gives V by exact enumeration, and
 `rho_gradients`, `theta_gradients` and `batch_nll` compose `_clip_ratios`,
-`_gaussian_params`, `_nll_rho_grads`, `_theta_out_grads`, `_forward_trace`
-and `_backprop`, so a finite-difference check of them checks the math that
-trains. `list_parse_csv` parses a CSV into one Python float per cell, the
+`_gaussian_params`, `_nll_rho_grads`, `_theta_out_grads`, a traced
+`forward_batch` and `_backprop`, so a finite-difference check of them
+checks the math that trains. `list_parse_csv` parses a CSV into one Python float per cell, the
 way `load_csv` once did, so the flat-buffer loader is checked bit for bit.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 from robust_ope.data import LoggedDataset
 from robust_ope.estimators import RewardModel
 from robust_ope.nets import (FeedForwardNet, TrainingFault, _backprop,
-                             _forward_trace, action_inputs, forward_batch)
+                             action_inputs, forward_batch)
 from robust_ope.policies import Policy, sample_actions
 from robust_ope.robust_regression import (RobustRegressor, _clip_ratios,
                                           _gaussian_params, _nll_rho_grads,
@@ -128,7 +128,8 @@ def backward(net: FeedForwardNet, inputs, output_grads) -> list:
     (dW, db) pair per layer, *summed* over the batch."""
     grads = [(np.empty(l.weight.shape), np.empty(l.bias.shape))
              for l in net.layers]
-    trace = _forward_trace(net, np.asarray(inputs, dtype=float))
+    trace = []
+    forward_batch(net, inputs, trace)
     _backprop(net, trace, np.asarray(output_grads, dtype=float), grads)
     return grads
 

@@ -649,9 +649,9 @@ class TestFitSideBySide:
                 out.write(f"{name} {os.getpid()}\n")
 
         def fit(original):
-            def recording(net, inputs, output_grads, config, rng):
+            def recording(dims, inputs, output_grads, config):
                 note(TestFitSideBySide.FITS[config.seed - seed])
-                return original(net, inputs, output_grads, config, rng)
+                return original(dims, inputs, output_grads, config)
             return recording
 
         def helper(original):

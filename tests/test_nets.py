@@ -390,13 +390,13 @@ class TestFit:
         rng = np.random.default_rng(13)
         inputs = rng.standard_normal((6, 3))
         targets = rng.standard_normal((6, 2))
-        net = init_net([3, 5, 2], rng)
-        ref = copy.deepcopy(net)
-        config = SgdConfig(learning_rate=0.01, epochs=1, batch_size=6)
-        fit(net, inputs, lambda out, idx: out - targets[idx], config,
-            np.random.default_rng(0))
+        config = SgdConfig(learning_rate=0.01, epochs=1, batch_size=6, seed=3)
+        net = fit([5, 2], inputs, lambda out, idx: out - targets[idx], config)
 
-        order = np.random.default_rng(0).permutation(6)
+        # one generator draws the weights, then the permutation
+        r = np.random.default_rng(config.seed)
+        ref = init_net([3, 5, 2], r)
+        order = r.permutation(6)
         spectral_normalize_net(ref, [None] * len(ref.layers))
         g = forward_batch(ref, inputs[order]) - targets[order]
         grads = backward(ref, inputs[order], g)
@@ -413,20 +413,21 @@ class TestFit:
         rng = np.random.default_rng(15)
         inputs = rng.standard_normal((rows, 3))
         targets = rng.standard_normal((rows, 2))
-        net = init_net([3, 5, 4, 2], rng)
-        ref = copy.deepcopy(net)
         config = SgdConfig(learning_rate=0.01, epochs=epochs,
-                           batch_size=batch_size)
-        fit(net, inputs, lambda out, idx: out - targets[idx], config,
-            np.random.default_rng(0))
+                           batch_size=batch_size, seed=5)
+        net = fit([5, 4, 2], inputs, lambda out, idx: out - targets[idx],
+                  config)
 
+        # one generator draws the weights, then each epoch's permutation
+        r = np.random.default_rng(config.seed)
+        ref = init_net([3, 5, 4, 2], r)
         lr, b1, b2, eps = config.learning_rate, 0.9, 0.999, 1e-8
         moments = [[np.zeros_like(a) for a in (l.weight, l.bias) * 2]
                    for l in ref.layers]
         power_vecs = [None] * len(ref.layers)
-        order_rng, steps = np.random.default_rng(0), 0
+        steps = 0
         for _ in range(config.epochs):
-            order = order_rng.permutation(rows)
+            order = r.permutation(rows)
             for start in range(0, rows, config.batch_size):
                 idx = order[start:start + config.batch_size]
                 spectral_normalize_net(ref, power_vecs)
@@ -461,24 +462,30 @@ class TestFit:
         # gradient still fills the whole gradient buffer
         assert self.assert_fit_matches_reference(7, 3, 2) == 6
 
-    def test_non_finite_step_changes_no_weight(self):
+    def test_non_finite_step_changes_no_weight(self, monkeypatch):
         # NaN gradients at step 5 (epoch 1): the fault names the epoch and
         # the net keeps the weights step 5 found, those of steps 1-4 after
-        # step 5's spectral norm
+        # step 5's spectral norm; the net is caught at `nets.forward_batch`
         rng = np.random.default_rng(17)
         inputs = rng.standard_normal((10, 3))
-        net = init_net([3, 4, 2], rng)
-        seen = []
+        nets_run, seen = [], []
 
-        def output_grads(out, idx):
+        def recording(net, x, trace):
+            nets_run.append(net)
             seen.append([(l.weight.copy(), l.bias.copy())
                          for l in net.layers])
+            return forward_batch(net, x, trace)
+
+        def output_grads(out, idx):
             return np.full_like(out, np.nan) if len(seen) == 5 else out
 
+        monkeypatch.setattr(nets, "forward_batch", recording)
         with pytest.raises(TrainingFault, match="at epoch 1$"):
-            fit(net, inputs, output_grads, SgdConfig(epochs=2, batch_size=4),
-                rng)
+            fit([4, 2], inputs, output_grads,
+                SgdConfig(epochs=2, batch_size=4, seed=17))
         assert len(seen) == 5
+        net = nets_run[0]
+        assert all(other is net for other in nets_run)
         assert not np.array_equal(seen[3][0][0], seen[4][0][0])
         for (w, b), layer in zip(seen[4], net.layers):
             assert np.array_equal(w, layer.weight)
@@ -495,9 +502,8 @@ class TestFit:
 
         monkeypatch.setattr(nets, "adam_step", recording)
         rng = np.random.default_rng(18)
-        net = init_net([3, 4, 2], rng)
-        fit(net, rng.standard_normal((8, 3)), lambda out, idx: out,
-            SgdConfig(epochs=1, batch_size=4), rng)
+        net = fit([4, 2], rng.standard_normal((8, 3)), lambda out, idx: out,
+                  SgdConfig(epochs=1, batch_size=4, seed=18))
         state = states[0]
         workspace = [state.grad, state.m, state.v, *state.scratch]
 
@@ -521,9 +527,8 @@ class TestFit:
 
     def test_copy_of_fitted_net_owns_its_arrays(self):
         rng = np.random.default_rng(16)
-        net = init_net([3, 4, 1], rng)
-        fit(net, rng.standard_normal((8, 3)), lambda out, idx: out,
-            SgdConfig(epochs=1, batch_size=4), rng)
+        net = fit([4, 1], rng.standard_normal((8, 3)), lambda out, idx: out,
+                  SgdConfig(epochs=1, batch_size=4, seed=16))
         buffer = net.layers[0].weight.base
         assert buffer is not None
         assert all(a.base is buffer for l in net.layers
@@ -544,9 +549,9 @@ class TestFit:
         assert not np.array_equal(twin.layers[0].weight, before[0][0])
 
     def test_every_step_goes_through_module_adam_step(self, monkeypatch):
-        # the bench's `nets.adam_step` and `nets.spectral_norm` spans wrap
-        # these module attributes, so `fit` must look both up on every step:
-        # 3 minibatches x 2 epochs
+        # the bench's `nets.adam_step`, `nets.spectral_norm` and
+        # `nets.forward` spans wrap these module attributes, so `fit` must
+        # look each up on every step: 3 minibatches x 2 epochs
         calls = []
 
         def counting(fn):
@@ -558,11 +563,12 @@ class TestFit:
         monkeypatch.setattr(nets, "adam_step", counting(adam_step))
         monkeypatch.setattr(nets, "spectral_normalize_net",
                             counting(spectral_normalize_net))
+        monkeypatch.setattr(nets, "forward_batch", counting(forward_batch))
         rng = np.random.default_rng(14)
-        net = init_net([3, 4, 1], rng)
-        fit(net, rng.standard_normal((10, 3)), lambda out, idx: out,
-            SgdConfig(epochs=2, batch_size=4), rng)
-        assert calls == ["spectral_normalize_net", "adam_step"] * 6
+        fit([4, 1], rng.standard_normal((10, 3)), lambda out, idx: out,
+            SgdConfig(epochs=2, batch_size=4, seed=14))
+        assert calls == ["spectral_normalize_net", "forward_batch",
+                         "adam_step"] * 6
 
     @pytest.mark.parametrize("trainer", [
         lambda logged, config: estimate_logging_policy(logged, [4], config),

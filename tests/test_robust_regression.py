@@ -314,9 +314,10 @@ class TestTraining:
         # a small rho_max make both clips bite
         captured = []
 
-        def keep_closure(net, inputs, output_grads, config, rng):
+        def keep_closure(dims, inputs, output_grads, config):
             captured.append((inputs, output_grads))
-            return net
+            return init_net([inputs.shape[1], *dims],
+                            np.random.default_rng(config.seed))
 
         monkeypatch.setattr(robust_regression, "fit", keep_closure)
         rng = np.random.default_rng(26)
