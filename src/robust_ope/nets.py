@@ -1,13 +1,16 @@
 """Minimal dense neural kernel: fully connected nets, backprop, Adam, spectral norm.
 
 Everything runs in float64 on numpy arrays. A net is its layers' weights and
-biases, with relu after every layer but the last. `fit` trains a net in an
-`AdamState` workspace: the net's arrays become views of one flat parameter
-buffer, backprop writes into one flat gradient buffer and Adam updates in
-place, so a training step allocates nothing parameter-sized. The workspace
-stays with `fit`: a trained net's arrays view the parameter buffer only, and
-a copy or a pickle owns its memory, so nets move between workers freely.
-Training is single-threaded.
+biases, with relu after every layer but the last. `fit` is the one entry that
+trains a net: one generator seeded by `SgdConfig.seed` draws its weights and
+then each epoch's row permutation, so the config alone decides the net. It
+trains in an `AdamState` workspace: the net's arrays become views of one flat
+parameter buffer, backprop writes into one flat gradient buffer and Adam
+updates in place, so a training step allocates nothing parameter-sized. The
+forward pass is the read's, `forward_batch`, given a `trace` list that keeps
+each layer's input for backprop. The workspace stays with `fit`: a trained
+net's arrays view the parameter buffer only, and a copy or a pickle owns its
+memory, so nets move between workers freely. Training is single-threaded.
 
 Two per-step updates use folded forms that equal the textbook rules in real
 arithmetic and match them to a few ulps in floating point. Adam folds its
@@ -19,6 +22,7 @@ of u^T w v (Miyato et al. 2018, Alg. 1).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +73,18 @@ class SgdConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:  # negated, so NaN fails
             raise ValueError("learning_rate must be positive and finite")
+        for name in ("epochs", "batch_size", "seed"):
+            try:
+                operator.index(getattr(self, name))  # ints and numpy ints
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}") from None
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:

@@ -183,6 +183,8 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
            config: SgdConfig,
            settings: RobustTrainSettings | None) -> RobustRegressor:
     settings = settings or RobustTrainSettings()
+    if not hidden_dims:
+        raise ValueError("hidden_dims must list at least one layer size")
     reg = RobustRegressor(  # its net is set from the fit below
         net=None, rho=RhoParams(0.0, np.zeros(hidden_dims[-1])),
         base=settings.base,

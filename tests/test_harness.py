@@ -14,11 +14,12 @@ import subprocess
 import sys
 import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from robust_ope import bandit_sim, diagnostics, estimators, harness, \
+from robust_ope import bandit_sim, cli, diagnostics, estimators, harness, \
     policies, robust_regression
 from robust_ope.bandit_sim import LabeledDataset
 from robust_ope.estimators import ESTIMATOR_KINDS, EstimatorSpec, \
@@ -272,14 +273,14 @@ class TestOutOfRangeValues:
 
     @pytest.mark.parametrize("section, line, message", CASES,
                              ids=[line for _, line, _ in CASES])
-    def test_cli_run_exits_one(self, tmp_path, section, line, message):
+    def test_cli_run_exits_one(self, tmp_path, capsys, section, line,
+                               message):
         path = write_config(tmp_path, f"[{section}]\n{line}\n")
         out = tmp_path / "report.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "robust_ope.cli", "run", "--config",
-             str(path), "--out", str(out)], capture_output=True, text=True)
-        assert proc.returncode == 1
-        assert "config error" in proc.stderr and message in proc.stderr
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [
@@ -762,6 +763,30 @@ print(json.dumps(out))
         assert out["helper_tasks"] == 1
         assert out["worker_tasks"] == [1, 1, 1, 1]
 
+    def test_in_process_cli_sets_no_count(self, tmp_path, capsys,
+                                          monkeypatch):
+        # the CLI tests that call `cli.main` here reach its
+        # `_one_blas_thread`; at conftest's one thread it only reads the count
+        try:
+            core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+            get_threads = core.scipy_openblas_get_num_threads64_
+        except (AttributeError, OSError):
+            pytest.skip("numpy does not link scipy-openblas")
+        if get_threads() != 1:
+            pytest.skip("this process runs more than one OpenBLAS thread")
+        calls = []
+
+        def get():
+            calls.append("get")
+            return get_threads()
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace(
+            scipy_openblas_get_num_threads64_=get,
+            scipy_openblas_set_num_threads64_=calls.append))
+        path = write_config(tmp_path, TestCli.MISSING)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert calls == ["get"]
+
 
 class TestModelsFromEstimatorTable:
     """run_trial fits exactly the reward models its estimators read."""
@@ -945,20 +970,32 @@ class TestDeterminism:
 
 
 class TestCli:
+    """`robust-ope` commands. The cases that a process boundary decides run
+    `python -m robust_ope.cli` (`run_cli`): the module entry, the exit
+    status through `sys.exit` and a whole run. The rest call `cli.main` in
+    this process (`main`); an argparse usage error raises SystemExit."""
+
     def run_cli(self, *args):
         return subprocess.run([sys.executable, "-m", "robust_ope.cli", *args],
                               capture_output=True, text=True)
+
+    @staticmethod
+    def main(capsys, *args):
+        """(exit code, stdout, stderr) of `cli.main(args)` in this process."""
+        code = cli.main(list(args))
+        return (code, *capsys.readouterr())
 
     def test_list_estimators(self):
         proc = self.run_cli("list-estimators")
         assert proc.returncode == 0
         assert set(proc.stdout.split()) == set(ESTIMATOR_KINDS)
 
-    def test_validate_config_ok(self, tmp_path):
+    def test_validate_config_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, "[experiment]\ntrials = 2\n")
-        proc = self.run_cli("validate-config", "--config", str(path))
-        assert proc.returncode == 0
-        assert "trials = 2" in proc.stdout
+        code, out, _ = self.main(capsys, "validate-config", "--config",
+                                 str(path))
+        assert code == 0
+        assert "trials = 2" in out
 
     def test_config_error_exit_code_one(self, tmp_path):
         path = write_config(tmp_path, "[experiment]\nbogus = 1\n")
@@ -967,32 +1004,34 @@ class TestCli:
         assert "config error" in proc.stderr
 
     @pytest.mark.parametrize("command", ["validate-config", "run"])
-    def test_malformed_file_exit_code_one(self, tmp_path, command):
+    def test_malformed_file_exit_code_one(self, tmp_path, capsys, command):
         path = write_config(tmp_path, "[experiment]\ntrials = 2\n"
                                       "trials = 3\n")
-        proc = self.run_cli(command, "--config", str(path))
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("config error:")
-        assert "Traceback" not in proc.stderr
+        code, _, err = self.main(capsys, command, "--config", str(path))
+        assert code == 1
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
 
-    def test_negative_seed_flag_is_config_error(self, tmp_path):
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, "[experiment]\ntrials = 1\n")
         out = tmp_path / "report.csv"
-        proc = self.run_cli("run", "--config", str(path), "--seed", "-5",
-                            "--out", str(out))
-        assert proc.returncode == 1
-        assert "config error: seed must be >= 0" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err = self.main(capsys, "run", "--config", str(path),
+                                 "--seed", "-5", "--out", str(out))
+        assert code == 1
+        assert "config error: seed must be >= 0" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_usage_error(self, tmp_path, jobs):
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
         path = write_config(tmp_path, "[experiment]\ntrials = 1\n")
         out = tmp_path / "report.csv"
-        proc = self.run_cli("run", "--config", str(path), "--jobs", jobs,
-                            "--out", str(out))
-        assert proc.returncode == 2
-        assert "usage:" in proc.stderr and "--jobs" in proc.stderr
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", "--config", str(path), "--jobs", jobs,
+                      "--out", str(out)])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "usage:" in err and "--jobs" in err
         assert not out.exists()
 
     def test_benchmark_script_jobs_below_one_is_usage_error(self):
@@ -1003,11 +1042,13 @@ class TestCli:
         assert "usage:" in proc.stderr and "--jobs" in proc.stderr
         assert proc.stdout == ""  # no trial ran, so no table was printed
 
-    def test_runtime_fault_exit_code_two(self, tmp_path):
-        path = write_config(tmp_path, (
-            "[experiment]\ndataset = /nonexistent/file.csv\ntrials = 1\n"))
-        proc = self.run_cli("run", "--config", str(path))
-        assert proc.returncode == 2
+    MISSING = "[experiment]\ndataset = /nonexistent/file.csv\ntrials = 1\n"
+
+    def test_runtime_fault_exit_code_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.MISSING)
+        code, _, err = self.main(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert err.startswith("runtime fault:")
 
     TINY = ("[experiment]\n"
             "dataset = synthetic\n"
@@ -1031,13 +1072,14 @@ class TestCli:
         assert lines[0].startswith("estimator,rmse_mean,rmse_std,n_trials")
         assert len(lines) == 3
 
-    def test_unwritable_out_is_runtime_fault(self, tmp_path):
+    def test_unwritable_out_is_runtime_fault(self, tmp_path, capsys):
         path = write_config(tmp_path, self.TINY)
         out = tmp_path / "missing_dir" / "report.csv"
-        proc = self.run_cli("run", "--config", str(path), "--out", str(out))
-        assert proc.returncode == 2
-        assert "runtime fault: cannot write report:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err = self.main(capsys, "run", "--config", str(path),
+                                 "--out", str(out))
+        assert code == 2
+        assert "runtime fault: cannot write report:" in err
+        assert "Traceback" not in err
         assert not out.parent.exists()
 
 

@@ -89,6 +89,30 @@ class TestForward:
             assert np.allclose(batch[i], forward_batch(net, xs[i:i + 1])[0])
 
 
+    @pytest.mark.parametrize("dims", [
+        [22, 64, 64, 64, 1], [74, 64, 64, 64, 1],  # DM nets
+        [22, 64, 64, 64], [74, 64, 64, 64],  # robust and iid nets
+        [18, 64, 64, 64, 4], [64, 64, 64, 64, 10],  # classifiers
+    ], ids=lambda dims: "-".join(map(str, dims)))
+    def test_trace_keeps_layer_inputs_and_the_bits(self, dims):
+        # training runs this traced pass: its output is the read's, bit for
+        # bit, and the trace holds the input, then each hidden relu output
+        rng = np.random.default_rng(20)
+        net = init_net(dims, rng)
+        for layer in net.layers:
+            layer.bias = rng.standard_normal(layer.bias.shape)
+        x = rng.standard_normal((32, dims[0]))
+        trace = []
+        out = forward_batch(net, x, trace)
+        assert np.array_equal(out, forward_batch(net, x))
+        assert len(trace) == len(net.layers) and trace[0] is x
+        for h, layer, z in zip(trace, net.layers, trace[1:] + [out]):
+            ref = h @ layer.weight.T + layer.bias
+            if z is not out:
+                ref = np.maximum(ref, 0.0)
+            assert np.array_equal(z, ref)
+
+
 def random_action_net(rng, d, n_actions, dims):
     """A net on (context, one-hot action) inputs with nonzero biases."""
     net = init_net([d + n_actions, *dims], rng)
@@ -230,6 +254,24 @@ class TestSgdStep:
             SgdConfig(learning_rate=float("nan"))
         with pytest.raises(ValueError):
             SgdConfig(epochs=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("epochs", 2.5, "epochs must be an integer"),
+        ("epochs", "3", "epochs must be an integer"),
+        ("batch_size", float("nan"), "batch_size must be an integer"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", None, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+    ])
+    def test_count_fields_rejected(self, field, value, message):
+        # `fit` counts epochs and minibatches and seeds its generator with
+        # these, so a bad one fails here, not mid-fit
+        with pytest.raises(ValueError, match=message):
+            SgdConfig(**{field: value})
+        # numpy integers are integers
+        config = SgdConfig(**{field: np.int64(3)})
+        assert getattr(config, field) == 3
 
 
 class TestAdam:
@@ -569,6 +611,21 @@ class TestFit:
             SgdConfig(epochs=2, batch_size=4, seed=14))
         assert calls == ["spectral_normalize_net", "forward_batch",
                          "adam_step"] * 6
+
+    def test_seed_alone_decides_the_net(self):
+        # equal configs give bit-equal nets; another seed, other weights
+        rng = np.random.default_rng(21)
+        inputs = rng.standard_normal((9, 3))
+
+        def fitted(seed):
+            return fit([4, 2], inputs, lambda out, idx: out,
+                       SgdConfig(epochs=2, batch_size=4, seed=seed))
+
+        a, b, other = fitted(1), fitted(1), fitted(2)
+        for la, lb, lo in zip(a.layers, b.layers, other.layers):
+            assert np.array_equal(la.weight, lb.weight)
+            assert np.array_equal(la.bias, lb.bias)
+            assert not np.array_equal(la.weight, lo.weight)
 
     @pytest.mark.parametrize("trainer", [
         lambda logged, config: estimate_logging_policy(logged, [4], config),

@@ -360,6 +360,18 @@ class TestTraining:
                                    np.zeros(0), 2)
             train_iid(logged, [4], SgdConfig(epochs=1))
 
+    @pytest.mark.parametrize("trainer", [
+        lambda logged, dims, config: train_robust(
+            logged, UniformPolicy(2), UniformPolicy(2), dims, config),
+        train_iid,
+    ], ids=["robust", "iid"])
+    def test_empty_hidden_dims_rejected(self, trainer):
+        # the features are the top hidden layer, so there must be one
+        logged = LoggedDataset(np.zeros((4, 2)), np.arange(4) % 2,
+                               np.full(4, 0.5), 2)
+        with pytest.raises(ValueError, match="hidden_dims"):
+            trainer(logged, [], SgdConfig(epochs=1))
+
     def test_settings_carry_base_and_ratio_cap(self):
         rng = np.random.default_rng(28)
         logged = LoggedDataset(rng.standard_normal((20, 2)),
