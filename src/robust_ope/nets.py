@@ -74,11 +74,12 @@ class SgdConfig:
         if not 0 < self.learning_rate < math.inf:  # negated, so NaN fails
             raise ValueError("learning_rate must be positive and finite")
         for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
             try:
-                operator.index(getattr(self, name))  # ints and numpy ints
+                operator.index(value)  # ints and numpy ints
             except TypeError:
-                raise ValueError(f"{name} must be an integer, got "
-                                 f"{getattr(self, name)!r}") from None
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {value!r}") from None
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

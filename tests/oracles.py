@@ -7,8 +7,9 @@ them. `SyntheticBandit.exact_value` gives V by exact enumeration, and
 `rho_gradients`, `theta_gradients` and `batch_nll` compose `_clip_ratios`,
 `_gaussian_params`, `_nll_rho_grads`, `_theta_out_grads`, a traced
 `forward_batch` and `_backprop`, so a finite-difference check of them
-checks the math that trains. `list_parse_csv` parses a CSV into one Python float per cell, the
-way `load_csv` once did, so the flat-buffer loader is checked bit for bit.
+checks the math that trains. `list_parse_csv` parses a CSV into one Python
+float per cell, the way `load_csv` once did, so the flat-buffer loader is
+checked bit for bit.
 """
 
 from __future__ import annotations

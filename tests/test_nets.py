@@ -88,7 +88,6 @@ class TestForward:
         for i in range(6):
             assert np.allclose(batch[i], forward_batch(net, xs[i:i + 1])[0])
 
-
     @pytest.mark.parametrize("dims", [
         [22, 64, 64, 64, 1], [74, 64, 64, 64, 1],  # DM nets
         [22, 64, 64, 64], [74, 64, 64, 64],  # robust and iid nets
