@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset, LoggedDataset
-from .policies import Policy, sample_actions
+from .policies import Policy, probs_on, sample_actions
 
 
 class ParseError(ValueError):
@@ -119,12 +119,6 @@ def standardize(train: LabeledDataset,
     return out
 
 
-def _check_actions(policy: Policy, dataset: LabeledDataset) -> None:
-    """A policy acts on a labeled set when its actions are the classes."""
-    if policy.n_actions != dataset.n_classes:
-        raise ValueError("policy action count != number of classes")
-
-
 def log_bandit_feedback(dataset: LabeledDataset, logging: Policy,
                         seed: int) -> LoggedDataset:
     """Sample one action per row from the logging policy; reward 1{a == label}.
@@ -132,9 +126,8 @@ def log_bandit_feedback(dataset: LabeledDataset, logging: Policy,
     The logged propensity is the logging policy's exact probability of the
     sampled action.
     """
-    _check_actions(logging, dataset)
     rng = np.random.default_rng(seed)
-    probs = logging.probs_matrix(dataset.contexts)
+    probs = probs_on(dataset.contexts, dataset.n_classes, logging, "logging")
     actions = sample_actions(probs, rng)
     propensities = probs[np.arange(len(dataset)), actions]
     rewards = (actions == dataset.labels).astype(float)
@@ -145,8 +138,7 @@ def log_bandit_feedback(dataset: LabeledDataset, logging: Policy,
 
 def true_value(dataset: LabeledDataset, target: Policy) -> float:
     """Exact V under the target policy: mean of pi(label | x) over rows."""
-    _check_actions(target, dataset)
-    probs = target.probs_matrix(dataset.contexts)
+    probs = probs_on(dataset.contexts, dataset.n_classes, target, "target")
     return float(np.mean(probs[np.arange(len(dataset)), dataset.labels]))
 
 

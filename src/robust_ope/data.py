@@ -5,9 +5,22 @@ Both compare and hash by identity, so a record can key a dict.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def as_count(value, name: str, low: int = 1) -> int:
+    """`value` as an int of at least `low`: the one count rule for sizes,
+    counts and seeds. Ints and numpy ints pass; a float, even 2.0, does not."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
+    return count
 
 
 def as_indices(values, name: str, n: int) -> np.ndarray:
@@ -45,6 +58,7 @@ class LabeledDataset:
     n_classes: int
 
     def __post_init__(self):
+        self.n_classes = as_count(self.n_classes, "n_classes")
         self.contexts = as_contexts(self.contexts)
         self.labels = as_indices(self.labels, "labels", self.n_classes)
         if self.contexts.shape[0] < 1:
@@ -77,7 +91,8 @@ class LoggedDataset:
     r_max: float = 1.0
 
     def __post_init__(self):
-        normal = {"contexts": as_contexts(self.contexts),
+        normal = {"n_actions": as_count(self.n_actions, "n_actions"),
+                  "contexts": as_contexts(self.contexts),
                   "actions": as_indices(self.actions, "actions",
                                         self.n_actions),
                   "rewards": np.asarray(self.rewards, dtype=float)}

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import as_count
 from .estimators import importance_weights
 
 
@@ -37,8 +38,7 @@ class BoundInputs:
                              "positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        as_count(self.n, "n")
         if not (self.eta1 >= 0 and self.eta2 >= 0):
             raise ValueError("slacks must be nonnegative")
         if not (self.epsilon >= 0 and self.bigo_constant >= 0):

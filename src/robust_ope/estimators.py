@@ -98,7 +98,8 @@ class _Inputs:
 
     @cached_property
     def pi(self) -> np.ndarray:
-        return probs_on(self.logged, self.target, "target")
+        return probs_on(self.logged.contexts, self.logged.n_actions,
+                        self.target, "target")
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -106,7 +107,8 @@ class _Inputs:
             raise ValueError("need a logging policy: robust kinds read p-hat "
                              "at every action, and the weights read it where "
                              "no propensities are logged")
-        return probs_on(self.logged, self.logging, "logging")
+        return probs_on(self.logged.contexts, self.logged.n_actions,
+                        self.logging, "logging")
 
     def w(self, w_max: float) -> np.ndarray:
         """Read-only weights pi / p-hat at the logged actions, clipped to

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bandit_sim, diagnostics, estimators, policies, robust_regression
 from .bandit_sim import LabeledDataset, SplitConfig
-from .data import LoggedDataset
+from .data import LoggedDataset, as_count
 from .nets import SgdConfig
 from .policies import Policy
 from .robust_regression import BaseGaussian, RobustTrainSettings
@@ -95,10 +95,6 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and math.isnan(value):
                 raise ConfigError(f"{f.name} must not be NaN")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         if self.logging_mode not in LOGGING_MODES:
             raise ConfigError(f"logging_mode must be one of {LOGGING_MODES}")
         if not self.estimator_names:
@@ -106,14 +102,6 @@ class ExperimentConfig:
         for i, name in enumerate(self.estimator_names):
             if name in self.estimator_names[:i]:
                 raise ConfigError(f"estimator {name!r} listed twice")
-        # the robust model's features are the last hidden layer
-        if self.hidden_layers < 1 or self.hidden_width < 1:
-            raise ConfigError("hidden_layers and hidden_width must be >= 1")
-        if self.dataset == "synthetic" and (self.synthetic_n < 2
-                                            or self.synthetic_d < 1
-                                            or self.synthetic_k < 2):
-            raise ConfigError("synthetic data needs synthetic_n >= 2, "
-                              "synthetic_d >= 1 and synthetic_k >= 2")
         if self.temperature <= 0 or self.eval_temperature <= 0:
             raise ConfigError("temperature and eval_temperature must be "
                               "positive")
@@ -121,9 +109,17 @@ class ExperimentConfig:
             raise ConfigError("w_max must be positive")
         if not 0 <= self.beta <= 1:
             raise ConfigError("beta must be in [0, 1]")
-        # build what a trial builds, through the same helpers (EstimatorSpec
-        # rejects an unknown kind), so a bad value fails here, not mid-run
+        # check the counts, then build what a trial builds through the same
+        # helpers (EstimatorSpec rejects an unknown kind), so a bad value
+        # fails here, not mid-run
         try:
+            # the robust model's features are the last hidden layer
+            counts = dict(trials=1, seed=0, hidden_layers=1, hidden_width=1,
+                          reward_epochs=1, classifier_epochs=1, batch_size=1)
+            if self.dataset == "synthetic":
+                counts.update(synthetic_n=2, synthetic_d=1, synthetic_k=2)
+            for name, low in counts.items():
+                as_count(getattr(self, name), name, low)
             _estimator_specs(self)
             SplitConfig(self.train_fraction)
             for epochs in (self.reward_epochs, self.classifier_epochs):
@@ -486,8 +482,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     when that is above 1. Pool workers fit a trial's models in turn, with
     no helper process of their own (`_fit_side_by_side`), so one trial runs
     here, where its two lanes of fits (`_fit_models`) may overlap."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    as_count(jobs, "jobs")
     dataset = _load_dataset(config)
     seeds = trial_seeds(config.seed, config.trials)
     workers = min(jobs, len(seeds))

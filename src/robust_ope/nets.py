@@ -22,12 +22,11 @@ of u^T w v (Miyato et al. 2018, Alg. 1).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_indices
+from .data import as_count, as_indices
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -73,19 +72,8 @@ class SgdConfig:
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:  # negated, so NaN fails
             raise ValueError("learning_rate must be positive and finite")
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)  # ints and numpy ints
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, "
-                                 f"got {value!r}") from None
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            as_count(getattr(self, name), name, low)
 
 
 def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:
@@ -95,9 +83,8 @@ def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:
     """
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
-    if min(layer_dims) < 1:
-        raise ValueError(f"every entry of layer_dims must be >= 1, "
-                         f"got {list(layer_dims)}")
+    for i, dim in enumerate(layer_dims):
+        as_count(dim, f"layer_dims[{i}]")
     layers = []
     for i in range(len(layer_dims) - 1):
         fan_in, fan_out = layer_dims[i], layer_dims[i + 1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import LabeledDataset, as_count
 from .nets import FeedForwardNet, SgdConfig, action_inputs, fit, forward_batch
 
 #: probabilities of softmax classifier policies are clamped to at least this
@@ -34,8 +34,7 @@ class UniformPolicy(Policy):
     n_actions: int
 
     def __post_init__(self):
-        if self.n_actions < 2:
-            raise ValueError("need at least 2 actions")
+        as_count(self.n_actions, "n_actions", 2)
 
     def probs_matrix(self, contexts: np.ndarray) -> np.ndarray:
         n = np.asarray(contexts).shape[0]
@@ -77,14 +76,15 @@ def density_ratio(num: np.ndarray, den: np.ndarray, cap: float) -> np.ndarray:
     return np.clip(ratio, 0.0, cap)
 
 
-def probs_on(logged, policy: Policy, role: str) -> np.ndarray:
-    """`policy`'s (n, K) probabilities at the logged contexts, rejecting a
-    policy over another action count than the log's; `role` names it."""
-    probs = policy.probs_matrix(logged.contexts)
-    if probs.shape != (len(logged), logged.n_actions):
+def probs_on(contexts: np.ndarray, n_actions: int, policy: Policy,
+             role: str) -> np.ndarray:
+    """`policy`'s (n, K) probabilities at the records' contexts, rejecting a
+    policy over another action count than the records'; `role` names it."""
+    probs = policy.probs_matrix(contexts)
+    if probs.shape != (len(contexts), n_actions):
         raise ValueError(f"{role} policy gives probabilities of shape "
-                         f"{probs.shape} on a log of {len(logged)} records "
-                         f"and {logged.n_actions} actions")
+                         f"{probs.shape} on {len(contexts)} records and "
+                         f"{n_actions} actions")
     return probs
 
 
@@ -94,7 +94,7 @@ def logged_propensities(logged, logging: Policy | None) -> np.ndarray:
         return logged.propensities
     if logging is None:
         raise ValueError("need logged propensities or a logging policy")
-    probs = probs_on(logged, logging, "logging")
+    probs = probs_on(logged.contexts, logged.n_actions, logging, "logging")
     return probs[np.arange(len(logged)), logged.actions]
 
 

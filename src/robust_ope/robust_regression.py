@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LoggedDataset
+from .data import LoggedDataset, as_count
 from .nets import (
     FeedForwardNet,
     Layer,
@@ -218,8 +218,8 @@ def training_ratios(logged: LoggedDataset, target: Policy,
                     logging: Policy) -> np.ndarray:
     """Density ratio p(a|x) / pi(a|x) at the logged records, unclipped."""
     p = logged_propensities(logged, logging)
-    pi = probs_on(logged, target, "target")[np.arange(len(logged)),
-                                            logged.actions]
+    pi = probs_on(logged.contexts, logged.n_actions, target,
+                  "target")[np.arange(len(logged)), logged.actions]
     return density_ratio(p, pi, np.inf)
 
 
@@ -281,8 +281,9 @@ def load_regressor(path) -> RobustRegressor:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
             raise ValueError(f"unsupported format tag {tag!r}")
+        n_layers = _count(blob, "n_layers")
         layers = [Layer(weight=blob[f"w{i}"], bias=blob[f"b{i}"])
-                  for i in range(_count(blob, "n_layers"))]
+                  for i in range(n_layers)]
         reg = RobustRegressor(
             net=FeedForwardNet(layers),
             rho=RhoParams(float(blob["rho_r"]), blob["rho_xr"]),
@@ -298,10 +299,8 @@ def load_regressor(path) -> RobustRegressor:
     if not reg.r_min <= reg.r_max:
         raise ValueError(f"r_min must not exceed r_max, got r_min "
                          f"{reg.r_min} and r_max {reg.r_max}")
-    if reg.n_actions < 1:
-        raise ValueError(f"n_actions must be >= 1, got {reg.n_actions}")
-    if not layers:
-        raise ValueError("n_layers must be >= 1")
+    as_count(reg.n_actions, "n_actions")
+    as_count(n_layers, "n_layers")
     rows = None  # of the layer before
     for i, layer in enumerate(layers):
         w, b = layer.weight, layer.bias

@@ -246,6 +246,14 @@ class TestLogBanditFeedback:
         with pytest.raises(ValueError):
             log_bandit_feedback(ds, UniformPolicy(4), seed=0)
 
+    def test_fewer_actions_than_classes_rejected(self):
+        # a 2-action policy on 3 classes would never log the third class
+        ds = make_synthetic_labeled(10, 2, 3, seed=0)
+        with pytest.raises(ValueError, match=r"logging policy gives "
+                           r"probabilities of shape \(10, 2\) on 10 records "
+                           r"and 3 actions"):
+            log_bandit_feedback(ds, UniformPolicy(2), seed=0)
+
 
 class TestLabeledDataset:
     @pytest.mark.parametrize("n_labels", [2, 5])
@@ -283,7 +291,9 @@ class TestTrueValue:
     def test_action_count_mismatch_rejected(self):
         # a 3-action policy on a 2-class set would read 1/3
         ds = LabeledDataset(np.zeros((2, 1)), np.array([0, 1]), 2)
-        with pytest.raises(ValueError, match="number of classes"):
+        with pytest.raises(ValueError, match=r"target policy gives "
+                           r"probabilities of shape \(2, 3\) on 2 records "
+                           r"and 2 actions"):
             true_value(ds, UniformPolicy(3))
 
     def test_perfect_deterministic_classifier(self):

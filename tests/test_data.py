@@ -1,13 +1,13 @@
 """The record contract: LoggedDataset's range checks, its frozen fields,
-identity equality on both record classes, and the one index rule every entry
-point applies."""
+identity equality on both record classes, the one index rule every entry
+point applies, and the one count rule."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from robust_ope.data import LabeledDataset, LoggedDataset
+from robust_ope.data import LabeledDataset, LoggedDataset, as_count
 from robust_ope.nets import SgdConfig
 from robust_ope.policies import train_classifier_policy
 from robust_ope.robust_regression import features, predict_batch
@@ -67,6 +67,24 @@ class TestLoggedDataset:
             setattr(ds, name, getattr(ds, name))
 
 
+#: record class -> (a record with count k, the field that holds k)
+COUNTED = {
+    "LoggedDataset": (lambda k: LoggedDataset(np.zeros((2, 1)), [0, 1],
+                                              [0.0, 1.0], k), "n_actions"),
+    "LabeledDataset": (lambda k: LabeledDataset(np.zeros((2, 1)), [0, 1], k),
+                       "n_classes"),
+}
+
+
+@pytest.mark.parametrize("record", sorted(COUNTED))
+def test_non_integer_count_rejected(record):
+    make, field = COUNTED[record]
+    with pytest.raises(ValueError, match=f"{field} must be an integer, "
+                                         f"got 2.5"):
+        make(2.5)
+    assert getattr(make(np.int64(2)), field) == 2
+
+
 #: record class -> a fresh record over the same arrays on each call
 RECORDS = {
     "LoggedDataset": logged,
@@ -117,3 +135,29 @@ class TestIndexRule:
     def test_whole_float_index_accepted(self, entry):
         call, _ = INDEX_ENTRY_POINTS[entry]
         call(np.array([0, 1, 1.0]))
+
+
+class TestCountRule:
+    """A size, count or seed is an int (numpy ints too) of at least `low`."""
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3),
+                                       np.intp(3)],
+                             ids=["int", "int64", "uint8", "intp"])
+    def test_integers_pass_as_int(self, value):
+        count = as_count(value, "k")
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize("value", [2.0, np.float64(2.0), 1.5,
+                                       float("nan"), "3", None, np.array([3])],
+                             ids=["float", "np.float64", "fraction", "nan",
+                                  "str", "None", "array"])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError, match="k must be an integer, got"):
+            as_count(value, "k")
+
+    @pytest.mark.parametrize("value, low", [(0, 1), (-1, 0), (1, 2),
+                                            (np.int64(-5), 0)])
+    def test_below_low_rejected(self, value, low):
+        with pytest.raises(ValueError,
+                           match=f"k must be >= {low}, got {value}"):
+            as_count(value, "k", low)

@@ -112,6 +112,8 @@ class TestInvariants:
             inputs(delta=1.5)
         with pytest.raises(ValueError):
             inputs(n=0)
+        with pytest.raises(ValueError, match="n must be an integer, got 1.5"):
+            inputs(n=1.5)
         with pytest.raises(ValueError):
             inputs(eta1=-0.1)
         for key in ("w_max", "rho_cap", "sigma0_sq", "feature_lower", "eta1",

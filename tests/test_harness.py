@@ -227,7 +227,8 @@ class TestOutOfRangeValues:
         ("experiment", "train_fraction = 1.5", "train_fraction"),
         ("experiment", "seed = -1", "seed must be >= 0"),
         ("training", "batch_size = 0", "batch_size"),
-        ("training", "classifier_epochs = 0", "epochs"),
+        ("training", "classifier_epochs = 0",
+         "classifier_epochs must be >= 1"),
         ("training", "hidden_layers = 0", "hidden_layers"),
         ("robust", "sigma0_sq = 0", "sigma0_sq"),
         ("diagnostics", "delta = 2", "delta"),
@@ -282,6 +283,17 @@ class TestOutOfRangeValues:
         assert code == 1
         assert "config error" in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 1.5), ("seed", 1.5), ("hidden_width", 2.5),
+        ("hidden_layers", 1.5), ("synthetic_n", 100.5),
+        ("reward_epochs", 1.5), ("classifier_epochs", 2.0)])
+    def test_non_integer_count_from_python_rejected(self, field, value):
+        # the INI parser reads counts as ints, but a config built in Python
+        # can hold a float; it fails at construction, before any trial runs
+        with pytest.raises(ConfigError,
+                           match=f"{field} must be an integer, got {value}"):
+            ExperimentConfig(**{**SMALL, field: value})
 
     @pytest.mark.parametrize("section, key", [
         ("robust", "rho_max"), ("robust", "ratio_max"),
@@ -871,9 +883,14 @@ class TestRunExperiment:
         rows = [l for l in text.strip().splitlines()[1:] if l]
         assert len(rows) == len(SMALL["estimator_names"])
 
-    @pytest.mark.parametrize("jobs", [0, -3])
+    #: jobs -> how its message ends
+    BAD_JOBS = {0: ">= 1, got 0", -3: ">= 1, got -3",
+                1.5: "an integer, got 1.5"}
+
+    @pytest.mark.parametrize("jobs", BAD_JOBS)
     def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+        with pytest.raises(ValueError,
+                           match=f"jobs must be {self.BAD_JOBS[jobs]}"):
             run_experiment(ExperimentConfig(**SMALL), jobs=jobs)
 
     def test_pool_capped_at_trial_count(self, monkeypatch):

@@ -257,6 +257,7 @@ class TestSgdStep:
     @pytest.mark.parametrize("field, value, message", [
         ("epochs", 2.5, "epochs must be an integer"),
         ("epochs", "3", "epochs must be an integer"),
+        ("epochs", np.float64(2.0), "epochs must be an integer"),
         ("batch_size", float("nan"), "batch_size must be an integer"),
         ("batch_size", 0, "batch_size must be >= 1"),
         ("seed", 1.5, "seed must be an integer"),
