@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, LoggedDataset
+from .data import LabeledDataset, LoggedDataset, as_count
 from .policies import Policy, probs_on, sample_actions
 
 
@@ -30,6 +30,7 @@ class SplitConfig:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie in (0, 1)")
+        self.seed = as_count(self.seed, "seed", 0)
 
 
 def load_csv(path, label_column: str) -> LabeledDataset:
@@ -126,7 +127,7 @@ def log_bandit_feedback(dataset: LabeledDataset, logging: Policy,
     The logged propensity is the logging policy's exact probability of the
     sampled action.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
     probs = probs_on(dataset.contexts, dataset.n_classes, logging, "logging")
     actions = sample_actions(probs, rng)
     propensities = probs[np.arange(len(dataset)), actions]
@@ -145,7 +146,11 @@ def true_value(dataset: LabeledDataset, target: Policy) -> float:
 def make_synthetic_labeled(n: int, d: int, n_classes: int,
                            seed: int = 0, spread: float = 2.0) -> LabeledDataset:
     """Gaussian class blobs, for end-to-end runs without a CSV on disk."""
-    rng = np.random.default_rng(seed)
+    n, d = as_count(n, "n"), as_count(d, "d")
+    n_classes = as_count(n_classes, "n_classes", 2)
+    if not 0.0 <= spread < np.inf:  # NaN fails this too
+        raise ValueError(f"spread must be finite and >= 0, got {spread!r}")
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
     centers = rng.normal(0.0, spread, size=(n_classes, d))
     labels = rng.integers(0, n_classes, size=n)
     contexts = centers[labels] + rng.standard_normal((n, d))

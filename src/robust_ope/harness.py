@@ -350,8 +350,16 @@ def _fit_side_by_side(here, there, steps: int) -> tuple:
     return first, second
 
 
+#: the trial seed plan: master seed -> one seed per trial (`trial_seeds`) ->
+#: each stage's seed, the trial seed plus the stage's offset here. The split
+#: and the class-skewed subsample share offset 0, so they read one stream.
+_SEEDS = {"split": 0, "subsample": 0, "target": 1, "logging": 2,
+          "train_log": 3, "test_log": 4, "p_hat": 5, "direct": 6,
+          "robust": 7, "iid": 8}
+
+
 def _split_data(config: ExperimentConfig, dataset: LabeledDataset, seed: int):
-    split = SplitConfig(config.train_fraction, seed=seed)
+    split = SplitConfig(config.train_fraction, seed=seed + _SEEDS["split"])
     return bandit_sim.standardize(*bandit_sim.split(dataset, split))
 
 
@@ -370,13 +378,14 @@ def _log_feedback(config: ExperimentConfig, train: LabeledDataset,
     if config.logging_mode == "uniform":
         logging_policy = policies.UniformPolicy(train.n_classes)
     else:
-        sub = _biased_subsample(train, config.beta,
-                                np.random.default_rng(seed))
-        logging_policy = _classifier(config, sub, seed + 2, config.temperature)
-    train_log = bandit_sim.log_bandit_feedback(train, logging_policy,
-                                               seed=seed + 3)
-    test_log = bandit_sim.log_bandit_feedback(test, logging_policy,
-                                              seed=seed + 4)
+        sub = _biased_subsample(train, config.beta, np.random.default_rng(
+            seed + _SEEDS["subsample"]))
+        logging_policy = _classifier(config, sub, seed + _SEEDS["logging"],
+                                     config.temperature)
+    train_log = bandit_sim.log_bandit_feedback(
+        train, logging_policy, seed=seed + _SEEDS["train_log"])
+    test_log = bandit_sim.log_bandit_feedback(
+        test, logging_policy, seed=seed + _SEEDS["test_log"])
     if config.logging_mode == "estimated":
         # logged propensities would take precedence over p-hat in every reader
         train_log = replace(train_log, propensities=None)
@@ -399,26 +408,28 @@ def _fit_models(config: ExperimentConfig, train: LabeledDataset,
     """
     dims, settings = config.hidden_dims, _reward_fit_settings(config)
     reads = {estimators.MODEL_READ[name] for name in config.estimator_names}
-    sgd = lambda offset: _sgd(config, config.reward_epochs, seed + offset)
+    sgd = lambda name: _sgd(config, config.reward_epochs, seed + _SEEDS[name])
 
     def policy_lane():
-        target = _classifier(config, train, seed + 1, config.eval_temperature)
+        target = _classifier(config, train, seed + _SEEDS["target"],
+                             config.eval_temperature)
         p_hat = logging_policy
         if config.logging_mode == "estimated":
-            p_hat = policies.estimate_logging_policy(
-                log, dims, _sgd(config, config.classifier_epochs, seed + 5))
+            p_hat = policies.estimate_logging_policy(log, dims, _sgd(
+                config, config.classifier_epochs, seed + _SEEDS["p_hat"]))
         models = {}
         if "robust" in reads:
             models["robust"] = robust_regression.train_robust(
-                log, target, p_hat, dims, sgd(7), settings=settings)
+                log, target, p_hat, dims, sgd("robust"), settings=settings)
         return target, p_hat, models
 
     def log_lane():
         models = {}
         if "direct" in reads:
-            models["direct"] = estimators.train_direct_model(log, dims, sgd(6))
+            models["direct"] = estimators.train_direct_model(
+                log, dims, sgd("direct"))
         if "iid" in reads:
-            models["iid"] = robust_regression.train_iid(log, dims, sgd(8),
+            models["iid"] = robust_regression.train_iid(log, dims, sgd("iid"),
                                                         settings=settings)
         return models
 
@@ -473,8 +484,11 @@ def run_trial(config: ExperimentConfig, dataset: LabeledDataset,
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[int]:
-    ss = np.random.SeedSequence(master_seed)
-    return [int(s.generate_state(1)[0]) for s in ss.spawn(trials)]
+    """One seed per trial, spawned from `master_seed`: the top of the seed
+    plan, whose stage offsets are `_SEEDS`."""
+    ss = np.random.SeedSequence(as_count(master_seed, "master_seed", 0))
+    return [int(s.generate_state(1)[0])
+            for s in ss.spawn(as_count(trials, "trials"))]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:

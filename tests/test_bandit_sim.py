@@ -171,6 +171,14 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitConfig(1.0)
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            SplitConfig(0.6, seed=seed)
+
 
 class TestStandardize:
     def test_train_stats_applied_to_all_splits(self):
@@ -253,6 +261,38 @@ class TestLogBanditFeedback:
                            r"probabilities of shape \(10, 2\) on 10 records "
                            r"and 3 actions"):
             log_bandit_feedback(ds, UniformPolicy(2), seed=0)
+
+    def test_non_integer_seed_rejected_before_any_draw(self, monkeypatch):
+        ds = make_synthetic_labeled(10, 2, 3, seed=0)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError,
+                           match="seed must be an integer, got 1.5"):
+            log_bandit_feedback(ds, UniformPolicy(3), seed=1.5)
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a generator was seeded")
+
+
+class TestMakeSyntheticLabeled:
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((20.5, 2, 3), {}, "n must be an integer, got 20.5"),
+        ((20, 0, 3), {}, "d must be >= 1, got 0"),
+        ((20, 2, 1), {}, "n_classes must be >= 2, got 1"),
+        ((20, 2, 3), {"seed": -1}, "seed must be >= 0, got -1"),
+        ((20, 2, 3), {"spread": -1.0}, "spread must be finite and >= 0, "
+                                       "got -1.0"),
+        ((20, 2, 3), {"spread": float("nan")}, "spread must be finite"),
+    ])
+    def test_bad_input_rejected_before_any_draw(self, args, kwargs, message,
+                                                monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=message):
+            make_synthetic_labeled(*args, **kwargs)
+
+    def test_zero_spread_accepted(self):
+        ds = make_synthetic_labeled(20, 2, 3, spread=0.0)
+        assert ds.contexts.shape == (20, 2) and ds.n_classes == 3
 
 
 class TestLabeledDataset:

@@ -542,8 +542,8 @@ class TestFitSideBySide:
 
     STEPS = harness._MIN_OVERLAP_STEPS
     #: seed offset from the trial seed -> the fit that uses it
-    FITS = {1: "target", 2: "logging", 5: "p_hat", 6: "direct", 7: "robust",
-            8: "iid"}
+    FITS = {harness._SEEDS[name]: name for name in
+            ("target", "logging", "p_hat", "direct", "robust", "iid")}
     #: logging mode -> the fits the caller runs, in order; one helper per
     #: trial runs the DM and iid fits, which read only the log
     CALLER = {"uniform": ["target", "robust"],
@@ -722,6 +722,58 @@ class TestFitSideBySide:
         schedule = read()
         assert {pid for _, pid in schedule} == {os.getpid()}
         assert "helper" not in {name for name, _ in schedule}
+
+
+class TestSeedPlan:
+    """Each stage of a trial seeds its generator with the trial seed plus
+    the stage's offset in `harness._SEEDS`."""
+
+    #: mode -> the stages a trial seeds, in order, with its fits in turn
+    STAGES = {"uniform": ["split", "train_log", "test_log", "target",
+                          "robust", "direct", "iid"],
+              "estimated": ["split", "subsample", "logging", "train_log",
+                            "test_log", "target", "p_hat", "robust",
+                            "direct", "iid"]}
+    #: stage -> where its seed is read; every other stage is a fit
+    SITE = {"split": "split", "subsample": "subsample", "train_log": "log",
+            "test_log": "log"}
+
+    def test_every_stage_in_the_table_is_seeded(self):
+        assert sorted(self.STAGES["estimated"]) == sorted(harness._SEEDS)
+
+    @pytest.mark.parametrize("mode", ["uniform", "estimated"])
+    def test_each_stage_reads_its_offset(self, mode, monkeypatch):
+        # every fit runs in this process, so each one is seen here
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        seen = []
+
+        def spy(owner, name, site, read):
+            original = getattr(owner, name)
+
+            def recording(*args, **kwargs):
+                seen.append((site, read(*args, **kwargs)))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, recording)
+
+        # the subsample gets a generator, so its state stands for its seed
+        state = lambda rng: rng.bit_generator.state
+        spy(bandit_sim, "split", "split", lambda dataset, config: config.seed)
+        spy(harness, "_biased_subsample", "subsample",
+            lambda train, beta, rng: state(rng))
+        spy(bandit_sim, "log_bandit_feedback", "log",
+            lambda dataset, logging, seed: seed)
+        for owner in (policies, estimators, robust_regression):
+            spy(owner, "fit", "fit",
+                lambda dims, inputs, output_grads, config: config.seed)
+        config = ExperimentConfig(**TestTrialGolden.CONFIG, logging_mode=mode)
+        run_trial(config, _load_dataset(config), seed=5)
+        expected = []
+        for stage in self.STAGES[mode]:
+            seed = 5 + harness._SEEDS[stage]
+            if stage == "subsample":
+                seed = state(np.random.default_rng(seed))
+            expected.append((self.SITE.get(stage, "fit"), seed))
+        assert seen == expected
 
 
 class TestOneBlasThread:
@@ -941,6 +993,16 @@ class TestRunExperiment:
         assert a == b
         assert len(set(a)) == 10
         assert trial_seeds(1, 10) != a
+
+    #: (master_seed, trials) -> the error message
+    BAD_SEEDS = {(1.5, 3): "master_seed must be an integer, got 1.5",
+                 (0, 2.5): "trials must be an integer, got 2.5",
+                 (0, 0): "trials must be >= 1, got 0"}
+
+    @pytest.mark.parametrize("args", BAD_SEEDS)
+    def test_trial_seeds_bad_input_rejected(self, args):
+        with pytest.raises(ValueError, match=self.BAD_SEEDS[args]):
+            trial_seeds(*args)
 
 
 class TestEmitReport:
