@@ -35,7 +35,8 @@ from .diagnostics import (
     minimax_lower_bound,
     variance_bound,
 )
-from .harness import ExperimentConfig, emit_report, run_experiment, run_trial
+from .harness import (ExperimentConfig, emit_report, fit_trial,
+                      run_experiment, run_trial, score_trial)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

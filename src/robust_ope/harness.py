@@ -1,12 +1,12 @@
 """Config-driven experiment runner: repeated trials, all estimators, RMSE report.
 
-A trial follows the benchmark protocol, one stage function per step: split
-the labeled data, build the logging policy for the configured mode and log
-bandit feedback, fit the evaluation policy, p-hat and the reward models,
-then score every configured estimator against the exact ground-truth value
-on the test contexts. Trials are independent and may run in a process pool;
-each owns an RNG stream derived from (master seed, trial index). Within a
-trial, the fits run in two processes, split by what they read (`_fit_models`).
+A trial follows the benchmark protocol in two halves: `fit_trial` splits the
+labeled data, logs bandit feedback and fits the evaluation policy, p-hat and
+the reward models into one `FittedTrial`; `score_trial` scores every
+configured estimator on it against the exact ground-truth value on the test
+contexts. Trials are independent and may run in a process pool; each owns
+an RNG stream derived from (master seed, trial index). Within a trial, the
+fits run in two processes, split by what they read (`_fit_models`).
 """
 
 from __future__ import annotations
@@ -358,11 +358,6 @@ _SEEDS = {"split": 0, "subsample": 0, "target": 1, "logging": 2,
           "robust": 7, "iid": 8}
 
 
-def _split_data(config: ExperimentConfig, dataset: LabeledDataset, seed: int):
-    split = SplitConfig(config.train_fraction, seed=seed + _SEEDS["split"])
-    return bandit_sim.standardize(*bandit_sim.split(dataset, split))
-
-
 def _classifier(config: ExperimentConfig, data: LabeledDataset, seed: int,
                 temperature: float) -> Policy:
     return policies.train_classifier_policy(
@@ -444,43 +439,61 @@ def _fit_models(config: ExperimentConfig, train: LabeledDataset,
     return target, p_hat, models | log_models
 
 
-def _bound_diagnostics(config: ExperimentConfig, test_log: LoggedDataset,
-                       target: Policy, p_hat: Policy, models: dict) -> dict:
+@dataclass(frozen=True)
+class FittedTrial:
+    """One trial as `fit_trial` fits it and `score_trial` reads it."""
+    test: LabeledDataset
+    test_log: LoggedDataset
+    target: Policy
+    p_hat: Policy  # the logging policy as the estimators read it
+    models: dict  # the reward models the kinds read, by `MODEL_READ` value
+
+
+def fit_trial(config: ExperimentConfig, dataset: LabeledDataset,
+              seed: int) -> FittedTrial:
+    """A trial's split, logs and fits; reproducible given (config, seed)."""
+    split = SplitConfig(config.train_fraction, seed=seed + _SEEDS["split"])
+    train, test = bandit_sim.standardize(*bandit_sim.split(dataset, split))
+    train_log, test_log, logging_policy = _log_feedback(config, train, test,
+                                                        seed)
+    return FittedTrial(test, test_log, *_fit_models(
+        config, train, train_log, logging_policy, seed))
+
+
+def score_trial(config: ExperimentConfig, fitted: FittedTrial) -> TrialResult:
+    """Every configured estimator's error on `fitted` against the target's
+    exact value on the test split, and the bound diagnostics."""
+    start = time.perf_counter()
+    truth = bandit_sim.true_value(fitted.test, fitted.target)
+    log, models, errors = fitted.test_log, fitted.models, {}
+    for spec in _estimator_specs(config):
+        est = estimators.evaluate_estimator(
+            spec, log, fitted.target, logging=fitted.p_hat,
+            model=models.get("direct"), robust=models.get("robust"),
+            robust_iid=models.get("iid"), w_max=config.w_max)
+        errors[spec.kind] = abs(est - truth)
     feats = None
     if "robust" in models:
-        feats = robust_regression.features(models["robust"], test_log.contexts,
-                                           test_log.actions)
+        feats = robust_regression.features(models["robust"], log.contexts,
+                                           log.actions)
     bounds = diagnostics.measure_bound_inputs(
-        test_log, target, p_hat, feats=feats, **_bound_settings(config))
-    return {
+        log, fitted.target, fitted.p_hat, feats=feats,
+        **_bound_settings(config))
+    diag = {
         "w_max_observed": bounds.w_max,
         "bias_bound": diagnostics.bias_bound(bounds),
         "variance_bound": diagnostics.variance_bound(bounds),
         "minimax_lower_bound": diagnostics.minimax_lower_bound(bounds),
     }
+    return TrialResult(errors, truth, time.perf_counter() - start, diag)
 
 
 def run_trial(config: ExperimentConfig, dataset: LabeledDataset,
               seed: int) -> TrialResult:
-    """One full protocol pass; fully reproducible given (config, seed)."""
+    """`score_trial(config, fit_trial(...))`, timed as a whole."""
     start = time.perf_counter()
-    train, test = _split_data(config, dataset, seed)
-    train_log, test_log, logging_policy = _log_feedback(config, train, test,
-                                                        seed)
-    target, p_hat, models = _fit_models(config, train, train_log,
-                                        logging_policy, seed)
-    truth = bandit_sim.true_value(test, target)
-    errors = {}
-    for spec in _estimator_specs(config):
-        est = estimators.evaluate_estimator(
-            spec, test_log, target, logging=p_hat, model=models.get("direct"),
-            robust=models.get("robust"), robust_iid=models.get("iid"),
-            w_max=config.w_max)
-        errors[spec.kind] = abs(est - truth)
-    diag = _bound_diagnostics(config, test_log, target, p_hat, models)
-    return TrialResult(errors=errors, true_value=truth,
-                       wall_clock=time.perf_counter() - start,
-                       diagnostics=diag)
+    result = score_trial(config, fit_trial(config, dataset, seed))
+    return replace(result, wall_clock=time.perf_counter() - start)
 
 
 def trial_seeds(master_seed: int, trials: int) -> list[int]:

@@ -79,12 +79,15 @@ def density_ratio(num: np.ndarray, den: np.ndarray, cap: float) -> np.ndarray:
 def probs_on(contexts: np.ndarray, n_actions: int, policy: Policy,
              role: str) -> np.ndarray:
     """`policy`'s (n, K) probabilities at the records' contexts, rejecting a
-    policy over another action count than the records'; `role` names it."""
+    policy over another action count than the records' or one that gives a
+    value outside [0, 1], NaN included; `role` names it."""
     probs = policy.probs_matrix(contexts)
     if probs.shape != (len(contexts), n_actions):
         raise ValueError(f"{role} policy gives probabilities of shape "
                          f"{probs.shape} on {len(contexts)} records and "
                          f"{n_actions} actions")
+    if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
+        raise ValueError(f"{role} policy gives probabilities outside [0, 1]")
     return probs
 
 

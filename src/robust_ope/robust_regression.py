@@ -262,21 +262,22 @@ def save_regressor(reg: RobustRegressor, path) -> None:
 
 
 def _count(blob, field: str) -> int:
-    """A saved count, which `int()` alone would truncate (1.9 -> 1)."""
+    """A saved count >= 1, which `int()` alone would truncate (1.9 -> 1)."""
     value = blob[field]
     if value.shape != () or not float(value).is_integer():
         raise ValueError(f"{field} must be a whole number, got {value}")
-    return int(value)
+    return as_count(int(value), field)
 
 
 def load_regressor(path) -> RobustRegressor:
     """Inverse of `save_regressor`. A file that no saved regressor could
     have written is rejected with a ValueError naming the first field at
-    fault: a layer or action count that is not a whole number, a ratio cap
-    that is not positive, a reward range whose r_min exceeds its r_max (or
-    either is NaN), an action count below 1, layers that do not chain, an
-    input with no context half, a rho_xr of the wrong length, or a weight,
-    bias, rho_xr or rho_r that is not finite."""
+    fault, in this order: a layer or action count that is not a whole
+    number of at least 1, a ratio cap that is not positive, a reward range
+    whose r_min exceeds its r_max (or either is NaN), a layer that does not
+    chain or holds a weight or bias that is not finite, an input with no
+    context half, a rho_xr of the wrong length, or a rho_xr or rho_r that
+    is not finite."""
     with np.load(path, allow_pickle=False) as blob:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
@@ -299,8 +300,6 @@ def load_regressor(path) -> RobustRegressor:
     if not reg.r_min <= reg.r_max:
         raise ValueError(f"r_min must not exceed r_max, got r_min "
                          f"{reg.r_min} and r_max {reg.r_max}")
-    as_count(reg.n_actions, "n_actions")
-    as_count(n_layers, "n_layers")
     rows = None  # of the layer before
     for i, layer in enumerate(layers):
         w, b = layer.weight, layer.bias

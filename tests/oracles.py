@@ -1,6 +1,6 @@
-"""Test oracles: enumerable bandits, table policies and reward models,
-gradient wrappers over the private formulas that training calls, and a
-list-of-floats CSV parse.
+"""Test oracles: enumerable bandits, table and fixed-row policies, table
+reward models, gradient wrappers over the private formulas that training
+calls, and a list-of-floats CSV parse.
 
 Nothing under `src` reaches these; the tests check the shipped code against
 them. `SyntheticBandit.exact_value` gives V by exact enumeration, and
@@ -50,6 +50,24 @@ class TabularPolicy(Policy):
     def probs_matrix(self, contexts: np.ndarray) -> np.ndarray:
         idx = np.asarray(contexts)[:, 0].astype(int)
         return self.table[idx]
+
+
+class RowPolicy(Policy):
+    """One probability row at every context, taken as given, so it can break
+    the probability contract that `policies.probs_on` checks."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+        self.n_actions = len(self.row)
+
+    def probs_matrix(self, contexts: np.ndarray) -> np.ndarray:
+        return np.tile(self.row, (len(contexts), 1))
+
+
+#: RowPolicy rows over 4 actions, one per way a probability can be bad
+BAD_ROWS = {"nan": [np.nan, 0.5, 0.25, 0.25],
+            "negative": [-0.5, 0.5, 0.5, 0.5],
+            "above_one": [3.0, 0.0, 0.0, 0.0]}
 
 
 @dataclass

@@ -16,9 +16,9 @@ from robust_ope.bandit_sim import (
     standardize,
     true_value,
 )
-from robust_ope.policies import UniformPolicy
-from tests.oracles import (SyntheticBandit, TabularPolicy, list_parse_csv,
-                           make_synthetic)
+from robust_ope.policies import UniformPolicy, probs_on
+from tests.oracles import (BAD_ROWS, RowPolicy, SyntheticBandit,
+                           TabularPolicy, list_parse_csv, make_synthetic)
 
 
 def write(tmp_path, name, text):
@@ -262,6 +262,14 @@ class TestLogBanditFeedback:
                            r"and 3 actions"):
             log_bandit_feedback(ds, UniformPolicy(2), seed=0)
 
+    @pytest.mark.parametrize("row", BAD_ROWS.values(), ids=BAD_ROWS)
+    def test_bad_probabilities_rejected(self, row):
+        # a NaN row logged actions from a CDF of NaN; 3.0 was accepted
+        ds = make_synthetic_labeled(10, 2, 4, seed=0)
+        with pytest.raises(ValueError, match=r"logging policy gives "
+                           r"probabilities outside \[0, 1\]"):
+            log_bandit_feedback(ds, RowPolicy(row), seed=0)
+
     def test_non_integer_seed_rejected_before_any_draw(self, monkeypatch):
         ds = make_synthetic_labeled(10, 2, 3, seed=0)
         monkeypatch.setattr(np.random, "default_rng", no_draw)
@@ -335,6 +343,19 @@ class TestTrueValue:
                            r"probabilities of shape \(2, 3\) on 2 records "
                            r"and 2 actions"):
             true_value(ds, UniformPolicy(3))
+
+    @pytest.mark.parametrize("row", BAD_ROWS.values(), ids=BAD_ROWS)
+    def test_bad_probabilities_rejected(self, row):
+        # a NaN target probability gave a NaN true value
+        ds = make_synthetic_labeled(10, 2, 4, seed=0)
+        with pytest.raises(ValueError, match=r"target policy gives "
+                           r"probabilities outside \[0, 1\]"):
+            true_value(ds, RowPolicy(row))
+
+    def test_empty_read_is_valid(self):
+        probs = probs_on(np.zeros((0, 2)), 4, RowPolicy(BAD_ROWS["nan"]),
+                         "target")
+        assert probs.shape == (0, 4)
 
     def test_perfect_deterministic_classifier(self):
         ds = LabeledDataset(np.arange(2, dtype=float)[:, None],

@@ -27,8 +27,8 @@ from robust_ope.nets import SgdConfig, forward_batch, init_net
 from robust_ope.policies import UniformPolicy
 from robust_ope.robust_regression import BaseGaussian, RhoParams, \
     RobustRegressor, mean_matrix, train_iid, train_robust
-from tests.oracles import (SyntheticBandit, TableRewardModel, TabularPolicy,
-                           make_synthetic)
+from tests.oracles import (BAD_ROWS, RowPolicy, SyntheticBandit,
+                           TableRewardModel, TabularPolicy, make_synthetic)
 from tests.test_nets import random_action_net
 from tests.test_robust_regression import constant_feature_regressor
 
@@ -875,6 +875,16 @@ class TestPolicyActionCount:
             evaluate_estimator(EstimatorSpec(kind), four_action_log(False),
                                UniformPolicy(4), UniformPolicy(6),
                                robust=robust)
+
+    @pytest.mark.parametrize("row", BAD_ROWS.values(), ids=BAD_ROWS)
+    def test_logging_with_bad_probabilities_rejected(self, row):
+        # a NaN p-hat at a logged action once read as weight w_max: IPS gave
+        # 6666.67 on a 3-row log, with no error
+        with pytest.raises(ValueError, match=r"logging policy gives "
+                                             r"probabilities outside "
+                                             r"\[0, 1\]"):
+            evaluate_estimator(EstimatorSpec("IPS"), four_action_log(False),
+                               UniformPolicy(4), RowPolicy(row))
 
     def test_importance_weights_reject_other_counts(self):
         with pytest.raises(ValueError, match="target policy"):

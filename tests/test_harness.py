@@ -1,6 +1,7 @@
 """Harness and CLI: config parsing, trial protocol, reports, determinism."""
 
 import concurrent.futures
+import copy
 import csv
 import ctypes
 import dataclasses
@@ -25,7 +26,7 @@ from robust_ope.bandit_sim import LabeledDataset
 from robust_ope.estimators import ESTIMATOR_KINDS, EstimatorSpec, \
     NetRewardModel, evaluate_estimator
 from robust_ope.nets import TrainingFault
-from robust_ope.robust_regression import RobustRegressor
+from robust_ope.robust_regression import RhoParams, RobustRegressor
 from robust_ope.harness import (
     LOGGING_MODES,
     ConfigError,
@@ -34,9 +35,11 @@ from robust_ope.harness import (
     _estimator_specs,
     _load_dataset,
     emit_report,
+    fit_trial,
     parse_config,
     run_experiment,
     run_trial,
+    score_trial,
     trial_seeds,
 )
 from tests.oracles import TabularPolicy, make_synthetic
@@ -537,6 +540,69 @@ def helper_on(monkeypatch, on=True):
     monkeypatch.setattr(harness, "_MIN_OVERLAP_STEPS", 1)
 
 
+class TestFitScore:
+    """`run_trial` is `score_trial(config, fit_trial(...))`, and one fitted
+    trial can be scored many times, with a part swapped in between."""
+
+    #: the kinds that read the robust model's rho
+    ROBUST = ["DM_R", "TR", "SnTR", "TR_SWITCH", "TR_SHRINK"]
+
+    @staticmethod
+    def fit(mode="estimated"):
+        config = ExperimentConfig(**TestTrialGolden.CONFIG, logging_mode=mode)
+        return config, fit_trial(config, _load_dataset(config), seed=0)
+
+    @pytest.mark.parametrize("mode", LOGGING_MODES)
+    def test_score_of_fit_is_run_trial(self, mode):
+        config, fitted = self.fit(mode)
+        assert hexed(score_trial(config, fitted)) == hexed(
+            run_trial(config, _load_dataset(config), seed=0))
+
+    def test_rescore_gives_same_bits(self):
+        config, fitted = self.fit()
+        assert hexed(score_trial(config, fitted)) == hexed(
+            score_trial(config, fitted))
+
+    def test_swapped_robust_model_moves_only_its_kinds(self):
+        config, fitted = self.fit()
+        before = hexed(score_trial(config, fitted))
+        robust = fitted.models["robust"]
+        flat = dataclasses.replace(robust, rho=RhoParams(
+            robust.rho.rho_r, np.zeros_like(robust.rho.rho_xr)))
+        swapped = dataclasses.replace(
+            fitted, models={**fitted.models, "robust": flat})
+        after = hexed(score_trial(config, swapped))
+        assert [kind for kind in after[1]
+                if after[1][kind] != before[1][kind]] == self.ROBUST
+        assert (after[0], after[2]) == (before[0], before[2])
+        # deep copies get a memo entry of their own, so equal bits show that
+        # `swapped` was not scored with the original model's arrays
+        assert after == hexed(score_trial(config, copy.deepcopy(swapped)))
+        assert hexed(score_trial(config, fitted)) == before
+
+    def test_fitted_trial_is_frozen(self):
+        fitted = harness.FittedTrial(None, None, None, None, models={})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fitted.models = {"robust": None}
+
+    def test_run_trial_clock_spans_fit_and_score(self, monkeypatch):
+        # each clock read returns the next tick
+        ticks = iter(range(100))
+        monkeypatch.setattr(harness, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        config, fitted = self.fit("uniform")
+        assert score_trial(config, fitted).wall_clock == 1.0
+        # ticks 2 and 5 bracket the trial; 3 and 4 its scoring
+        result = run_trial(config, _load_dataset(config), seed=0)
+        assert result.wall_clock == 3.0
+
+    def test_fit_with_helper_leaves_no_child(self, monkeypatch):
+        helper_on(monkeypatch)
+        _, fitted = self.fit()
+        assert sorted(fitted.models) == ["direct", "iid", "robust"]
+        assert_no_child()
+
+
 class TestFitSideBySide:
     """A trial's fits in two processes: same results, no process left."""
 
@@ -895,9 +961,7 @@ class TestModelsFromEstimatorTable:
                                                 monkeypatch):
         helper_on(monkeypatch)
         config = ExperimentConfig(**{**SMALL, "estimator_names": names})
-        train, test = harness._split_data(config, _load_dataset(config), 0)
-        log, _, logging = harness._log_feedback(config, train, test, 0)
-        _, _, models = harness._fit_models(config, train, log, logging, 0)
+        models = fit_trial(config, _load_dataset(config), 0).models
         assert {read: type(m) for read, m in models.items()} == fitted
         assert_no_child()
 

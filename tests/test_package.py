@@ -16,11 +16,11 @@ PUBLIC_NAMES = [
     "RhoParams", "RobustRegressor", "SgdConfig", "SoftmaxClassifierPolicy",
     "SplitConfig", "UniformPolicy", "bandit_sim", "bias_bound", "data",
     "diagnostics", "emit_report", "estimate_logging_policy", "estimators",
-    "evaluate_estimator", "harness", "load_csv", "log_bandit_feedback",
-    "mean_matrix", "minimax_lower_bound", "nets", "policies",
-    "predict_batch", "robust_regression", "run_experiment", "run_trial",
-    "split", "train_classifier_policy", "train_iid", "train_robust",
-    "true_value", "variance_bound",
+    "evaluate_estimator", "fit_trial", "harness", "load_csv",
+    "log_bandit_feedback", "mean_matrix", "minimax_lower_bound", "nets",
+    "policies", "predict_batch", "robust_regression", "run_experiment",
+    "run_trial", "score_trial", "split", "train_classifier_policy",
+    "train_iid", "train_robust", "true_value", "variance_bound",
 ]
 
 
