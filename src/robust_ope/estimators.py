@@ -75,31 +75,25 @@ class _Inputs:
     every estimate on it shares, each built once on first use: pi and p-hat
     over all actions, the weights w per clip `w_max`, and the pi-mean and
     residual of each model read, kept against the identity of that model.
-    `_memo` keys it by `logged` and replaces it when a call names another
-    `target` or `logging`: a LoggedDataset's fields cannot be rebound.
-
-    It refers to no estimate and holds `logged` only by weak reference, as
-    a memo value that held its own key would keep it alive for ever; so
-    dropping the caller's `logged` frees its arrays at once."""
+    It keeps the log's own arrays, never the log, which keys it in `_memo`;
+    `_memo` replaces it when a call names another `target` or `logging`: a
+    LoggedDataset's fields cannot be rebound."""
 
     def __init__(self, logged: LoggedDataset, target: Policy,
                  logging: Policy | None):
-        self._logged = weakref.ref(logged)
+        self.contexts, self.actions = logged.contexts, logged.actions
+        self.rewards, self.propensities = logged.rewards, logged.propensities
+        self.n_actions = logged.n_actions
         self.target, self.logging = target, logging
         self._w: dict[float, np.ndarray] = {}
         self._means: dict[str | None, tuple[object, tuple]] = {}
 
-    @property
-    def logged(self) -> LoggedDataset | None:
-        return self._logged()
-
     def at_logged(self, mat: np.ndarray) -> np.ndarray:
-        return mat[np.arange(len(self.logged)), self.logged.actions]
+        return mat[np.arange(len(self.actions)), self.actions]
 
     @cached_property
     def pi(self) -> np.ndarray:
-        return probs_on(self.logged.contexts, self.logged.n_actions,
-                        self.target, "target")
+        return probs_on(self.contexts, self.n_actions, self.target, "target")
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -107,15 +101,15 @@ class _Inputs:
             raise ValueError("need a logging policy: robust kinds read p-hat "
                              "at every action, and the weights read it where "
                              "no propensities are logged")
-        return probs_on(self.logged.contexts, self.logged.n_actions,
-                        self.logging, "logging")
+        return probs_on(self.contexts, self.n_actions, self.logging,
+                        "logging")
 
     def w(self, w_max: float) -> np.ndarray:
         """Read-only weights pi / p-hat at the logged actions, clipped to
         [0, w_max]."""
         w = self._w.get(w_max)
         if w is None:
-            p = self.logged.propensities
+            p = self.propensities
             if p is None:
                 p = self.at_logged(self.p)
             if np.any(p <= 0):
@@ -134,23 +128,22 @@ class _Inputs:
         kept = self._means.get(reads)
         if kept is not None and kept[0] is model:
             return kept[1]
-        logged = self.logged
         if reads is None:
-            pair = np.zeros(len(logged)), logged.rewards
+            pair = np.zeros(len(self.rewards)), self.rewards
         elif model is None:
             raise ValueError(f"no {reads} reward model given")
         else:
-            shape = (len(logged), logged.n_actions)
+            shape = (len(self.rewards), self.n_actions)
             if reads == "direct":
-                mat = model.predict_matrix(logged.contexts)
+                mat = model.predict_matrix(self.contexts)
             else:
                 ratios = (density_ratio(self.p, self.pi, np.inf)
                           if reads == "robust" else np.ones(shape))
-                mat = mean_matrix(model, logged.contexts, ratios)
+                mat = mean_matrix(model, self.contexts, ratios)
             if mat.shape != shape:
                 raise ValueError("reward model output shape mismatch")
             pair = (np.sum(self.pi * mat, axis=1),
-                    logged.rewards - self.at_logged(mat))
+                    self.rewards - self.at_logged(mat))
         self._means[reads] = (model, pair)
         return pair
 

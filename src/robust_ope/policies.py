@@ -23,8 +23,6 @@ PROB_FLOOR = 1e-4
 class Policy:
     """Base interface: deterministic map context -> probability simplex."""
 
-    n_actions: int
-
     def probs_matrix(self, contexts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -57,10 +55,6 @@ class SoftmaxClassifierPolicy(Policy):
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
 
-    @property
-    def n_actions(self) -> int:
-        return self.net.out_dim
-
     def probs_matrix(self, contexts: np.ndarray) -> np.ndarray:
         p = _softmax(forward_batch(self.net, contexts) / self.temperature)
         p = np.maximum(p, PROB_FLOOR)
@@ -80,14 +74,17 @@ def probs_on(contexts: np.ndarray, n_actions: int, policy: Policy,
              role: str) -> np.ndarray:
     """`policy`'s (n, K) probabilities at the records' contexts, rejecting a
     policy over another action count than the records' or one that gives a
-    value outside [0, 1], NaN included; `role` names it."""
+    value outside [0, 1], NaN included, or a row more than 1e-6 from summing
+    to 1; `role` names it."""
     probs = policy.probs_matrix(contexts)
     if probs.shape != (len(contexts), n_actions):
         raise ValueError(f"{role} policy gives probabilities of shape "
                          f"{probs.shape} on {len(contexts)} records and "
                          f"{n_actions} actions")
-    if probs.size and not (probs.min() >= 0 and probs.max() <= 1):
-        raise ValueError(f"{role} policy gives probabilities outside [0, 1]")
+    if probs.size and not (probs.min() >= 0 and probs.max() <= 1
+                           and abs(probs.sum(axis=1) - 1).max() <= 1e-6):
+        raise ValueError(f"{role} policy gives probabilities outside [0, 1] "
+                         f"or rows that do not sum to 1")
     return probs
 
 

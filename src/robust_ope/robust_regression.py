@@ -47,14 +47,15 @@ SERIAL_FORMAT_TAG = "robust-regressor-v5"
 
 @dataclass
 class RhoParams:
-    rho_r: float = 0.0
-    rho_xr: np.ndarray = None  # (k,)
+    rho_r: float
+    rho_xr: np.ndarray  # (k,)
 
     def __post_init__(self):
-        if self.rho_xr is not None:
-            self.rho_xr = np.asarray(self.rho_xr, dtype=float)
-        if not self.rho_r >= 0:
-            raise ValueError("rho_r must be nonnegative")
+        self.rho_xr = np.asarray(self.rho_xr, dtype=float)
+        if not 0 <= self.rho_r < math.inf:  # negated, so NaN fails
+            raise ValueError("rho_r must be finite and nonnegative")
+        if not np.isfinite(self.rho_xr).all():
+            raise ValueError("rho_xr must be finite")
 
 
 @dataclass
@@ -272,12 +273,13 @@ def _count(blob, field: str) -> int:
 def load_regressor(path) -> RobustRegressor:
     """Inverse of `save_regressor`. A file that no saved regressor could
     have written is rejected with a ValueError naming the first field at
-    fault, in this order: a layer or action count that is not a whole
-    number of at least 1, a ratio cap that is not positive, a reward range
-    whose r_min exceeds its r_max (or either is NaN), a layer that does not
-    chain or holds a weight or bias that is not finite, an input with no
-    context half, a rho_xr of the wrong length, or a rho_xr or rho_r that
-    is not finite."""
+    fault, in this order: a layer count that is not a whole number of at
+    least 1, a rho_r that is negative or not finite, a rho_xr that is not
+    finite, a base mean or variance that `BaseGaussian` rejects, an action
+    count like the layer count, a ratio cap that is not positive, a reward
+    range whose r_min exceeds its r_max (or either is NaN), a layer that
+    does not chain or holds a weight or bias that is not finite, an input
+    with no context half, or a rho_xr of the wrong length."""
     with np.load(path, allow_pickle=False) as blob:
         tag = str(blob["format_tag"])
         if tag != SERIAL_FORMAT_TAG:
@@ -322,7 +324,4 @@ def load_regressor(path) -> RobustRegressor:
         raise ValueError(f"rho_xr must have one entry per row of "
                          f"w{len(layers) - 1} ({rows}), got shape "
                          f"{reg.rho.rho_xr.shape}")
-    for name, value in (("rho_xr", reg.rho.rho_xr), ("rho_r", reg.rho.rho_r)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
     return reg

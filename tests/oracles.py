@@ -67,7 +67,8 @@ class RowPolicy(Policy):
 #: RowPolicy rows over 4 actions, one per way a probability can be bad
 BAD_ROWS = {"nan": [np.nan, 0.5, 0.25, 0.25],
             "negative": [-0.5, 0.5, 0.5, 0.5],
-            "above_one": [3.0, 0.0, 0.0, 0.0]}
+            "above_one": [3.0, 0.0, 0.0, 0.0],
+            "sum_below_one": [0.2, 0.2, 0.2, 0.2]}
 
 
 @dataclass

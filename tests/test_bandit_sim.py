@@ -165,6 +165,10 @@ class TestSplit:
         seen = np.concatenate([tr.contexts[:, 0], te.contexts[:, 0]])
         assert sorted(seen.tolist()) == list(range(17))
 
+    def test_one_row_rejected(self):
+        with pytest.raises(ValueError, match="need at least 2 rows to split"):
+            split(self.make(1), SplitConfig(0.6, seed=0))
+
     def test_fraction_bounds_rejected(self):
         with pytest.raises(ValueError):
             SplitConfig(0.0)

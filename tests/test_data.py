@@ -35,6 +35,15 @@ class TestLoggedDataset:
         with pytest.raises(ValueError, match="propensities"):
             logged(propensities=np.array([0.5, float("nan")]))
 
+    def test_misaligned_actions_rejected(self):
+        with pytest.raises(ValueError, match="misaligned record arrays"):
+            LoggedDataset(np.zeros((2, 1)), np.array([0, 1, 0]),
+                          np.array([0.0, 1.0]), 2)
+
+    def test_misaligned_propensities_rejected(self):
+        with pytest.raises(ValueError, match="misaligned propensities"):
+            logged(propensities=np.array([0.5, 0.5, 0.5]))
+
     def test_zero_rows_rejected(self):
         with pytest.raises(ValueError, match="empty logged dataset"):
             LoggedDataset(np.zeros((0, 1)), np.zeros(0, dtype=int),

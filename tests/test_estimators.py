@@ -661,7 +661,10 @@ class TestSharedInputs:
             others = [weakref.ref(inst[name]) for name in
                       ("target", "logging", "model", "robust", "iid")]
             del inst
-            assert len(estimators._memo) == 1 and entry().logged is logged
+            assert len(estimators._memo) == 1
+            assert estimators._memo[logged] is entry()
+            assert not any(isinstance(value, LoggedDataset)
+                           for value in vars(entry()).values())
             assert all(ref() is not None for ref in others)
             first = weakref.ref(logged)
             del logged
@@ -685,8 +688,8 @@ class TestSharedInputs:
             dr(two, two["target"])
             # a second log gets its own entry and leaves the first in place
             assert len(estimators._memo) == 2 and entry() is not None
-            assert (estimators._memo[two["with_propensities"]].logged
-                    is two["with_propensities"])
+            assert (estimators._memo[two["with_propensities"]].actions
+                    is two["with_propensities"].actions)
             del one
             assert entry() is None and len(estimators._memo) == 1
             del two
@@ -892,6 +895,23 @@ class TestPolicyActionCount:
         with pytest.raises(ValueError, match="logging policy"):
             importance_weights(four_action_log(False), UniformPolicy(4),
                                UniformPolicy(3))
+
+
+class TestRewardModelRead:
+    def test_missing_direct_model_rejected(self):
+        with pytest.raises(ValueError, match="no direct reward model given"):
+            evaluate_estimator(EstimatorSpec("DR"), four_action_log(True),
+                               UniformPolicy(4))
+
+    def test_model_output_of_other_shape_rejected(self):
+        class ThreeActionModel(RewardModel):
+            def predict_matrix(self, contexts):
+                return np.zeros((len(contexts), 3))
+
+        with pytest.raises(ValueError,
+                           match="reward model output shape mismatch"):
+            evaluate_estimator(EstimatorSpec("DR"), four_action_log(True),
+                               UniformPolicy(4), model=ThreeActionModel())
 
 
 class TestTrainDirectModel:

@@ -342,6 +342,13 @@ class TestSpectralNormalize:
         normed, _ = spectral_normalize_one(np.zeros((3, 3)))
         assert np.array_equal(normed, np.zeros((3, 3)))
 
+    def test_power_vector_orthogonal_to_columns_passthrough(self):
+        # w^T u = 0: no power step can be taken from u
+        normed, u = spectral_normalize_one([[1.0, 0.0], [0.0, 0.0]],
+                                           power_vec=np.array([0.0, 1.0]))
+        assert np.array_equal(normed, [[1.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(u, [0.0, 1.0])
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(2, 8))
     def test_normalized_spectral_norm_near_one(self, seed, rows, cols):

@@ -273,6 +273,15 @@ class TestTraining:
                 train_robust(logged, UniformPolicy(4), UniformPolicy(3), [4],
                              config)
 
+    def test_missing_propensity_source_rejected(self):
+        rng = np.random.default_rng(29)
+        logged = LoggedDataset(rng.standard_normal((10, 2)),
+                               rng.integers(0, 2, 10), rng.random(10), 2)
+        with pytest.raises(ValueError, match="need logged propensities or "
+                                             "a logging policy"):
+            train_robust(logged, UniformPolicy(2), None, [4],
+                         SgdConfig(epochs=1, seed=0))
+
     def test_constant_reward_oracle_small(self):
         rng = np.random.default_rng(24)
         n, k = 800, 2
@@ -587,6 +596,16 @@ class TestValidation:
             RhoParams(-0.1, np.zeros(2))
         with pytest.raises(ValueError):
             RhoParams(float("nan"), np.zeros(2))
+
+    @pytest.mark.parametrize("rho_r, rho_xr, match", [
+        (float("inf"), np.zeros(2), "rho_r must be finite"),
+        (0.5, np.full(2, np.nan), "rho_xr must be finite"),
+        (0.5, np.array([0.0, -np.inf]), "rho_xr must be finite"),
+    ])
+    def test_non_finite_rho_rejected(self, rho_r, rho_xr, match):
+        # rho_r = inf once scored DM_R without error; a NaN rho_xr gave NaN
+        with pytest.raises(ValueError, match=match):
+            RhoParams(rho_r, rho_xr)
 
     def test_nonpositive_base_variance_rejected(self):
         with pytest.raises(ValueError):
