@@ -23,6 +23,13 @@ def as_count(value, name: str, low: int = 1) -> int:
     return count
 
 
+def check_reward_range(r_min, r_max) -> None:
+    """The one reward-range rule: r_min <= r_max, with NaN rejected."""
+    if not r_min <= r_max:  # negated, so NaN fails
+        raise ValueError(f"r_min must not exceed r_max, got r_min {r_min} "
+                         f"and r_max {r_max}")
+
+
 def as_indices(values, name: str, n: int) -> np.ndarray:
     """`values` as an int array of indices in [0, n): the one index rule for
     actions and labels. A float that the int cast would change (0.7, NaN,
@@ -105,6 +112,7 @@ class LoggedDataset:
             raise ValueError("misaligned record arrays")
         if n == 0:
             raise ValueError("empty logged dataset")
+        check_reward_range(self.r_min, self.r_max)
         if not (self.rewards.min() >= self.r_min - 1e-12
                 and self.rewards.max() <= self.r_max + 1e-12):
             raise ValueError("reward outside [r_min, r_max]")

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import LoggedDataset
+from .data import LoggedDataset, check_reward_range
 from .nets import (FeedForwardNet, SgdConfig, action_inputs, fit,
                    forward_actions)
 from .policies import Policy, density_ratio, probs_on
@@ -52,6 +52,10 @@ class NetRewardModel(RewardModel):
     n_actions: int
     r_min: float = 0.0
     r_max: float = 1.0
+
+    def __post_init__(self):
+        check_reward_range(self.r_min, self.r_max)
+
     def predict_matrix(self, contexts: np.ndarray) -> np.ndarray:
         return np.clip(forward_actions(self.net, contexts, self.n_actions),
                        self.r_min, self.r_max)

@@ -53,6 +53,25 @@ class FeedForwardNet:
 
     layers: list[Layer]
 
+    def __post_init__(self):
+        if not self.layers:
+            raise ValueError("a net needs at least one layer")
+        rows = None  # of the layer before
+        for i, layer in enumerate(self.layers):
+            w, b = layer.weight, layer.bias
+            if w.ndim != 2:
+                raise ValueError(f"w{i} must be a matrix, got shape {w.shape}")
+            if b.shape != w.shape[:1]:
+                raise ValueError(f"b{i} must have one entry per row of w{i}, "
+                                 f"got shape {b.shape} for w{i} {w.shape}")
+            if rows is not None and w.shape[1] != rows:
+                raise ValueError(f"w{i} must have one column per row of "
+                                 f"w{i - 1} ({rows}), got {w.shape[1]}")
+            rows = w.shape[0]
+            for name, value in ((f"w{i}", w), (f"b{i}", b)):
+                if not np.isfinite(value).all():
+                    raise ValueError(f"{name} must be finite")
+
     @property
     def in_dim(self) -> int:
         return self.layers[0].weight.shape[1]
@@ -81,8 +100,6 @@ def init_net(layer_dims: list[int], rng: np.random.Generator) -> FeedForwardNet:
 
     `layer_dims` lists [input, hidden..., output] sizes.
     """
-    if len(layer_dims) < 2:
-        raise ValueError("need at least input and output dims")
     for i, dim in enumerate(layer_dims):
         as_count(dim, f"layer_dims[{i}]")
     layers = []

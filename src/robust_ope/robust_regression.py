@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import LoggedDataset, as_count
+from .data import LoggedDataset, as_count, check_reward_range
 from .nets import (
     FeedForwardNet,
     Layer,
@@ -80,6 +80,20 @@ class RobustRegressor:
     r_max: float = 1.0
     ratio_max: float = 100.0
 
+    def __post_init__(self):
+        self.n_actions = as_count(self.n_actions, "n_actions")
+        check_reward_range(self.r_min, self.r_max)
+        if not self.ratio_max > 0:  # negated, so NaN fails
+            raise ValueError(f"ratio_max must be positive, "
+                             f"got {self.ratio_max}")
+        if not self.net.in_dim > self.n_actions:
+            raise ValueError(f"w0 must have more columns than n_actions "
+                             f"({self.n_actions}), got {self.net.in_dim}")
+        last, rows = len(self.net.layers) - 1, self.net.out_dim
+        if self.rho.rho_xr.shape != (rows,):
+            raise ValueError(f"rho_xr must have one entry per row of w{last} "
+                             f"({rows}), got shape {self.rho.rho_xr.shape}")
+
 
 def features(reg: RobustRegressor, contexts: np.ndarray,
              actions: np.ndarray) -> np.ndarray:
@@ -88,20 +102,20 @@ def features(reg: RobustRegressor, contexts: np.ndarray,
                                                 reg.n_actions))
 
 
-def _clip_ratios(reg: RobustRegressor, ratios) -> np.ndarray:
+def _clip_ratios(ratio_max: float, ratios) -> np.ndarray:
     """The density ratios clipped to [0, ratio_max]: the one cap on them."""
-    return np.clip(np.asarray(ratios, dtype=float), 0.0, reg.ratio_max)
+    return np.clip(np.asarray(ratios, dtype=float), 0.0, ratio_max)
 
 
-def _gaussian_params(reg: RobustRegressor, proj: np.ndarray,
+def _gaussian_params(base: BaseGaussian, rho_r: float, proj: np.ndarray,
                      ratios: np.ndarray):
     """Gaussian (mu, sigma_sq) at readouts `proj` = <rho_xr, f> and density
     ratios `ratios` already clipped by `_clip_ratios`; elementwise, so any
     matching shapes."""
-    inv_s0 = 1.0 / reg.base.sigma0_sq
+    inv_s0 = 1.0 / base.sigma0_sq
     two_w = 2.0 * ratios
-    sigma_sq = 1.0 / (two_w * reg.rho.rho_r + inv_s0)
-    mu = sigma_sq * (reg.base.mu0 * inv_s0 - two_w * proj)
+    sigma_sq = 1.0 / (two_w * rho_r + inv_s0)
+    mu = sigma_sq * (base.mu0 * inv_s0 - two_w * proj)
     return mu, sigma_sq
 
 
@@ -119,11 +133,11 @@ def predict_batch(reg: RobustRegressor, contexts: np.ndarray,
     """Conditional Gaussian (mu, sigma_sq) per (context, action, ratio) row;
     each (n,), unclipped."""
     inputs = action_inputs(contexts, actions, reg.n_actions)
-    ratios = _clip_ratios(reg, ratios)
+    ratios = _clip_ratios(reg.ratio_max, ratios)
     if ratios.shape != (len(inputs),):
         raise ValueError(f"ratios must have shape {(len(inputs),)}")
     proj = forward_batch(_readout_net(reg), inputs)[:, 0]
-    return _gaussian_params(reg, proj, ratios)
+    return _gaussian_params(reg.base, reg.rho.rho_r, proj, ratios)
 
 
 def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
@@ -134,12 +148,12 @@ def mean_matrix(reg: RobustRegressor, contexts: np.ndarray,
     `ratios` (n, K) holds the density ratio p(a|x) / pi(a|x) at every
     (x, a); all ones gives the iid prediction.
     """
-    ratios = _clip_ratios(reg, ratios)
+    ratios = _clip_ratios(reg.ratio_max, ratios)
     n = len(contexts)
     if ratios.shape != (n, reg.n_actions):
         raise ValueError(f"ratios must have shape {(n, reg.n_actions)}")
     proj = forward_actions(_readout_net(reg), contexts, reg.n_actions)
-    mu = _gaussian_params(reg, proj, ratios)[0]
+    mu = _gaussian_params(reg.base, reg.rho.rho_r, proj, ratios)[0]
     return np.clip(mu, reg.r_min, reg.r_max, out=mu)
 
 
@@ -186,22 +200,18 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
     settings = settings or RobustTrainSettings()
     if not hidden_dims:
         raise ValueError("hidden_dims must list at least one layer size")
-    reg = RobustRegressor(  # its net is set from the fit below
-        net=None, rho=RhoParams(0.0, np.zeros(hidden_dims[-1])),
-        base=settings.base,
-        n_actions=logged.n_actions, r_min=logged.r_min, r_max=logged.r_max,
-        ratio_max=settings.ratio_max)
     inputs = action_inputs(logged.contexts, logged.actions, logged.n_actions)
     rewards = logged.rewards
-    ratios = _clip_ratios(reg, ratios)
+    ratios = _clip_ratios(settings.ratio_max, ratios)
     lr_rho, rho_max, eta = (settings.rho_learning_rate, settings.rho_max,
                             settings.eta)
-    rho = reg.rho
+    base, rho = settings.base, RhoParams(0.0, np.zeros(hidden_dims[-1]))
 
     def output_grads(feats, idx):
         # exact-NLL step on rho, then the feature gradients under the new rho
         w = ratios[idx]
-        mu, sigma_sq = _gaussian_params(reg, feats @ rho.rho_xr, w)
+        mu, sigma_sq = _gaussian_params(base, rho.rho_r, feats @ rho.rho_xr,
+                                        w)
         if not np.isfinite(mu).all():
             raise TrainingFault("diverged")
         grad_r, grad_xr, two_w_resid = _nll_rho_grads(rewards[idx], mu,
@@ -211,8 +221,9 @@ def _train(logged: LoggedDataset, ratios: np.ndarray, hidden_dims: list[int],
         rho.rho_xr = rho.rho_xr - lr_rho * (grad_xr + eta * rho.rho_xr)
         return _theta_out_grads(two_w_resid, rho.rho_xr)
 
-    reg.net = fit(hidden_dims, inputs, output_grads, config)
-    return reg
+    net = fit(hidden_dims, inputs, output_grads, config)
+    return RobustRegressor(net, rho, base, logged.n_actions, logged.r_min,
+                           logged.r_max, settings.ratio_max)
 
 
 def training_ratios(logged: LoggedDataset, target: Policy,
@@ -273,55 +284,23 @@ def _count(blob, field: str) -> int:
 def load_regressor(path) -> RobustRegressor:
     """Inverse of `save_regressor`. A file that no saved regressor could
     have written is rejected with a ValueError naming the first field at
-    fault, in this order: a layer count that is not a whole number of at
-    least 1, a rho_r that is negative or not finite, a rho_xr that is not
-    finite, a base mean or variance that `BaseGaussian` rejects, an action
-    count like the layer count, a ratio cap that is not positive, a reward
-    range whose r_min exceeds its r_max (or either is NaN), a layer that
-    does not chain or holds a weight or bias that is not finite, an input
-    with no context half, or a rho_xr of the wrong length."""
-    with np.load(path, allow_pickle=False) as blob:
-        tag = str(blob["format_tag"])
-        if tag != SERIAL_FORMAT_TAG:
-            raise ValueError(f"unsupported format tag {tag!r}")
-        n_layers = _count(blob, "n_layers")
-        layers = [Layer(weight=blob[f"w{i}"], bias=blob[f"b{i}"])
-                  for i in range(n_layers)]
-        reg = RobustRegressor(
-            net=FeedForwardNet(layers),
-            rho=RhoParams(float(blob["rho_r"]), blob["rho_xr"]),
-            base=BaseGaussian(float(blob["mu0"]), float(blob["sigma0_sq"])),
-            n_actions=_count(blob, "n_actions"),
-            r_min=float(blob["r_min"]),
-            r_max=float(blob["r_max"]),
-            ratio_max=float(blob["ratio_max"]),
-        )
-    if not reg.ratio_max > 0:
-        raise ValueError(f"ratio_max must be positive, got {reg.ratio_max}")
-    # NaN fails the comparison; clipping to an empty range returns r_max
-    if not reg.r_min <= reg.r_max:
-        raise ValueError(f"r_min must not exceed r_max, got r_min "
-                         f"{reg.r_min} and r_max {reg.r_max}")
-    rows = None  # of the layer before
-    for i, layer in enumerate(layers):
-        w, b = layer.weight, layer.bias
-        if w.ndim != 2:
-            raise ValueError(f"w{i} must be a matrix, got shape {w.shape}")
-        if b.shape != w.shape[:1]:
-            raise ValueError(f"b{i} must have one entry per row of w{i}, "
-                             f"got shape {b.shape} for w{i} {w.shape}")
-        if rows is not None and w.shape[1] != rows:
-            raise ValueError(f"w{i} must have one column per row of "
-                             f"w{i - 1} ({rows}), got {w.shape[1]}")
-        rows = w.shape[0]
-        for name, value in ((f"w{i}", w), (f"b{i}", b)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite")
-    if not reg.net.in_dim > reg.n_actions:
-        raise ValueError(f"w0 must have more columns than n_actions "
-                         f"({reg.n_actions}), got {reg.net.in_dim}")
-    if reg.rho.rho_xr.shape != (rows,):
-        raise ValueError(f"rho_xr must have one entry per row of "
-                         f"w{len(layers) - 1} ({rows}), got shape "
-                         f"{reg.rho.rho_xr.shape}")
-    return reg
+    fault. The loader only reads and the records check themselves, so a
+    fault is reported in this order: a missing field (where it is read),
+    the format tag, the layer count (`_count`), the layers, rho, the base
+    Gaussian, the action count (`_count`), and then the reward range, the
+    ratio cap, the input's context half and rho_xr's length."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:
+            tag = str(blob["format_tag"])
+            if tag != SERIAL_FORMAT_TAG:
+                raise ValueError(f"unsupported format tag {tag!r}")
+            layers = [Layer(weight=blob[f"w{i}"], bias=blob[f"b{i}"])
+                      for i in range(_count(blob, "n_layers"))]
+            return RobustRegressor(
+                FeedForwardNet(layers),
+                RhoParams(float(blob["rho_r"]), blob["rho_xr"]),
+                BaseGaussian(float(blob["mu0"]), float(blob["sigma0_sq"])),
+                _count(blob, "n_actions"), float(blob["r_min"]),
+                float(blob["r_max"]), float(blob["ratio_max"]))
+    except KeyError as exc:  # numpy's "<field> is not a file in the archive"
+        raise ValueError(f"missing field: {exc.args[0]}") from None

@@ -166,8 +166,9 @@ def rho_gradients(reg: RobustRegressor, contexts: np.ndarray,
     if rewards.shape[0] == 0:
         raise ValueError("empty minibatch")
     feats = features(reg, contexts, actions)
-    ratios = _clip_ratios(reg, ratios)
-    mu, sigma_sq = _gaussian_params(reg, feats @ reg.rho.rho_xr, ratios)
+    ratios = _clip_ratios(reg.ratio_max, ratios)
+    mu, sigma_sq = _gaussian_params(reg.base, reg.rho.rho_r,
+                                    feats @ reg.rho.rho_xr, ratios)
     grad_r, grad_xr, _ = _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats)
     if not (np.isfinite(grad_r) and np.all(np.isfinite(grad_xr))):
         raise TrainingFault("non-finite rho gradient")
@@ -179,8 +180,9 @@ def theta_gradients(reg: RobustRegressor, contexts, actions, rewards, ratios):
     rewards = np.asarray(rewards, dtype=float)
     inputs = action_inputs(contexts, actions, reg.n_actions)
     feats = forward_batch(reg.net, inputs)
-    ratios = _clip_ratios(reg, ratios)
-    mu, sigma_sq = _gaussian_params(reg, feats @ reg.rho.rho_xr, ratios)
+    ratios = _clip_ratios(reg.ratio_max, ratios)
+    mu, sigma_sq = _gaussian_params(reg.base, reg.rho.rho_r,
+                                    feats @ reg.rho.rho_xr, ratios)
     *_, two_w_resid = _nll_rho_grads(rewards, mu, sigma_sq, ratios, feats)
     out_grads = _theta_out_grads(two_w_resid, reg.rho.rho_xr)
     return backward(reg.net, inputs, out_grads)
@@ -190,8 +192,9 @@ def batch_nll(reg: RobustRegressor, contexts, actions, rewards, ratios) -> float
     """Mean Gaussian negative log-likelihood of a batch; the training objective."""
     rewards = np.asarray(rewards, dtype=float)
     feats = features(reg, contexts, actions)
-    mu, sigma_sq = _gaussian_params(reg, feats @ reg.rho.rho_xr,
-                                    _clip_ratios(reg, ratios))
+    mu, sigma_sq = _gaussian_params(reg.base, reg.rho.rho_r,
+                                    feats @ reg.rho.rho_xr,
+                                    _clip_ratios(reg.ratio_max, ratios))
     return float(np.mean(0.5 * np.log(2.0 * np.pi * sigma_sq)
                          + (rewards - mu) ** 2 / (2.0 * sigma_sq)))
 

@@ -44,6 +44,14 @@ class TestLoggedDataset:
         with pytest.raises(ValueError, match="misaligned propensities"):
             logged(propensities=np.array([0.5, 0.5, 0.5]))
 
+    @pytest.mark.parametrize("r_min, r_max", [(1.0, 0.0),
+                                              (float("nan"), 1.0)])
+    def test_empty_reward_range_rejected(self, r_min, r_max):
+        # named as such, not as a reward outside [r_min, r_max]
+        with pytest.raises(ValueError, match="r_min must not exceed r_max"):
+            LoggedDataset(np.zeros((2, 1)), np.array([0, 1]),
+                          np.array([0.5, 0.5]), 2, r_min=r_min, r_max=r_max)
+
     def test_zero_rows_rejected(self):
         with pytest.raises(ValueError, match="empty logged dataset"):
             LoggedDataset(np.zeros((0, 1)), np.zeros(0, dtype=int),

@@ -915,6 +915,14 @@ class TestRewardModelRead:
 
 
 class TestTrainDirectModel:
+    @pytest.mark.parametrize("r_min, r_max", [(1.0, 0.0),
+                                              (0.0, float("nan"))])
+    def test_empty_reward_range_rejected(self, r_min, r_max):
+        # clipping to an empty range once read r_max at every action
+        net = random_action_net(np.random.default_rng(33), 1, 2, [4, 1])
+        with pytest.raises(ValueError, match="r_min must not exceed r_max"):
+            NetRewardModel(net, 2, r_min=r_min, r_max=r_max)
+
     def test_learns_action_dependent_rewards(self):
         rng = np.random.default_rng(31)
         n, k = 600, 2

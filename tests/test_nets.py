@@ -349,6 +349,37 @@ class TestSpectralNormalize:
         assert np.array_equal(normed, [[1.0, 0.0], [0.0, 0.0]])
         assert np.array_equal(u, [0.0, 1.0])
 
+    @staticmethod
+    def underflowing_matrix():
+        """A 64 x 64 matrix whose one nonzero column is c * u0, with u0 the
+        burn-in's start vector: w^T u0 = (c, 0, ...) has a norm, but each
+        entry of w v is below the square root of the least subnormal, so
+        |w v| underflows to 0. Returns (w, u0)."""
+        u0 = np.random.default_rng(0).standard_normal(64)
+        u0 /= math.sqrt(u0 @ u0)
+        w = np.zeros((64, 64))
+        w[:, 0] = 3e-162 * u0
+        return w, u0
+
+    def test_underflowing_burn_in_gives_no_estimate(self):
+        # without the u_norm guard, u /= 0 raises a RuntimeWarning
+        w, _ = self.underflowing_matrix()
+        assert nets._spectral_sigma(w)[0] is None
+
+    def test_underflowing_first_step_gives_no_estimate(self):
+        # w's one nonzero entry is the least subnormal, and u0's entry
+        # there is below 1/2, so w^T u0 underflows to 0 and no power step
+        # can be taken; without the v_norm guard, v /= 0 warns
+        w = np.zeros((64, 64))
+        w[0, 0] = 5e-324
+        assert nets._spectral_sigma(w)[0] is None
+
+    def test_underflowing_power_step_passthrough(self):
+        # without the sigma guard, u /= 0 raises a RuntimeWarning
+        w, u0 = self.underflowing_matrix()
+        normed, _ = spectral_normalize_one(w, power_vec=u0)
+        assert np.array_equal(normed, w)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.integers(2, 8))
     def test_normalized_spectral_norm_near_one(self, seed, rows, cols):
@@ -665,6 +696,10 @@ class TestInitNet:
     def test_too_few_dims_rejected(self):
         with pytest.raises(ValueError):
             init_net([3], np.random.default_rng(0))
+
+    def test_net_without_layers_rejected(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            FeedForwardNet([])
 
     @pytest.mark.parametrize("dims", [[0, 4], [3, 0], [3, 4, 0, 2], [3, -1]])
     def test_dim_below_one_rejected(self, dims):

@@ -1,6 +1,7 @@
 """Robust regression: Gaussian predictions, gradients, training, serialization."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -346,8 +347,9 @@ class TestTraining:
             idx = rng.permutation(n)[:5]
             feats = forward_batch(reg.net, inputs[idx])
             ref = copy.deepcopy(reg)
-            w = _clip_ratios(ref, ratios[idx])
-            mu, sigma_sq = _gaussian_params(ref, feats @ ref.rho.rho_xr, w)
+            w = _clip_ratios(ref.ratio_max, ratios[idx])
+            mu, sigma_sq = _gaussian_params(ref.base, ref.rho.rho_r,
+                                            feats @ ref.rho.rho_xr, w)
             grad_r, grad_xr, two_w_resid = _nll_rho_grads(
                 logged.rewards[idx], mu, sigma_sq, w, feats)
             rho = ref.rho
@@ -462,12 +464,13 @@ class TestReadoutFold:
         ratios = rng.uniform(0.0, 10.0, (n, k))
         assert np.any(ratios > reg.ratio_max)
         assert np.any(ratios < reg.ratio_max)
-        clipped = _clip_ratios(reg, ratios)
+        clipped = _clip_ratios(reg.ratio_max, ratios)
         ref = np.empty((n, k))
         for a in range(k):
             actions = np.full(n, a)
             proj = features(reg, contexts, actions) @ reg.rho.rho_xr
-            mu, sigma_sq = _gaussian_params(reg, proj, clipped[:, a])
+            mu, sigma_sq = _gaussian_params(reg.base, reg.rho.rho_r, proj,
+                                            clipped[:, a])
             got_mu, got_sigma_sq = predict_batch(reg, contexts, actions,
                                                  ratios[:, a])
             assert np.allclose(got_mu, mu, rtol=1e-12, atol=1e-12)
@@ -500,6 +503,31 @@ class TestReadoutFold:
         assert out_dims == [1]
         predict_batch(reg, contexts, np.zeros(9, dtype=int), np.ones(9))
         assert out_dims == [1, 1]
+
+
+# One fault per row, on random_regressor's 4 -> 4 -> 3 net over 2 contexts
+# and 2 actions; the loader and the in-memory records report it alike,
+# except the whole-number rule of a saved count, which only a file has.
+FAULTS = [
+    ("ratio_max", -5.0, "ratio_max"),
+    ("ratio_max", float("nan"), "ratio_max"),
+    ("rho_xr", np.zeros(4), "rho_xr"),
+    ("b0", np.zeros(3), "b0"),
+    ("w0", np.zeros(16), "w0"),
+    ("w1", np.zeros((3, 5)), "w1"),
+    ("w0", np.zeros((4, 2)), "n_actions"),
+    ("r_min", 1.5, "r_min must not exceed r_max"),
+    ("r_min", float("nan"), "r_min must not exceed r_max"),
+    ("r_max", float("nan"), "r_min must not exceed r_max"),
+    ("n_actions", 0, "n_actions must be >= 1, got 0"),
+    ("n_actions", -2, "n_actions must be >= 1, got -2"),
+    ("n_actions", 1.9, "n_actions must be a whole number, got 1.9"),
+    ("n_layers", 2.7, "n_layers must be a whole number, got 2.7"),
+    ("w0", np.full((4, 4), np.nan), "w0 must be finite"),
+    ("rho_xr", np.array([0.5, np.nan, 0.5]), "rho_xr must be finite"),
+    ("b1", np.full(3, np.inf), "b1 must be finite"),
+    ("rho_r", np.inf, "rho_r must be finite"),
+]
 
 
 class TestSerialization:
@@ -537,26 +565,7 @@ class TestSerialization:
         assert np.array_equal(mean_matrix(back, contexts, ratios),
                               mean_matrix(reg, contexts, ratios))
 
-    @pytest.mark.parametrize("field, value, match", [
-        ("ratio_max", -5.0, "ratio_max"),
-        ("ratio_max", float("nan"), "ratio_max"),
-        ("rho_xr", np.zeros(4), "rho_xr"),
-        ("b0", np.zeros(3), "b0"),
-        ("w0", np.zeros(16), "w0"),
-        ("w1", np.zeros((3, 5)), "w1"),
-        ("w0", np.zeros((4, 2)), "n_actions"),
-        ("r_min", 1.5, "r_min must not exceed r_max"),
-        ("r_min", float("nan"), "r_min must not exceed r_max"),
-        ("r_max", float("nan"), "r_min must not exceed r_max"),
-        ("n_actions", 0, "n_actions must be >= 1, got 0"),
-        ("n_actions", -2, "n_actions must be >= 1, got -2"),
-        ("n_actions", 1.9, "n_actions must be a whole number, got 1.9"),
-        ("n_layers", 2.7, "n_layers must be a whole number, got 2.7"),
-        ("w0", np.full((4, 4), np.nan), "w0 must be finite"),
-        ("rho_xr", np.array([0.5, np.nan, 0.5]), "rho_xr must be finite"),
-        ("b1", np.full(3, np.inf), "b1 must be finite"),
-        ("rho_r", np.inf, "rho_r must be finite"),
-    ])
+    @pytest.mark.parametrize("field, value, match", FAULTS)
     def test_inconsistent_file_rejected(self, tmp_path, field, value, match):
         # random_regressor's net is 4 -> 4 -> 3 on 2 contexts + 2 actions
         path = tmp_path / "reg.npz"
@@ -566,6 +575,22 @@ class TestSerialization:
         payload[field] = np.asarray(value)
         np.savez(path, **payload)
         with pytest.raises(ValueError, match=match):
+            load_regressor(path)
+
+    @pytest.mark.parametrize("drop, n_layers, missing", [
+        ("rho_r", 2, "rho_r"), ("w1", 2, "w1"), (None, 3, "w2"),
+        ("format_tag", 2, "format_tag"),
+    ])
+    def test_missing_field_rejected(self, tmp_path, drop, n_layers, missing):
+        # numpy raises KeyError for an absent field; the loader a ValueError
+        path = tmp_path / "reg.npz"
+        save_regressor(random_regressor(np.random.default_rng(28)), path)
+        with np.load(path) as blob:
+            payload = dict(blob)
+        payload.pop(drop, None)
+        payload["n_layers"] = np.asarray(n_layers)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=f"missing field: {missing}"):
             load_regressor(path)
 
     def test_integral_float_counts_load(self, tmp_path):
@@ -591,6 +616,24 @@ class TestSerialization:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("field, value, match", [
+        fault for fault in FAULTS if "whole number" not in fault[2]])
+    def test_inconsistent_record_rejected(self, field, value, match):
+        # each file fault built in memory: a layer's through FeedForwardNet,
+        # rho's through RhoParams, the rest through dataclasses.replace
+        reg = random_regressor(np.random.default_rng(28))
+        layers = [dataclasses.replace(layer) for layer in reg.net.layers]
+        changes = {field: value}
+        if field[0] in "wb" and field[1:].isdigit():
+            name = "weight" if field[0] == "w" else "bias"
+            setattr(layers[int(field[1:])], name, changes.pop(field))
+        with pytest.raises(ValueError, match=match):
+            if field.startswith("rho_"):
+                dataclasses.replace(reg, rho=dataclasses.replace(reg.rho,
+                                                                 **changes))
+            else:
+                dataclasses.replace(reg, net=FeedForwardNet(layers), **changes)
+
     def test_negative_rho_r_rejected(self):
         with pytest.raises(ValueError):
             RhoParams(-0.1, np.zeros(2))
